@@ -14,9 +14,9 @@
 //! * `upper_bound` — one batch under `ApproxMode::UpperBound`: exercises
 //!   the window-floor-corrected cost-space bound projection and reports
 //!   how often a positive bound (hence a guaranteed factor) is proven.
-//! * `worker_scaling` — `ParallelSession::optimize_batch` with 1/2/4/8
-//!   workers on a *cold* mixed-topology multi-structure batch: the
-//!   worker-pool throughput next to the sequential baseline (scraped into
+//! * `worker_scaling` — `QueryService::submit_many` with 1/2/4/8 workers
+//!   on a *cold* mixed-topology multi-structure batch: the worker-pool
+//!   throughput next to the sequential baseline (scraped into
 //!   `BENCH_0003.json`; hit rate printed so the cold-ness is auditable).
 //! * `service_ingest` — the continuous-ingest `QueryService` fed a
 //!   duplicate-heavy mixed stream by 1 and 4 racing submitter threads
@@ -43,7 +43,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use milpjoin::{
     partition_join_graph, standard_router, ApproxMode, DecomposeOptions, EncoderConfig,
-    HybridOptimizer, MilpOptimizer, OrderingOptions, ParallelSession, PlanSession, Precision,
+    HybridOptimizer, MilpOptimizer, OrderingOptions, PlanSession, PlanTicket, Precision,
     QueryService, RouterOptions,
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer};
@@ -181,8 +181,8 @@ fn bench_upper_bound(c: &mut Criterion) {
 }
 
 /// Worker-pool scaling on a cold batch: 12 distinct structures (4 per
-/// topology, mixed over one catalog) × 2 copies = 24 queries, solved by a
-/// fresh `ParallelSession` per iteration with 1/2/4/8 workers. The
+/// topology, mixed over one catalog) × 2 copies = 24 queries, submitted to
+/// a fresh `QueryService` per iteration with 1/2/4/8 workers. The
 /// interesting number is `batch_qps` versus the 1-worker row — the
 /// worker-pool speedup on solver-bound traffic (the 4-worker row is the
 /// acceptance gate recorded in `BENCH_0003.json`).
@@ -205,22 +205,23 @@ fn bench_worker_scaling(c: &mut Criterion) {
             &workers,
             |b, &w| {
                 b.iter(|| {
-                    // Fresh session per iteration: a *cold* cache, so the
+                    // Fresh service per iteration: a *cold* cache, so the
                     // measured work is 12 real solves (+ 12 in-batch hits).
                     // The time budget is far above any solve's need: a
                     // budget that binds under CPU oversubscription would
                     // clip the slow configurations' solves and fake a
                     // speedup (observed on a 1-CPU host with the default
                     // 20 s budget).
-                    let mut session = ParallelSession::new(catalog.clone(), backend())
+                    let service = QueryService::new(catalog.clone(), backend())
+                        .with_workers(w)
                         .with_options(OrderingOptions::with_time_limit(Duration::from_secs(600)));
                     let start = Instant::now();
-                    let results = session.optimize_batch(&queries, w);
-                    let elapsed = start.elapsed();
-                    for r in &results {
-                        r.as_ref().expect("hybrid always returns a plan");
+                    let tickets = service.submit_many(queries.iter().cloned());
+                    for result in tickets.iter().map(PlanTicket::wait) {
+                        result.expect("hybrid always returns a plan");
                     }
-                    let stats = session.explain();
+                    let elapsed = start.elapsed();
+                    let stats = service.shutdown();
                     println!(
                         "SESSION_STATS group=worker_scaling workers={} queries={} solves={} \
                          hits={} hit_rate={:.4} batch_qps={:.2}",

@@ -699,8 +699,9 @@ pub(crate) fn ordering_error(e: OptimizeError) -> OrderingError {
 // Concurrency audit: the optimizer is an immutable configuration; all
 // per-solve scratch (encoding, traces, the incumbent projection cache, the
 // branch-and-bound search) lives on the `optimize` call stack. One instance
-// may therefore serve many worker threads, and the parallel session
-// executor's `OrdererFactory` blanket impl (`Clone` backends) applies.
+// may therefore serve many worker threads, and the `OrdererFactory`
+// blanket impl (`Clone` backends) that `QueryService` builds workers from
+// applies.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MilpOptimizer>();

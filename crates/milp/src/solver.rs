@@ -53,7 +53,7 @@ pub struct Solver {
 // builds its own working model, LP, and branch-and-bound state on the call
 // stack (no interior mutability, no shared scratch), so solvers, models,
 // and results may cross thread boundaries freely — the property the
-// parallel session executor in `milpjoin-qopt` is built on.
+// worker pool of `milpjoin-qopt`'s `QueryService` is built on.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Solver>();

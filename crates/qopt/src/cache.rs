@@ -281,8 +281,8 @@ impl Shard {
 
 /// A bounded, shard-locked fingerprint → plan cache (see the module docs).
 ///
-/// Shared by reference ([`std::sync::Arc`]) between a session and the
-/// workers of a parallel executor. Entries are `Arc`-wrapped internally,
+/// Shared by reference ([`std::sync::Arc`]) between sessions and the
+/// workers of a [`crate::service::QueryService`]. Entries are `Arc`-wrapped internally,
 /// so a hit hands out a pointer clone — no per-hit deep copy of the plan
 /// payload — and no lock is held while the caller instantiates the plan.
 pub struct ShardedPlanCache {
@@ -412,9 +412,9 @@ impl ShardedPlanCache {
     }
 
     /// Refreshes an entry's LRU recency without cloning it; returns whether
-    /// the entry was present. Used by the parallel executor to normalize
-    /// recency to input order during batch assembly (so cross-batch
-    /// eviction behavior matches the sequential session's).
+    /// the entry was present. (Test-only: the snapshot tests probe which
+    /// entries survived eviction without running the claim protocol.)
+    #[cfg(test)]
     pub(crate) fn touch(&self, fp: &Fingerprint) -> bool {
         let mut shard = self.shards[self.shard_of(fp)].lock();
         shard.clock += 1;

@@ -197,11 +197,6 @@ pub struct FingerprintedQuery {
     pub to_canonical: Vec<usize>,
     /// `from_canonical[canonical_index] = query_position` (inverse).
     pub from_canonical: Vec<usize>,
-    /// Whether the query is safe to cache. Since the fingerprint models
-    /// projection payloads (carried columns, quantized widths), every
-    /// well-formed query is currently cacheable; the flag remains for
-    /// future query classes the fingerprint cannot express.
-    pub cacheable: bool,
     /// Whether the individualization budget
     /// ([`FingerprintOptions::individualization_budget`]) ran out with
     /// symmetric ties still unresolved, so some ties fell back to the
@@ -362,7 +357,6 @@ impl FingerprintedQuery {
             exact,
             to_canonical,
             from_canonical,
-            cacheable: true,
             budget_exhausted,
         }
     }
@@ -629,7 +623,6 @@ mod tests {
         let f2 = FingerprintedQuery::compute(&c, &q2, &opts);
         assert_eq!(f1.fingerprint, f2.fingerprint);
         assert_eq!(f1.exact, f2.exact);
-        assert!(f1.cacheable);
     }
 
     #[test]
@@ -820,9 +813,8 @@ mod tests {
         let opts = FingerprintOptions::default();
         let f1 = FingerprintedQuery::compute(&c, &q1, &opts);
         let f2 = FingerprintedQuery::compute(&c, &q2, &opts);
-        // Projection queries no longer bypass the cache: structurally
-        // identical carried-column payloads over disjoint tables match.
-        assert!(f1.cacheable && f2.cacheable);
+        // Structurally identical carried-column payloads over disjoint
+        // tables match.
         assert_eq!(f1.fingerprint, f2.fingerprint);
         assert_eq!(f1.exact, f2.exact);
 

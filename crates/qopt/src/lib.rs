@@ -28,7 +28,6 @@ pub mod cache;
 pub mod card;
 pub mod catalog;
 pub mod cost;
-pub mod executor;
 pub mod fingerprint;
 pub mod graph;
 pub mod orderer;
@@ -44,7 +43,6 @@ pub use cache::ShardedPlanCache;
 pub use card::Estimator;
 pub use catalog::{Catalog, Column, ColumnId, Table, TableId};
 pub use cost::{CostModelKind, CostParams, JoinContext, PlanCost};
-pub use executor::ParallelSession;
 pub use fingerprint::{Fingerprint, FingerprintOptions, FingerprintedQuery};
 pub use graph::{GraphShape, JoinGraph};
 pub use orderer::{

@@ -215,7 +215,7 @@ pub struct OrderingOptions {
     /// search, which is bit-identical to the historical single-threaded
     /// solver; values above `1` run the MILP backend's shared-pool
     /// parallel branch-and-bound. Composes multiplicatively with service
-    /// concurrency: a `ParallelSession` with `w` workers each solving with
+    /// concurrency: a `QueryService` with `w` workers each solving with
     /// `t` solver threads can occupy up to `w × t` cores — budget both
     /// knobs together, and keep this at the default `1` whenever
     /// bit-identical results matter (`threads > 1` preserves optimal costs
@@ -373,8 +373,8 @@ impl std::error::Error for OrderingError {}
 /// Backends are `Send + Sync`: every implementation in the workspace is an
 /// immutable configuration whose per-solve scratch lives on the call stack
 /// (`order` takes `&self`), so one backend may be shared across threads and
-/// `Box<dyn JoinOrderer>` values may move between them. The parallel
-/// executor ([`crate::executor::ParallelSession`]) relies on this; a
+/// `Box<dyn JoinOrderer>` values may move between them. The service's
+/// worker pool ([`crate::service::QueryService`]) relies on this; a
 /// backend needing per-solve mutable state must keep it in a per-call
 /// context, not in `self`.
 pub trait JoinOrderer: Send + Sync {
@@ -399,20 +399,20 @@ pub trait JoinOrderer: Send + Sync {
 }
 
 /// Builds fresh, identically-configured backend instances — one per worker
-/// thread of a parallel executor, so each worker owns its solver rather
-/// than contending on a shared one.
+/// thread of a [`crate::service::QueryService`], so each worker owns its
+/// solver rather than contending on a shared one.
 ///
 /// Every `Clone` backend is a factory of itself (the blanket impl below):
 /// `MilpOptimizer`, `HybridOptimizer`, and the DP/greedy wrappers all
 /// qualify, so a configured optimizer value can be handed directly to
-/// [`crate::executor::ParallelSession`]. Backends that are not `Clone`
+/// [`crate::service::QueryService::new`]. Backends that are not `Clone`
 /// (or whose construction is more involved) can use [`BuildWith`] around a
 /// closure.
 pub trait OrdererFactory: Send + Sync {
     /// Builds one backend instance. Instances built from one factory must
     /// be *identically configured* (same cost model, same determinism per
-    /// seed): the parallel executor's result-identity guarantee assumes
-    /// any two of them produce the same outcome for the same input.
+    /// seed): the service's result-identity guarantee assumes any two of
+    /// them produce the same outcome for the same input.
     fn build(&self) -> Box<dyn JoinOrderer>;
 }
 
@@ -439,7 +439,7 @@ where
 // touches — the shared catalog, per-query outcomes (plans, traces), options,
 // errors, and boxed backends/factories — is `Send + Sync`. A regression
 // (say, an `Rc` slipping into a trace) fails compilation here, not at a
-// distant executor call site.
+// distant service call site.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Catalog>();

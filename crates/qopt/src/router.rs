@@ -13,12 +13,12 @@
 //! features ([`QueryFeatures`]): table count, join-graph topology class,
 //! cost model, runtime budget, and objective applicability.
 //!
-//! The router is itself a [`JoinOrderer`], so every service layer —
-//! [`crate::session::PlanSession`], [`crate::service::QueryService`],
-//! [`crate::executor::ParallelSession`] — adopts it with zero API change;
-//! it is `Clone` (arms are shared [`Arc`]s), so the blanket
-//! [`crate::orderer::OrdererFactory`] impl applies and worker pools build
-//! router instances like any other backend.
+//! The router is itself a [`JoinOrderer`], so both serving surfaces —
+//! [`crate::session::PlanSession`] and [`crate::service::QueryService`] —
+//! adopt it with zero API change; it is `Clone` (arms are shared
+//! [`Arc`]s), so the blanket [`crate::orderer::OrdererFactory`] impl
+//! applies and worker pools build router instances like any other
+//! backend.
 //!
 //! ## Contract
 //!
@@ -47,21 +47,15 @@
 //!    fragment is solved by the hybrid pipeline, and the fragment plans
 //!    are stitched over the quotient graph. No whole-query root LP is
 //!    ever attempted, so the BENCH_0005 root-LP stall cannot occur.
-//! 3. `large-star-fastpath` — star-shaped queries with at least
-//!    [`RouterOptions::star_fastpath_tables`] tables route to **greedy**:
-//!    the MILP's root LP relaxation stalls on large stars (BENCH_0005)
-//!    and the subset DPs are out of memory range, so without a decompose
-//!    arm the heuristic is the only arm that productively spends the
-//!    budget.
-//! 4. `small-cout` — at most [`RouterOptions::exact_max_tables`] tables
+//! 3. `small-cout` — at most [`RouterOptions::exact_max_tables`] tables
 //!    with a subset-decomposable objective (C_out, no expensive
 //!    predicates) routes to **dpconv**: the exact optimum in microseconds
 //!    to low milliseconds.
-//! 5. `small-exact` — at most [`RouterOptions::exact_max_tables`] tables
+//! 4. `small-exact` — at most [`RouterOptions::exact_max_tables`] tables
 //!    otherwise routes to **dp** (classical Selinger enumeration; exact
 //!    for every cost model).
-//! 6. `large-search` — everything else routes to **hybrid** (greedy-seeded
-//!    MILP), falling back to **milp** when no hybrid arm is installed.
+//! 5. `large-search` — everything else routes to **hybrid** (greedy-seeded
+//!    MILP).
 //!
 //! If a rule's arm is missing the next rule is tried; if no rule fires,
 //! a deterministic fallback picks the first installed arm that can serve
@@ -90,9 +84,7 @@ pub enum BackendArm {
     /// Subset-convolution-style layered DP: exact, C_out-shaped
     /// objectives only (see `milpjoin_dp::DpConvOptimizer`).
     DpConv,
-    /// The MILP encoder + branch-and-bound pipeline.
-    Milp,
-    /// Greedy-seeded warm-started MILP.
+    /// Greedy-seeded warm-started MILP: the search arm.
     Hybrid,
     /// Decompose-and-conquer: partition the join graph into fragments,
     /// solve each with the hybrid pipeline, stitch over the quotient
@@ -101,11 +93,10 @@ pub enum BackendArm {
 }
 
 impl BackendArm {
-    pub const ALL: [BackendArm; 6] = [
+    pub const ALL: [BackendArm; 5] = [
         BackendArm::Greedy,
         BackendArm::Dp,
         BackendArm::DpConv,
-        BackendArm::Milp,
         BackendArm::Hybrid,
         BackendArm::Decompose,
     ];
@@ -115,7 +106,6 @@ impl BackendArm {
             BackendArm::Greedy => "greedy",
             BackendArm::Dp => "dp",
             BackendArm::DpConv => "dpconv",
-            BackendArm::Milp => "milp",
             BackendArm::Hybrid => "hybrid",
             BackendArm::Decompose => "decomp",
         }
@@ -126,9 +116,8 @@ impl BackendArm {
             BackendArm::Greedy => 0,
             BackendArm::Dp => 1,
             BackendArm::DpConv => 2,
-            BackendArm::Milp => 3,
-            BackendArm::Hybrid => 4,
-            BackendArm::Decompose => 5,
+            BackendArm::Hybrid => 3,
+            BackendArm::Decompose => 4,
         }
     }
 }
@@ -190,8 +179,8 @@ pub struct RouteDecision {
     /// directly).
     pub arm: BackendArm,
     /// The policy rule that fired (`"tight-budget"`,
-    /// `"very-large-decompose"`, `"large-star-fastpath"`, `"small-cout"`,
-    /// `"small-exact"`, `"large-search"`, `"fallback"`).
+    /// `"very-large-decompose"`, `"small-cout"`, `"small-exact"`,
+    /// `"large-search"`, `"fallback"`).
     pub rule: &'static str,
     /// The features the rule fired on.
     pub features: QueryFeatures,
@@ -221,7 +210,6 @@ pub struct RouteCounts {
     pub greedy: u64,
     pub dp: u64,
     pub dpconv: u64,
-    pub milp: u64,
     pub hybrid: u64,
     pub decompose: u64,
 }
@@ -232,7 +220,6 @@ impl RouteCounts {
             BackendArm::Greedy => self.greedy,
             BackendArm::Dp => self.dp,
             BackendArm::DpConv => self.dpconv,
-            BackendArm::Milp => self.milp,
             BackendArm::Hybrid => self.hybrid,
             BackendArm::Decompose => self.decompose,
         }
@@ -243,7 +230,6 @@ impl RouteCounts {
             BackendArm::Greedy => self.greedy += 1,
             BackendArm::Dp => self.dp += 1,
             BackendArm::DpConv => self.dpconv += 1,
-            BackendArm::Milp => self.milp += 1,
             BackendArm::Hybrid => self.hybrid += 1,
             BackendArm::Decompose => self.decompose += 1,
         }
@@ -262,20 +248,18 @@ impl RouteCounts {
             .count()
     }
 
-    /// Routed solves that reached a branch-and-bound backend (MILP or
-    /// hybrid) — the expensive tail the router exists to protect. The
-    /// decompose arm is *not* counted: its fragment solves never run a
-    /// bare whole-query root LP, which is exactly what this counter
-    /// polices.
+    /// Routed solves that reached the branch-and-bound arm (hybrid) — the
+    /// expensive tail the router exists to protect. The decompose arm is
+    /// *not* counted: its fragment solves never run a bare whole-query
+    /// root LP, which is exactly what this counter polices.
     pub fn search_solves(&self) -> u64 {
-        self.milp + self.hybrid
+        self.hybrid
     }
 
     pub(crate) fn absorb(&mut self, other: &RouteCounts) {
         self.greedy += other.greedy;
         self.dp += other.dp;
         self.dpconv += other.dpconv;
-        self.milp += other.milp;
         self.hybrid += other.hybrid;
         self.decompose += other.decompose;
     }
@@ -304,8 +288,8 @@ impl fmt::Display for RouteCounts {
 
 /// Static thresholds of the default routing policy. All tunable; the
 /// defaults encode the workspace's own measurements (BENCH_0001/0005):
-/// subset DPs win outright through ~12 tables, and large stars starve the
-/// MILP root LP.
+/// subset DPs win outright through ~12 tables, and very large queries
+/// starve the whole-query MILP root LP.
 #[derive(Debug, Clone)]
 pub struct RouterOptions {
     /// Wall-clock budgets at or below this route to the greedy arm
@@ -315,17 +299,10 @@ pub struct RouterOptions {
     /// `small-cout` / `small-exact`). Default 12 (4096 subsets — well
     /// under a millisecond; the MILP encoding alone costs more).
     pub exact_max_tables: usize,
-    /// Star-shaped queries with at least this many tables route to greedy
-    /// (rule `large-star-fastpath`): the MILP root LP stalls on large
-    /// stars, so branch-and-bound buys nothing (BENCH_0005's star-20).
-    /// Default 20.
-    pub star_fastpath_tables: usize,
     /// Queries with at least this many tables route to the decompose arm
     /// (rule `very-large-decompose`), which partitions the join graph and
-    /// solves fragments instead of running one whole-query root LP. Fires
-    /// *ahead of* `large-star-fastpath`, so when both arms are installed
-    /// large stars get a stitched plan instead of a bare heuristic one.
-    /// Default 20.
+    /// solves fragments instead of running one whole-query root LP (which
+    /// stalls at this size: BENCH_0005's star-20). Default 20.
     pub decompose_min_tables: usize,
 }
 
@@ -334,7 +311,6 @@ impl Default for RouterOptions {
         RouterOptions {
             greedy_budget: Duration::from_micros(500),
             exact_max_tables: 12,
-            star_fastpath_tables: 20,
             decompose_min_tables: 20,
         }
     }
@@ -353,12 +329,6 @@ impl RouterOptions {
         self
     }
 
-    /// Builder-style setter for [`Self::star_fastpath_tables`].
-    pub fn star_fastpath_tables(mut self, n: usize) -> Self {
-        self.star_fastpath_tables = n;
-        self
-    }
-
     /// Builder-style setter for [`Self::decompose_min_tables`].
     pub fn decompose_min_tables(mut self, n: usize) -> Self {
         self.decompose_min_tables = n;
@@ -372,11 +342,11 @@ impl RouterOptions {
 ///
 /// Built empty and populated with [`Self::with_arm`]; the first arm fixes
 /// the router's cost model and later arms must match it. Most callers want
-/// `milpjoin::standard_router`, which wires all six workspace arms from
+/// `milpjoin::standard_router`, which wires all five workspace arms from
 /// one encoder configuration.
 #[derive(Clone)]
 pub struct RouterOptimizer {
-    arms: [Option<Arc<dyn JoinOrderer>>; 6],
+    arms: [Option<Arc<dyn JoinOrderer>>; 5],
     options: RouterOptions,
     model: Option<(CostModelKind, CostParams)>,
     /// First configuration inconsistency seen while installing arms;
@@ -387,7 +357,7 @@ pub struct RouterOptimizer {
 impl RouterOptimizer {
     pub fn new(options: RouterOptions) -> Self {
         RouterOptimizer {
-            arms: [None, None, None, None, None, None],
+            arms: [None, None, None, None, None],
             options,
             model: None,
             config_error: None,
@@ -473,25 +443,13 @@ impl RouterOptimizer {
         }
         // Rule 2: very large queries never run a whole-query root LP —
         // the decompose arm partitions the join graph, solves fragments,
-        // and stitches. Deliberately ahead of the star fastpath: when the
-        // arm is installed, large stars get a stitched plan instead of a
-        // bare heuristic one.
+        // and stitches.
         if features.tables >= self.options.decompose_min_tables {
             if let Some(d) = decision(BackendArm::Decompose, "very-large-decompose") {
                 return Some(d);
             }
         }
-        // Rule 3: large stars starve the MILP root LP and exceed subset-DP
-        // memory; with no decompose arm the heuristic is the only
-        // productive arm.
-        if features.shape == GraphShape::Star
-            && features.tables >= self.options.star_fastpath_tables
-        {
-            if let Some(d) = decision(BackendArm::Greedy, "large-star-fastpath") {
-                return Some(d);
-            }
-        }
-        // Rules 4/5: the exact fast path.
+        // Rules 3/4: the exact fast path.
         if features.tables <= self.options.exact_max_tables {
             if features.dpconv_applicable() {
                 if let Some(d) = decision(BackendArm::DpConv, "small-cout") {
@@ -502,11 +460,8 @@ impl RouterOptimizer {
                 return Some(d);
             }
         }
-        // Rule 6: the search tail.
+        // Rule 5: the search tail.
         if let Some(d) = decision(BackendArm::Hybrid, "large-search") {
-            return Some(d);
-        }
-        if let Some(d) = decision(BackendArm::Milp, "large-search") {
             return Some(d);
         }
         // Deterministic fallback over whatever is installed: exact arms
@@ -754,28 +709,12 @@ mod tests {
         assert_eq!(route.rule, "large-search");
         assert_eq!(route.features.shape, GraphShape::Star);
 
-        // At the decompose threshold the decompose arm wins — ahead of
-        // the star fastpath, which would otherwise clip to greedy.
+        // At the decompose threshold the decompose arm wins.
         let (c, q) = star_query(20);
         let out = router.order(&c, &q, &OrderingOptions::default()).unwrap();
         let route = out.route.unwrap();
         assert_eq!(route.arm, BackendArm::Decompose);
         assert_eq!(route.rule, "very-large-decompose");
-    }
-
-    #[test]
-    fn large_stars_without_decompose_arm_fast_path_to_greedy() {
-        let mut router = RouterOptimizer::new(RouterOptions::default());
-        for a in BackendArm::ALL {
-            if a != BackendArm::Decompose {
-                router = router.with_arm(a, arm(CostModelKind::Cout));
-            }
-        }
-        let (c, q) = star_query(20);
-        let out = router.order(&c, &q, &OrderingOptions::default()).unwrap();
-        let route = out.route.unwrap();
-        assert_eq!(route.arm, BackendArm::Greedy);
-        assert_eq!(route.rule, "large-star-fastpath");
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! [`QueryService`]: the continuous-ingest optimization service.
 //!
-//! The batch-shaped surfaces ([`crate::session::PlanSession`],
-//! [`crate::executor::ParallelSession`]) answer a *slice* of queries and
-//! return; production traffic does not arrive in slices. A `QueryService`
-//! is the same optimization stack re-shaped for serving — which is where
-//! the paper's anytime MILP formulation pays off in the first place (and
-//! the argument the hybrid-MILP follow-up, Schönberger & Trummer 2025,
-//! makes explicitly): a long-running process accepts queries **from any
-//! thread at any time**, solves them on a pool of worker threads, and
-//! resolves each submission through a [`PlanTicket`]:
+//! [`crate::session::PlanSession`] answers queries one call at a time on
+//! the caller's thread; production traffic arrives concurrently. A
+//! `QueryService` is the same optimization engine re-shaped for serving —
+//! which is where the paper's anytime MILP formulation pays off in the
+//! first place (and the argument the hybrid-MILP follow-up, Schönberger &
+//! Trummer 2025, makes explicitly): a long-running process accepts queries
+//! **from any thread at any time**, solves them on a pool of worker
+//! threads, and resolves each submission through a [`PlanTicket`]:
 //!
 //! * [`QueryService::submit`] enqueues one query and returns immediately;
 //!   [`QueryService::submit_many`] enqueues a stream;
@@ -22,42 +21,51 @@
 //!
 //! ## Cross-batch in-flight deduplication
 //!
-//! Batch executors can deduplicate a batch by prepass, but a continuous
-//! stream has no batch boundary to prepass over. The service instead
-//! relies on the **in-flight table** inside [`ShardedPlanCache`]: one
-//! condvar-backed slot per fingerprint currently being solved
-//! ([`ShardedPlanCache::claim`]). The first worker to miss a structure
-//! becomes its *leader* and solves; every concurrent duplicate — from any
-//! worker, any submitter thread, any session sharing the cache handle —
-//! *blocks on the leader's slot* and instantiates its published record.
+//! A continuous stream has no batch boundary to deduplicate over. The
+//! service instead relies on the **in-flight table** inside
+//! [`ShardedPlanCache`]: one condvar-backed slot per fingerprint currently
+//! being solved ([`ShardedPlanCache::claim`]). The first worker to miss a
+//! structure becomes its *leader* and solves; every concurrent duplicate —
+//! from any worker, any submitter thread, any session sharing the cache
+//! handle — *blocks on the leader's slot* and instantiates its published
+//! record.
 //! Concurrent identical submissions therefore trigger **exactly one
 //! backend solve**, and every follower's outcome goes through the same
-//! `instantiate_cached` path a sequential cache hit uses, so every
-//! ticket's plan, exact cost, and certificates are bit-identical to a
-//! sequential [`crate::session::PlanSession`] fed the same stream. One
-//! honest nuance of continuous ingest: *which* concurrent duplicate
-//! carries the miss (`cache_hit: false`) is decided by the claim race,
-//! not by submission order — exactly one per structure, but
-//! scheduling-dependent (a single-worker service processes FIFO and is
-//! fully deterministic; the batch facade
-//! [`crate::executor::ParallelSession`] pins the miss to the first
-//! in-batch occurrence by prepass). If a leader fails, followers wake
+//! `instantiate_cached` path a sequential cache hit uses. *Which*
+//! concurrent duplicate carries the miss (`cache_hit: false`) is decided
+//! by the claim race, not by submission order — exactly one per
+//! structure, but scheduling-dependent. If a leader fails, followers wake
 //! empty-handed and re-enter the claim protocol — reproducing the
 //! sequential session's per-occurrence retry of an uncached structure.
 //!
 //! ## Determinism under load
 //!
-//! Thread scheduling cannot change any returned value: solves are
-//! deterministic per backend configuration and seed, and followers derive
-//! from the leader's record. The one caveat is a *binding wall-clock
-//! budget*, which measures CPU contention; set
+//! Solves are deterministic per backend configuration and seed, and
+//! followers derive from the leader's record. What that buys:
+//!
+//! * A one-worker service processes submissions FIFO and returns exactly
+//!   what a [`crate::session::PlanSession`] fed the same stream returns,
+//!   hit flags included.
+//! * At any worker count, returned values — plan, exact cost, bound,
+//!   certificate — do not depend on scheduling **when duplicates carry
+//!   identical statistics**. Only which duplicate reports the miss does.
+//! * *Approximate duplicates* — queries sharing a fingerprint bucket but
+//!   differing in unquantized statistics — are the exception. When two
+//!   are in flight together, the claim race picks whose solve is shared;
+//!   the other query gets that plan re-costed exactly for its own
+//!   statistics, with no certificates. Every plan still validates and
+//!   every cost is exact, but which plan and which certificates a query
+//!   gets can vary between runs.
+//!
+//! A *binding wall-clock budget* measures CPU contention and so also
+//! varies with load; set
 //! [`crate::orderer::OrderingOptions::deterministic_budget`] (node-metered)
 //! instead and budget-limited outcomes are identical at any worker count.
 //! LRU recency is stamped by **submission index** (each accepted
 //! submission carries its admission number into the cache, max-merged on
 //! hits), so under capacity pressure the eviction order follows arrival
 //! order deterministically even when a slow early solve publishes after
-//! later fast ones — matching the batch facade's input-order semantics.
+//! later fast ones — the sequential session's order.
 //!
 //! ```
 //! use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
@@ -114,15 +122,18 @@ use std::thread::JoinHandle;
 
 use crate::cache::ShardedPlanCache;
 use crate::catalog::Catalog;
-use crate::executor::DEFAULT_CACHE_SHARDS;
-use crate::fingerprint::{Fingerprint, FingerprintOptions, FingerprintedQuery};
+use crate::fingerprint::FingerprintOptions;
 use crate::orderer::{JoinOrderer, OrdererFactory, OrderingError, OrderingOptions};
 use crate::persist::{SnapshotConfig, SnapshotWriteStats};
 use crate::query::Query;
 use crate::session::{
-    process_prepared, process_query, EngineCtx, Processed, SessionOutcome, SessionStats,
-    DEFAULT_CACHE_CAPACITY,
+    process_query, EngineCtx, SessionOutcome, SessionStats, DEFAULT_CACHE_CAPACITY,
 };
+
+/// Default shard count of a service's plan cache — enough that a handful
+/// of workers rarely contend on one lock, while each shard still holds a
+/// meaningful slice of the capacity.
+pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
 /// Resolution state of one submission. (The variant size difference is
 /// deliberate: `Pending` is transient and per-ticket, `Done` holds the
@@ -130,13 +141,7 @@ use crate::session::{
 #[allow(clippy::large_enum_variant)]
 enum TicketState {
     Pending,
-    Done {
-        result: Result<SessionOutcome, OrderingError>,
-        /// The query's fingerprint when one was computed (caching on and
-        /// the query fingerprintable) — lets batch facades re-stamp LRU
-        /// recency in input order without re-fingerprinting.
-        fingerprint: Option<Fingerprint>,
-    },
+    Done(Result<SessionOutcome, OrderingError>),
 }
 
 struct TicketShared {
@@ -144,20 +149,13 @@ struct TicketShared {
     cv: Condvar,
 }
 
-fn resolve_ticket(
-    ticket: &TicketShared,
-    result: Result<SessionOutcome, OrderingError>,
-    fingerprint: Option<Fingerprint>,
-) {
+fn resolve_ticket(ticket: &TicketShared, result: Result<SessionOutcome, OrderingError>) {
     let mut state = ticket.state.lock();
     // First resolution wins (the panic-path guard may race a regular
     // resolve only if a backend panicked *after* resolving — impossible —
     // so this is belt-and-braces).
     if matches!(*state, TicketState::Pending) {
-        *state = TicketState::Done {
-            result,
-            fingerprint,
-        };
+        *state = TicketState::Done(result);
         ticket.cv.notify_all();
     }
 }
@@ -180,7 +178,7 @@ impl PlanTicket {
         let mut state = self.shared.state.lock();
         loop {
             match &*state {
-                TicketState::Done { result, .. } => return result.clone(),
+                TicketState::Done(result) => return result.clone(),
                 TicketState::Pending => state = self.shared.cv.wait(state),
             }
         }
@@ -190,33 +188,20 @@ impl PlanTicket {
     /// solved.
     pub fn try_get(&self) -> Option<Result<SessionOutcome, OrderingError>> {
         match &*self.shared.state.lock() {
-            TicketState::Done { result, .. } => Some(result.clone()),
+            TicketState::Done(result) => Some(result.clone()),
             TicketState::Pending => None,
         }
     }
 
     /// Whether the submission has resolved.
     pub fn is_done(&self) -> bool {
-        matches!(*self.shared.state.lock(), TicketState::Done { .. })
-    }
-
-    /// The resolved query's fingerprint, if one was computed. `None` while
-    /// pending, and for uncacheable / caching-disabled / invalid queries.
-    pub(crate) fn fingerprint(&self) -> Option<Fingerprint> {
-        match &*self.shared.state.lock() {
-            TicketState::Done { fingerprint, .. } => fingerprint.clone(),
-            TicketState::Pending => None,
-        }
+        matches!(*self.shared.state.lock(), TicketState::Done(_))
     }
 }
 
 /// One queued submission.
 struct Job {
     query: Query,
-    /// Prepass fingerprint from the batch facade's prepared-submit path
-    /// (the query is already validated and `caching` is on). `None` for
-    /// public submissions: the worker runs the full engine.
-    prepared: Option<Box<FingerprintedQuery>>,
     ticket: Arc<TicketShared>,
     /// LRU recency stamp: the submission index offset above the cache's
     /// boot-time clock watermark. Every cache operation this job performs
@@ -295,41 +280,19 @@ impl QueryService {
     /// available parallelism, a [`DEFAULT_CACHE_SHARDS`]-way shared cache
     /// of [`DEFAULT_CACHE_CAPACITY`] structures, default options.
     pub fn new(catalog: Catalog, factory: impl OrdererFactory + 'static) -> Self {
-        Self::from_parts(
-            Arc::new(catalog),
-            Arc::new(factory),
-            OrderingOptions::default(),
-            FingerprintOptions::default(),
-            true,
-            Arc::new(ShardedPlanCache::new(
-                DEFAULT_CACHE_CAPACITY,
-                DEFAULT_CACHE_SHARDS,
-            )),
-            default_workers(),
-        )
-    }
-
-    /// Crate-internal constructor over pre-shared parts (the batch facades
-    /// hand in their own catalog/factory/cache handles).
-    pub(crate) fn from_parts(
-        catalog: Arc<Catalog>,
-        factory: Arc<dyn OrdererFactory>,
-        options: OrderingOptions,
-        fingerprint_options: FingerprintOptions,
-        caching: bool,
-        cache: Arc<ShardedPlanCache>,
-        workers: usize,
-    ) -> Self {
         let probe = factory.build();
         QueryService {
             shared: Arc::new(ServiceShared {
-                catalog,
-                factory,
-                options,
-                fingerprint_options,
-                caching,
-                cache,
-                workers: workers.max(1),
+                catalog: Arc::new(catalog),
+                factory: Arc::new(factory),
+                options: OrderingOptions::default(),
+                fingerprint_options: FingerprintOptions::default(),
+                caching: true,
+                cache: Arc::new(ShardedPlanCache::new(
+                    DEFAULT_CACHE_CAPACITY,
+                    DEFAULT_CACHE_SHARDS,
+                )),
+                workers: default_workers(),
                 max_pending: 0,
                 snapshot_path: None,
                 snapshot_written: AtomicBool::new(false),
@@ -516,18 +479,6 @@ impl QueryService {
     /// [`Self::shutdown`] the ticket resolves immediately with an
     /// [`OrderingError::InvalidConfig`] — never left pending.
     pub fn submit(&self, query: Query) -> PlanTicket {
-        self.submit_prepared(query, None)
-    }
-
-    /// Enqueues a query with an optional prepass fingerprint (the batch
-    /// facade already validated and fingerprinted it — the worker then
-    /// skips both). Crate-internal: a caller-supplied fingerprint must
-    /// match the query and this service's catalog/fingerprint options.
-    pub(crate) fn submit_prepared(
-        &self,
-        query: Query,
-        prepared: Option<Box<FingerprintedQuery>>,
-    ) -> PlanTicket {
         let ticket = Arc::new(TicketShared {
             state: Mutex::new(TicketState::Pending),
             cv: Condvar::new(),
@@ -558,7 +509,6 @@ impl QueryService {
                 let recency = recency_base + state.submitted;
                 state.queue.push_back(Job {
                     query,
-                    prepared,
                     ticket: Arc::clone(&ticket),
                     recency,
                 });
@@ -568,7 +518,7 @@ impl QueryService {
         };
         match rejection {
             None => self.ensure_workers(),
-            Some(error) => resolve_ticket(&ticket, Err(error), None),
+            Some(error) => resolve_ticket(&ticket, Err(error)),
         }
         PlanTicket { shared: ticket }
     }
@@ -701,7 +651,6 @@ fn worker_loop(shared: Arc<ServiceShared>) {
         };
         let Some(Job {
             query,
-            prepared,
             ticket,
             recency,
         }) = job
@@ -717,7 +666,7 @@ fn worker_loop(shared: Arc<ServiceShared>) {
         // slot on the panic path, waking any blocked followers — and the
         // `AssertUnwindSafe` is sound because `local` is only read after
         // the catch and the shared cache guards itself with locks.
-        let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let ctx = EngineCtx {
                 catalog: &shared.catalog,
                 backend: &*backend,
@@ -727,26 +676,14 @@ fn worker_loop(shared: Arc<ServiceShared>) {
                 cache: &shared.cache,
                 recency: Some(recency),
             };
-            match &prepared {
-                // Prepared path: validation and fingerprinting already
-                // happened in the submitter's prepass.
-                Some(fp) => process_prepared(&ctx, &query, fp, &mut local),
-                None => process_query(&ctx, &query, &mut local),
-            }
-        }));
-        match processed {
-            Ok(Processed {
-                result,
-                fingerprint,
-            }) => resolve_ticket(&ticket, result, fingerprint),
-            Err(_panic) => resolve_ticket(
-                &ticket,
-                Err(OrderingError::Backend(
-                    "worker panicked while solving".into(),
-                )),
-                None,
-            ),
-        }
+            process_query(&ctx, &query, &mut local)
+        }))
+        .unwrap_or_else(|_panic| {
+            Err(OrderingError::Backend(
+                "worker panicked while solving".into(),
+            ))
+        });
+        resolve_ticket(&ticket, result);
         shared.stats.lock().absorb(&local);
         mark_resolved(&shared);
     }
@@ -883,6 +820,31 @@ mod tests {
         // Every wait-resolved follower is also a cache hit.
         assert!(stats.inflight_wait_hits <= stats.cache_hits);
         assert!(stats.inflight_followers >= stats.inflight_wait_hits);
+    }
+
+    #[test]
+    fn caching_disabled_solves_every_submission() {
+        let mut catalog = Catalog::new();
+        let a = chain(&mut catalog, 10.0);
+        let b = chain(&mut catalog, 100000.0);
+        let backend = CountingBackend::new();
+        let counter = backend.clone();
+        let service = QueryService::new(catalog, backend)
+            .with_workers(4)
+            .with_caching(false);
+        // Three copies each of two structures: with caching off neither
+        // the cache nor the in-flight table may collapse any of them.
+        let tickets = service.submit_many([&a, &b, &a, &b, &a, &b].map(Query::clone));
+        for t in &tickets {
+            assert!(!t.wait().unwrap().cache_hit);
+        }
+        service.drain();
+        assert_eq!(service.cache_len(), 0);
+        let stats = service.shutdown();
+        assert_eq!(counter.calls(), 6);
+        assert_eq!(stats.backend_solves, 6);
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.inflight_leaders, 0);
     }
 
     #[test]

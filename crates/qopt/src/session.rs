@@ -18,12 +18,12 @@
 //!   solves, error counts, in-flight dedup and fingerprint-fallback
 //!   counters).
 //!
-//! The session is the *sequential facade* over the same per-query engine
-//! ([`process_query`]) that powers the continuous-ingest
-//! [`crate::service::QueryService`] and, through it, the batch-parallel
-//! [`crate::executor::ParallelSession`] — including the cross-batch
-//! in-flight claim protocol, so a session sharing its cache handle with a
-//! service deduplicates solves against the service's workers too.
+//! The session is the *sequential* surface over the per-query engine
+//! ([`process_query`]) that the continuous-ingest
+//! [`crate::service::QueryService`] workers also run — including the
+//! cross-batch in-flight claim protocol, so a session sharing its cache
+//! handle with a service deduplicates solves against the service's workers
+//! too.
 //!
 //! ## Cache semantics
 //!
@@ -54,7 +54,7 @@ use std::time::Instant;
 use crate::cache::{CachedPlan, InFlightClaim, ShardedPlanCache};
 use crate::catalog::Catalog;
 use crate::cost::{plan_cost, CostModelKind, CostParams};
-use crate::fingerprint::{Fingerprint, FingerprintOptions, FingerprintedQuery};
+use crate::fingerprint::{FingerprintOptions, FingerprintedQuery};
 use crate::orderer::{
     CostTrace, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome, SearchStats,
 };
@@ -73,16 +73,11 @@ pub struct SessionStats {
     /// Cache hits whose unquantized statistics matched exactly, so the
     /// original solve's certificates were carried over.
     pub exact_hits: u64,
-    /// Queries handed to the backend (cache misses plus uncacheable
-    /// queries).
+    /// Queries handed to the backend (cache misses, or every valid query
+    /// when caching is disabled).
     pub backend_solves: u64,
     /// Backend solves that returned an error.
     pub backend_errors: u64,
-    /// Queries that bypassed the cache because the fingerprint cannot
-    /// express them. Currently always zero — the fingerprint models
-    /// projection payloads since they were the last uncacheable class —
-    /// but the accounting stays for future query features.
-    pub uncacheable: u64,
     /// Cached structures evicted to respect the cache capacity
     /// ([`PlanSession::with_cache_capacity`]).
     pub evictions: u64,
@@ -93,9 +88,8 @@ pub struct SessionStats {
     /// permuted listings).
     pub fingerprint_fallbacks: u64,
     /// Cache misses that registered as the in-flight **leader** of their
-    /// fingerprint and ran the backend solve. Every `backend_solves` entry
-    /// of a cacheable query is a leader; uncacheable and caching-disabled
-    /// solves are not counted here.
+    /// fingerprint and ran the backend solve. Caching-disabled solves are
+    /// not counted here.
     pub inflight_leaders: u64,
     /// Submissions that found their fingerprint already being solved and
     /// **blocked** on the leader's in-flight slot instead of solving
@@ -157,17 +151,16 @@ impl SessionStats {
         }
     }
 
-    /// Folds another per-worker (or per-service) stats snapshot into this
-    /// one. The eviction count is deliberately **not** folded: it lives in
-    /// the (possibly shared) cache and is re-read at `explain()` time, so
-    /// folding it here would double-count.
+    /// Folds one service job's stats into the service totals. The eviction
+    /// count is deliberately **not** folded: it lives in the (possibly
+    /// shared) cache and is re-read at `explain()` time, so folding it here
+    /// would double-count.
     pub(crate) fn absorb(&mut self, other: &SessionStats) {
         self.queries += other.queries;
         self.cache_hits += other.cache_hits;
         self.exact_hits += other.exact_hits;
         self.backend_solves += other.backend_solves;
         self.backend_errors += other.backend_errors;
-        self.uncacheable += other.uncacheable;
         self.fingerprint_fallbacks += other.fingerprint_fallbacks;
         self.inflight_leaders += other.inflight_leaders;
         self.inflight_followers += other.inflight_followers;
@@ -221,10 +214,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// the query — a canonicalization bug surface, treated as a miss, never as
 /// a wrong answer.
 ///
-/// Shared by the sequential [`PlanSession`] and the parallel
-/// [`crate::executor::ParallelSession`]: both paths producing a hit through
-/// this one function is what makes their outcomes bit-identical.
-pub(crate) fn instantiate_cached(
+/// Every hit — a sequential lookup or a service follower woken by its
+/// leader — goes through this one function, which is what makes their
+/// outcomes bit-identical.
+fn instantiate_cached(
     catalog: &Catalog,
     query: &Query,
     fp: &FingerprintedQuery,
@@ -278,9 +271,8 @@ pub(crate) fn instantiate_cached(
 }
 
 /// The cacheable record of one solved outcome: the plan's join order mapped
-/// into canonical table indices plus the solve's certificates. Shared by
-/// the sequential and parallel session paths.
-pub(crate) fn record_for_cache(
+/// into canonical table indices plus the solve's certificates.
+fn record_for_cache(
     query: &Query,
     fp: &FingerprintedQuery,
     outcome: &OrderingOutcome,
@@ -301,12 +293,11 @@ pub(crate) fn record_for_cache(
     }
 }
 
-/// The shared per-query configuration of the optimization engine: every
-/// surface — the sequential [`PlanSession`], the continuous-ingest
-/// [`crate::service::QueryService`] workers, and (through the service) the
-/// batch-shaped [`crate::executor::ParallelSession`] — answers a query by
-/// building one of these over its own backend instance and calling
-/// [`process_query`]. One engine, three facades: that is what makes their
+/// The shared per-query configuration of the optimization engine: both
+/// surfaces — the sequential [`PlanSession`] and the continuous-ingest
+/// [`crate::service::QueryService`] workers — answer a query by building
+/// one of these over their own backend instance and calling
+/// [`process_query`]. One engine, two surfaces: that is what makes their
 /// results identical by construction.
 pub(crate) struct EngineCtx<'a> {
     pub catalog: &'a Catalog,
@@ -323,16 +314,6 @@ pub(crate) struct EngineCtx<'a> {
     pub recency: Option<u64>,
 }
 
-/// What [`process_query`] hands back: the session-shaped result plus the
-/// query's fingerprint (when one was computed) so callers that need
-/// deterministic LRU recency — the parallel batch facade stamps entries in
-/// input order after the racy worker phase — can touch the cache without
-/// re-fingerprinting.
-pub(crate) struct Processed {
-    pub result: Result<SessionOutcome, OrderingError>,
-    pub fingerprint: Option<Fingerprint>,
-}
-
 /// Answers one query through the full service pipeline: validate →
 /// fingerprint → in-flight claim ([`ShardedPlanCache::claim`]) → cache
 /// hit / leader solve / follower wait. Thread-safe by construction — the
@@ -346,57 +327,25 @@ pub(crate) fn process_query(
     ctx: &EngineCtx<'_>,
     query: &Query,
     stats: &mut SessionStats,
-) -> Processed {
+) -> Result<SessionOutcome, OrderingError> {
+    stats.queries += 1;
     if let Err(e) = query.validate(ctx.catalog) {
-        stats.queries += 1;
-        return Processed {
-            result: Err(OrderingError::InvalidQuery(e.to_string())),
-            fingerprint: None,
-        };
+        return Err(OrderingError::InvalidQuery(e.to_string()));
     }
     if !ctx.caching {
-        stats.queries += 1;
-        return Processed {
-            result: solve_uncached(ctx, query, stats),
-            fingerprint: None,
-        };
+        return solve_uncached(ctx, query, stats);
     }
     let fp = FingerprintedQuery::compute(ctx.catalog, query, ctx.fingerprint_options);
-    process_prepared(ctx, query, &fp, stats)
-}
-
-/// The engine entered with validation already done and the fingerprint
-/// already computed — the batch facade and the service's prepared-submit
-/// path reuse prepass fingerprints here instead of recomputing. Counts
-/// `queries`, fallback, and uncacheable accounting; `ctx.caching` must be
-/// on (a fingerprint exists).
-pub(crate) fn process_prepared(
-    ctx: &EngineCtx<'_>,
-    query: &Query,
-    fp: &FingerprintedQuery,
-    stats: &mut SessionStats,
-) -> Processed {
-    stats.queries += 1;
     if fp.budget_exhausted {
         stats.fingerprint_fallbacks += 1;
     }
-    if !fp.cacheable {
-        stats.uncacheable += 1;
-        return Processed {
-            result: solve_uncached(ctx, query, stats),
-            fingerprint: None,
-        };
-    }
-    let fingerprint = fp.fingerprint.clone();
-    Processed {
-        result: process_fingerprinted(ctx, query, fp, stats),
-        fingerprint: Some(fingerprint),
-    }
+    process_fingerprinted(ctx, query, &fp, stats)
 }
 
-/// The claim-protocol stage of the engine ([`process_prepared`] dispatches
-/// here for cacheable queries). Counts hits/solves/in-flight statistics
-/// but **not** `queries`/`fingerprint_fallbacks` — the caller does.
+/// The claim-protocol stage of the engine ([`process_query`] dispatches
+/// here once caching is on and the query is fingerprinted). Counts
+/// hits/solves/in-flight statistics but **not**
+/// `queries`/`fingerprint_fallbacks` — the caller does.
 fn process_fingerprinted(
     ctx: &EngineCtx<'_>,
     query: &Query,
@@ -494,8 +443,7 @@ fn process_fingerprinted(
     }
 }
 
-/// Runs the backend without touching the cache (caching disabled, or the
-/// query is not fingerprintable).
+/// Runs the backend without touching the cache (caching disabled).
 fn solve_uncached(
     ctx: &EngineCtx<'_>,
     query: &Query,
@@ -580,33 +528,20 @@ fn solve_and_cache(
 /// assert_eq!(session.explain().backend_solves, 1);
 /// ```
 pub struct PlanSession {
-    // Fields are crate-visible: `crate::executor::ParallelSession` wraps a
-    // `PlanSession` as its configuration + sequential-path core instead of
-    // duplicating this surface. The catalog is `Arc`-shared so a
-    // `crate::service::QueryService` spun up over this configuration (the
-    // parallel batch facade does it per call) can hand it to worker
-    // threads without a deep copy.
-    pub(crate) catalog: Arc<Catalog>,
-    pub(crate) backend: Box<dyn JoinOrderer>,
-    pub(crate) options: OrderingOptions,
-    pub(crate) fingerprint_options: FingerprintOptions,
-    pub(crate) caching: bool,
+    catalog: Catalog,
+    backend: Box<dyn JoinOrderer>,
+    options: OrderingOptions,
+    fingerprint_options: FingerprintOptions,
+    caching: bool,
     /// The shard-locked plan cache. One shard by default (exact global
-    /// LRU); shareable with other sessions and with the parallel executor
-    /// through [`Self::shared_cache`].
-    pub(crate) cache: Arc<ShardedPlanCache>,
-    pub(crate) stats: SessionStats,
+    /// LRU); shareable with other sessions and with services through
+    /// [`Self::shared_cache`].
+    cache: Arc<ShardedPlanCache>,
+    stats: SessionStats,
 }
 
 impl PlanSession {
     pub fn new(catalog: Catalog, backend: Box<dyn JoinOrderer>) -> Self {
-        Self::with_arc_catalog(Arc::new(catalog), backend)
-    }
-
-    /// Crate-internal constructor sharing an already-`Arc`'d catalog (the
-    /// executor's `sequential()` and the service facades use it to avoid
-    /// deep-copying the catalog).
-    pub(crate) fn with_arc_catalog(catalog: Arc<Catalog>, backend: Box<dyn JoinOrderer>) -> Self {
         PlanSession {
             catalog,
             backend,
@@ -651,7 +586,7 @@ impl PlanSession {
 
     /// Builder-style setter for the number of independently locked cache
     /// shards (default 1 — exact global LRU). More shards reduce lock
-    /// contention when the cache is shared with a parallel executor, at the
+    /// contention when the cache is shared with a service's workers, at the
     /// price of per-shard (approximate) LRU and a per-shard split of the
     /// capacity. **Rebuilds the cache**: any cached structures are dropped.
     pub fn with_cache_shards(mut self, shards: usize) -> Self {
@@ -761,7 +696,7 @@ impl PlanSession {
             cache: &self.cache,
             recency: None,
         };
-        process_query(&ctx, query, &mut self.stats).result
+        process_query(&ctx, query, &mut self.stats)
     }
 
     /// Optimizes a batch of queries in order. Deterministic: cache lookups
@@ -1036,7 +971,6 @@ mod tests {
         assert!(second.outcome.proven_optimal);
         let stats = session.explain();
         assert_eq!(stats.backend_solves, 1);
-        assert_eq!(stats.uncacheable, 0);
     }
 
     #[test]

@@ -78,6 +78,7 @@ impl<T> Mutex<T> {
         MutexGuard {
             owner: self,
             guard: Some(lock_recover(&self.inner)),
+            #[cfg(debug_assertions)]
             scheduled: false,
         }
     }
@@ -98,6 +99,10 @@ pub struct MutexGuard<'a, T> {
     /// internally by [`Condvar::wait`] (which forgets the guard) and by
     /// `Drop`.
     guard: Option<StdMutexGuard<'a, T>>,
+    /// Whether the explorer scheduled this acquisition, so its release and
+    /// condvar waits must be reported to the model. Only explorer
+    /// (`debug_assertions`) builds have an explorer to report to.
+    #[cfg(debug_assertions)]
     scheduled: bool,
 }
 
@@ -199,6 +204,7 @@ impl Condvar {
         MutexGuard {
             owner,
             guard: Some(std_guard),
+            #[cfg(debug_assertions)]
             scheduled: false,
         }
     }
@@ -230,6 +236,7 @@ impl Condvar {
             MutexGuard {
                 owner,
                 guard: Some(std_guard),
+                #[cfg(debug_assertions)]
                 scheduled: false,
             },
             result.timed_out(),

@@ -173,8 +173,8 @@ impl WorkloadSpec {
     /// Like [`Self::generate_stream`], but appends the stream's tables to
     /// an existing catalog, so several specs — e.g. different topologies —
     /// can interleave their streams over **one** catalog: the input shape
-    /// of a mixed-traffic batch for `PlanSession::optimize_batch` /
-    /// `ParallelSession::optimize_batch`.
+    /// of a mixed-traffic stream for `PlanSession::optimize_batch` /
+    /// `QueryService::submit_many`.
     pub fn generate_stream_into(
         &self,
         catalog: &mut Catalog,

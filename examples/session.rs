@@ -1,6 +1,7 @@
-//! The `PlanSession` service API: one catalog, one backend, a stream of
-//! queries — with a structure-keyed plan cache deduplicating backend
-//! solves across structurally identical queries.
+//! The serving API: one catalog, one backend, a stream of queries — with a
+//! structure-keyed plan cache deduplicating backend solves across
+//! structurally identical queries, answered by the sequential
+//! `PlanSession` or a worker-pool `QueryService`.
 //!
 //! Run with:
 //! `cargo run --release --example session [copies] [tables] [mode] \
@@ -9,8 +10,8 @@
 //! drives one tiny workload per topology through `optimize_batch`,
 //! `session 3 6 upper` runs the same batch under the upper-bounding
 //! cardinality approximation, asserting the window-floor-corrected
-//! cost-space bound is claimed, and `--workers 4` drives the same batches
-//! through the parallel executor's worker pool instead of the sequential
+//! cost-space bound is claimed, and `--workers 4` submits the same streams
+//! to a 4-worker `QueryService` (`submit_many`) instead of the sequential
 //! session; `--solver-threads T` additionally runs T branch-and-bound
 //! workers *inside* each MILP solve — total concurrency is the product,
 //! so budget `workers * solver_threads <= cores`).
@@ -31,8 +32,8 @@ use std::time::{Duration, Instant};
 
 use milpjoin::{
     standard_router, ApproxMode, DecomposingOptimizer, EncoderConfig, HybridOptimizer, JoinOrderer,
-    MilpOptimizer, OrderingError, OrderingOptions, ParallelSession, PlanSession, Precision,
-    RouterOptions, SessionOutcome, SessionStats,
+    MilpOptimizer, OrderingError, OrderingOptions, PlanSession, PlanTicket, Precision,
+    QueryService, RouterOptions, SessionOutcome, SessionStats,
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer, GreedyOptimizer};
 use milpjoin_qopt::{Catalog, Query};
@@ -68,8 +69,10 @@ fn take_backend(args: &mut Vec<String>) -> String {
     }
 }
 
-/// Runs one stream through the sequential session or the parallel
-/// executor — result-identical by construction.
+/// Runs one stream through the sequential session, or through a
+/// `workers`-thread query service with every ticket read in submission
+/// order. Values are identical either way; which copy of a structure
+/// reports the miss may differ with more than one worker.
 fn run_stream<B: JoinOrderer + Clone + 'static>(
     backend: B,
     catalog: Catalog,
@@ -82,9 +85,13 @@ fn run_stream<B: JoinOrderer + Clone + 'static>(
     Catalog,
 ) {
     if workers > 1 {
-        let mut session = ParallelSession::new(catalog, backend).with_options(options);
-        let results = session.optimize_batch(queries, workers);
-        (results, session.explain(), session.catalog().clone())
+        let service = QueryService::new(catalog, backend)
+            .with_workers(workers)
+            .with_options(options);
+        let tickets = service.submit_many(queries.iter().cloned());
+        let results = tickets.iter().map(PlanTicket::wait).collect();
+        let catalog = service.catalog().clone();
+        (results, service.shutdown(), catalog)
     } else {
         let mut session = PlanSession::new(catalog, Box::new(backend)).with_options(options);
         let results = session.optimize_batch(queries);
@@ -186,9 +193,13 @@ fn drive_fixed<B: JoinOrderer + Clone + 'static>(
             .outcome
             .guaranteed_factor()
             .map_or("n/a".to_string(), |f| format!("{f:.2}"));
-        // Show a cache hit when the stream has one (copy #2), else the
-        // lone solved query.
-        let sample = results.get(1).unwrap_or(&results[0]).as_ref().unwrap();
+        // Show a cache hit when the stream has one, else the lone solved
+        // query.
+        let sample = results
+            .iter()
+            .flatten()
+            .find(|r| r.cache_hit)
+            .unwrap_or(solved);
         println!(
             "       plan: {}   cost {:.4e}   guaranteed factor {}   cached: {}",
             sample.outcome.plan.render(&catalog),
@@ -281,8 +292,9 @@ fn drive_router(config: EncoderConfig, cli: &Cli) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--workers N` anywhere in the argument list selects the parallel
-    // executor; the remaining positional arguments keep their meaning.
+    // `--workers N` anywhere in the argument list selects an N-worker
+    // query service; the remaining positional arguments keep their
+    // meaning.
     let workers = take_flag(&mut args, "--workers", 1).max(1);
     // `--solver-threads T` sets the intra-solve branch-and-bound worker
     // count (independent of `--workers`, which parallelizes across

@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use milpjoin::{
     standard_router, BackendArm, EncoderConfig, JoinOrderer, MilpOptimizer, OrderingError,
-    OrderingOptions, OrderingOutcome, ParallelSession, PlanSession, Precision, QueryService,
-    RouterOptimizer, RouterOptions,
+    OrderingOptions, OrderingOutcome, PlanSession, Precision, QueryService, RouterOptimizer,
+    RouterOptions,
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer};
 use milpjoin_qopt::cost::{CostModelKind, CostParams};
@@ -112,10 +112,10 @@ fn check_routed_identity(
 }
 
 /// Fixed cases covering every default-policy rule that can fire under
-/// C_out: the exact fast path at 3/6/10 tables, the search tail above the
-/// exact window, and the very-large decompose rule (which outranks the
-/// star fastpath on a full router, and whose orchestration is
-/// deterministic — so routed-vs-direct bit-identity holds through it too).
+/// C_out without a time limit: the exact fast path at 3/6/10 tables, the
+/// search tail above the exact window, and the very-large decompose rule
+/// (whose orchestration is deterministic — so routed-vs-direct
+/// bit-identity holds through it too).
 #[test]
 fn routed_outcome_bit_identical_fixed_cases() {
     let router = router(CostModelKind::Cout);
@@ -243,8 +243,9 @@ fn every_error_classification_passes_through_unchanged() {
 }
 
 /// The same contract on real arms: a DPconv memory blow-up stays a
-/// `ResourceLimit`, and a MILP deterministic-budget exhaustion stays a
-/// `ResourceLimit` — with messages identical to the direct run.
+/// `ResourceLimit`, and a MILP deterministic-budget exhaustion in the
+/// search slot stays a `ResourceLimit` — with messages identical to the
+/// direct run.
 #[test]
 fn real_limit_classifications_pass_through() {
     // DPconv at 12 tables against a budget far below the 4096-subset
@@ -267,11 +268,12 @@ fn real_limit_classifications_pass_through() {
     );
     assert_eq!(format!("{routed:?}"), format!("{direct:?}"));
 
-    // A cold MILP with a zero node budget can have no incumbent. With only
-    // the MILP arm installed, the small-query rules cannot fire and the
+    // A cold MILP with a zero node budget can have no incumbent (the
+    // hybrid's greedy seed would always supply one). Installed as the only
+    // arm, in the search slot, the small-query rules cannot fire and the
     // search rule routes to it.
     let milp = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low));
-    let router = RouterOptimizer::new(RouterOptions::default()).with_arm(BackendArm::Milp, milp);
+    let router = RouterOptimizer::new(RouterOptions::default()).with_arm(BackendArm::Hybrid, milp);
     let (catalog, query) = WorkloadSpec::new(Topology::Chain, 4).generate(1);
     let zero_budget = OrderingOptions {
         time_limit: Some(Duration::from_secs(600)),
@@ -318,11 +320,10 @@ fn service_router_small_traffic_never_reaches_branch_and_bound() {
     );
     assert_eq!(stats.nodes_expanded, 0, "no search nodes anywhere");
 
-    // Zero-API-change drop-in across the other service layers: the
-    // sequential session and the parallel executor produce value-identical
-    // results and the same arm counts.
-    let mut session = PlanSession::new(catalog.clone(), Box::new(router(CostModelKind::Cout)))
-        .with_options(options());
+    // Zero-API-change drop-in on the sequential surface too: the session
+    // produces value-identical results and the same arm counts.
+    let mut session =
+        PlanSession::new(catalog, Box::new(router(CostModelKind::Cout))).with_options(options());
     let expected = session.optimize_batch(&queries);
     for (i, (e, got)) in expected.iter().zip(&outcomes).enumerate() {
         let e = e.as_ref().unwrap();
@@ -335,21 +336,6 @@ fn service_router_small_traffic_never_reaches_branch_and_bound() {
     }
     let seq_stats = session.explain();
     assert_eq!(seq_stats.routes, stats.routes);
-
-    let mut parallel =
-        ParallelSession::new(catalog, router(CostModelKind::Cout)).with_options(options());
-    let par_results = parallel.optimize_batch(&queries, 4);
-    for (i, (e, got)) in expected.iter().zip(&par_results).enumerate() {
-        let e = e.as_ref().unwrap();
-        let got = got.as_ref().unwrap();
-        assert_eq!(e.outcome.plan, got.outcome.plan, "parallel query {i}: plan");
-        assert_eq!(
-            e.outcome.cost.to_bits(),
-            got.outcome.cost.to_bits(),
-            "parallel query {i}: cost"
-        );
-    }
-    assert_eq!(parallel.explain().routes, stats.routes);
 }
 
 /// The acceptance criterion of the decompose arm's router wiring: traffic
@@ -359,7 +345,7 @@ fn service_router_small_traffic_never_reaches_branch_and_bound() {
 /// tables) to the decompose arm under the `very-large-decompose` rule,
 /// and an end-to-end session over the 20-table slice shows all solves on
 /// the decompose arm with zero `search_solves` (the counter that polices
-/// bare MILP/hybrid root solves) in the aggregated arm counts.
+/// bare whole-query root solves) in the aggregated arm counts.
 #[test]
 fn large_traffic_never_reaches_a_bare_root_lp() {
     let r = router(CostModelKind::Cout);

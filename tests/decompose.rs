@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use milpjoin::{
     partition_join_graph, standard_router, BackendArm, DecomposeOptions, DecomposingOptimizer,
-    EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer, OrderingError, OrderingOptions,
-    OrderingOutcome, Precision, RouterOptimizer, RouterOptions,
+    EncoderConfig, HybridOptimizer, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
+    Precision, RouterOptimizer, RouterOptions,
 };
 use milpjoin_dp::{greedy_order, DpOptimizer, DpOptions, GreedyOptimizer};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
@@ -181,9 +181,9 @@ impl JoinOrderer for FailingArm {
 }
 
 /// When the decompose arm errors, the router passes the error through
-/// verbatim — it never silently retries the query on the star fastpath,
-/// the greedy arm, or any other arm, even though every one of those real
-/// arms is installed and would have succeeded.
+/// verbatim — it never silently retries the query on the greedy arm or
+/// any other arm, even though every one of those real arms is installed
+/// and would have succeeded.
 #[test]
 fn router_passes_decompose_errors_through_verbatim() {
     let cfg = config();
@@ -203,7 +203,6 @@ fn router_passes_decompose_errors_through_verbatim() {
                 ..Default::default()
             },
         )
-        .with_arm(BackendArm::Milp, MilpOptimizer::new(cfg.clone()))
         .with_arm(BackendArm::Hybrid, HybridOptimizer::new(cfg))
         .with_arm(BackendArm::Decompose, FailingArm);
     let (catalog, query) = WorkloadSpec::new(Topology::Star, 24).generate(3);

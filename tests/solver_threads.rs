@@ -5,8 +5,8 @@
 //! optimum with the optimality certificate intact and a monotone anytime
 //! trace.
 //!
-//! The streams mirror `executor_parallel.rs`: mixed chain/cycle/star
-//! traffic over one shared catalog, solved by the real hybrid backend.
+//! The streams mirror `query_service.rs`: mixed chain/cycle/star traffic
+//! over one shared catalog, solved by the real hybrid backend.
 
 use milpjoin::{
     EncoderConfig, HybridOptimizer, MilpOptimizer, OptimizeOptions, PlanSession, Precision,

@@ -9,7 +9,9 @@
 //! is exactly the anytime interface the paper relies on.
 //!
 //! Budgets are checked *before* a node is popped (the node under a firing
-//! budget simply stays in the heap, keeping its bound open) and again
+//! budget simply stays in the heap, keeping its bound open), before every
+//! dive child (a stopped child is re-opened, so the node budget is a hard
+//! cap), and again
 //! between a node's LP solve and the heuristic/branching work that follows,
 //! so a binding wall-clock deadline stops the search promptly instead of
 //! finishing another plunge first. The node LPs themselves poll the same
@@ -494,6 +496,15 @@ impl<'a, F: FnMut(&SolverEvent)> BranchBound<'a, F> {
                     let seq = self.next_seq();
                     self.heap.push(OpenNode { bound, seq, data });
                     stop = StopReason::TimeLimit;
+                    break 'search;
+                }
+                // The node budget is a hard cap: checked before every node
+                // LP, dive children included, re-opening the node it stops.
+                if self.opts.node_limit.is_some_and(|n| self.nodes >= n) {
+                    let bound = node_chain_bound(&data);
+                    let seq = self.next_seq();
+                    self.heap.push(OpenNode { bound, seq, data });
+                    stop = StopReason::NodeLimit;
                     break 'search;
                 }
 

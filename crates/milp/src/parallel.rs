@@ -578,20 +578,24 @@ mod tests {
     #[test]
     fn parallel_node_limit_is_global() {
         let m = knapsack(24);
-        let mut opts = SolverOptions::default().threads(4);
-        opts.node_limit = Some(5);
-        opts.root_diving = false;
-        opts.heuristic_frequency = 0;
-        let r = Solver::new(opts).solve(&m).unwrap();
-        // Metering is global: each in-flight worker may expand at most one
-        // more node after the limit trips.
-        assert!(
-            r.nodes <= 5 + 4,
-            "global node meter exceeded: {} nodes",
-            r.nodes
-        );
-        if !r.status.has_solution() {
-            assert_eq!(r.stop, StopReason::NodeLimit);
+        for threads in [1usize, 4] {
+            let mut opts = SolverOptions::default().threads(threads);
+            opts.node_limit = Some(5);
+            opts.root_diving = false;
+            opts.heuristic_frequency = 0;
+            let r = Solver::new(opts).solve(&m).unwrap();
+            // The meter is global and checked before every node LP: a lone
+            // worker stops exactly at the limit, and with more workers each
+            // in-flight one may expand at most one more node after it trips.
+            let cap = if threads == 1 { 5 } else { 5 + threads as u64 };
+            assert!(
+                r.nodes <= cap,
+                "threads={threads}: node meter exceeded: {} nodes",
+                r.nodes
+            );
+            if !r.status.has_solution() {
+                assert_eq!(r.stop, StopReason::NodeLimit);
+            }
         }
     }
 

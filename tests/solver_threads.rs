@@ -211,15 +211,15 @@ fn multi_threaded_solves_reach_single_threaded_optimum() {
 }
 
 /// `deterministic_budget` meters nodes globally across workers: the
-/// total expanded never exceeds the budget plus each worker's in-flight
-/// plunge (budget checks run between plunges, so one worker can overrun
-/// by at most `max_dive_depth + 1` nodes — the same slack the sequential
-/// search always had).
+/// total expanded never exceeds the budget plus one node per worker
+/// (the budget is checked before every node LP, dive children included,
+/// so a worker can overrun only by the node it cleared just before
+/// another worker's node tripped the limit).
 #[test]
 fn node_budget_is_metered_globally_across_workers() {
     let (catalog, queries) = mixed_stream(3, 6, 1, 1);
     let budget = 4u64;
-    let per_worker_slack = 64 + 1; // default `max_dive_depth` + the pop itself
+    let per_worker_slack = 1;
     for threads in [1usize, 4] {
         let got = solve_stream(
             &catalog,

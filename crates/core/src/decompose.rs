@@ -15,10 +15,11 @@
 //! 2. **Solve** each multi-table fragment with the greedy-seeded
 //!    [`HybridOptimizer`] — concurrently, on scoped worker threads that
 //!    build their backend through the [`OrdererFactory`] seam. Each
-//!    fragment solve is sequential (`solver_threads: 1`) and fragments are
-//!    collected by index, so the stitched result is **bit-identical at any
-//!    fragment-worker count**. A [`OrderingOptions::deterministic_budget`]
-//!    is split evenly across the fragment solves.
+//!    fragment solve runs one search worker (`solver_threads: 1`) and
+//!    fragments are collected by index, so the stitched result is
+//!    **bit-identical at any fragment-worker count**. A
+//!    [`OrderingOptions::deterministic_budget`] is split evenly across the
+//!    fragment solves.
 //! 3. **Stitch**: each fragment becomes a pseudo-table of a quotient
 //!    catalog whose cardinality is the estimator's *exact* fragment output
 //!    cardinality; cross-fragment predicates become quotient predicates.
@@ -262,7 +263,7 @@ fn build_quotient(query: &Query, est: &Estimator, fragments: &[TableSet]) -> (Ca
 ///
 /// [`OrderingOptions::solver_threads`] is repurposed as the *fragment
 /// worker count*: fragments solve concurrently on that many scoped
-/// threads, each fragment solve itself sequential.
+/// threads, each fragment solve itself on one search worker.
 #[derive(Debug, Clone, Default)]
 pub struct DecomposingOptimizer {
     config: EncoderConfig,
@@ -316,8 +317,8 @@ impl DecomposingOptimizer {
             .collect();
         let mut stats = SearchStats {
             // Reported as the configured fragment-worker count (fragment
-            // solves themselves are sequential), mirroring what the
-            // parallel MILP search reports for `solver_threads` workers.
+            // solves themselves run one search worker), mirroring what the
+            // MILP search reports for `solver_threads` workers.
             workers_used: options.solver_threads.max(1),
             ..SearchStats::default()
         };
@@ -328,11 +329,9 @@ impl DecomposingOptimizer {
         let frag_options = OrderingOptions {
             time_limit: options.time_limit.map(|l| l / solves),
             relative_gap: options.relative_gap,
-            node_limit: options.node_limit,
             deterministic_budget: options
                 .deterministic_budget
                 .map(|b| (b / u64::from(solves)).max(1)),
-            seed: options.seed,
             solver_threads: 1,
         };
         let factory = HybridOptimizer::new(self.config.clone());

@@ -319,18 +319,17 @@ pub struct OptimizeOptions {
     /// that floor, so `0.0` requests proven optimality within numerical
     /// tolerance.
     pub relative_gap: f64,
+    /// Branch-and-bound node budget, a hard cap (see
+    /// [`milpjoin_milp::SolverOptions::node_limit`]).
     pub node_limit: Option<u64>,
-    pub seed: u64,
     /// Warm start: a feasible plan (typically from a heuristic) installed
     /// as the root incumbent before branch and bound starts. The anytime
     /// trace then opens with this incumbent at t ≈ 0 and the search prunes
-    /// against it from the first node. With `threads > 1` the warm-start
-    /// incumbent seeds the *shared* incumbent before any worker launches,
-    /// so every worker prunes against it from its first node.
+    /// against it from the first node — every worker's first node.
     pub initial_plan: Option<LeftDeepPlan>,
-    /// Worker threads inside the branch-and-bound search. `0` and `1`
-    /// (the `Default` and the conventional default respectively) both
-    /// select the sequential, bit-identical search; see
+    /// Workers of the one branch-and-bound search, one of them on the
+    /// calling thread. `0` (the `Default`) counts as `1`: no thread is
+    /// spawned and the solve is deterministic; see
     /// [`OrderingOptions::solver_threads`] for the thread-budgeting story.
     pub threads: usize,
 }
@@ -350,20 +349,14 @@ impl OptimizeOptions {
     }
 
     /// Translates backend-agnostic [`OrderingOptions`] into MILP options.
-    /// The deterministic budget rides on the solver's node metering: the
-    /// effective node limit is the tighter of `node_limit` and
-    /// `deterministic_budget` (node counts are invariant under CPU
-    /// contention, which is the whole point of the deterministic form).
+    /// The deterministic budget rides on the solver's node metering (node
+    /// counts are invariant under CPU contention, which is the whole point
+    /// of the deterministic form).
     pub fn from_ordering(options: &OrderingOptions) -> Self {
-        let node_limit = match (options.node_limit, options.deterministic_budget) {
-            (Some(n), Some(d)) => Some(n.min(d)),
-            (n, d) => n.or(d),
-        };
         OptimizeOptions {
             time_limit: options.time_limit,
             relative_gap: options.relative_gap,
-            node_limit,
-            seed: options.seed,
+            node_limit: options.deterministic_budget,
             initial_plan: None,
             threads: options.solver_threads,
         }
@@ -458,9 +451,8 @@ impl MilpOptimizer {
             time_limit: options.time_limit,
             relative_gap: options.relative_gap.max(MIN_RELATIVE_GAP),
             node_limit: options.node_limit,
-            seed: options.seed,
             initial_solution,
-            // `0` (the `Default`) and `1` both mean sequential.
+            // `0` (the `Default`) counts as one worker.
             threads: options.threads.max(1),
             ..SolverOptions::default()
         };

@@ -8,43 +8,60 @@
 //! whenever an improving incumbent is found or the global bound rises, which
 //! is exactly the anytime interface the paper relies on.
 //!
-//! Budgets are checked *before* a node is popped (the node under a firing
-//! budget simply stays in the heap, keeping its bound open), before every
-//! dive child (a stopped child is re-opened, so the node budget is a hard
-//! cap), and again
-//! between a node's LP solve and the heuristic/branching work that follows,
-//! so a binding wall-clock deadline stops the search promptly instead of
-//! finishing another plunge first. The node LPs themselves poll the same
-//! deadline internally.
+//! ## One search, N workers
 //!
-//! ## Two execution modes
+//! [`BranchBound`] runs [`SolverOptions::threads`] workers (`0` counts as
+//! `1`). Worker 0 runs on the calling thread and `threads - 1` scoped
+//! workers join it, so the default single-worker solve spawns nothing.
+//! This module holds what a worker *computes* (LP re-solves, plunging,
+//! heuristics, pseudocost branching — all thread-private); how workers
+//! *coordinate* lives in [`crate::pool`], where the interleaving explorer
+//! model-checks it:
 //!
-//! This module is the **sequential** search ([`SolverOptions::threads`]
-//! `<= 1`, the default): one thread, one simplex, a deterministic node
-//! order — bit-identical results per (model, options, seed).
+//! * **Shared open-node pool.** One lock-protected best-bound heap feeds
+//!   every worker: each idle worker pops the open node with the smallest
+//!   bound. While a worker plunges, the bound of its in-flight subtree is
+//!   parked in a per-worker slot, so the global dual bound never forgets
+//!   claimed-but-unfinished work.
+//! * **Shared incumbent.** The best assignment lives under the pool lock;
+//!   its objective is mirrored into an atomic so workers prune mid-plunge
+//!   without locking. A candidate that does not beat the mirror is dropped
+//!   before its row check; survivors are row-verified *outside* the lock
+//!   and re-checked for improvement under it, so concurrent discoveries
+//!   serialize into a monotone incumbent stream.
+//! * **Per-worker scratch.** Each worker owns a private [`Simplex`] (with
+//!   its own LU basis) and its own [`Pseudocosts`]; each re-creates any
+//!   pool node on its own scratch by walking the node's `NodeData` bound
+//!   chain.
+//! * **Merged anytime stream.** The user callback is invoked only under the
+//!   pool lock: incumbents are monotone, and every reported global bound is
+//!   the minimum over the heap top, parked stalled subtrees, every worker's
+//!   in-flight subtree bound, and the incumbent objective.
+//! * **Budgets.** The node budget is a hard cap: one atomic meter across
+//!   all workers, checked before every node LP (dive children included).
+//!   One worker stops at exactly [`SolverOptions::node_limit`] nodes; with
+//!   more, each in-flight worker may finish the node it cleared before the
+//!   limit tripped. The wall-clock deadline is checked when acquiring a
+//!   node, before every dive child, between a node's LP and the
+//!   heuristic/branching work that follows, and inside each LP. A worker
+//!   stopped by a budget re-opens its node, so the final bound stays sound.
 //!
-//! [`crate::parallel`] runs the same node computation under a **shared
-//! open-node pool**: one lock-protected best-bound heap feeds N workers,
-//! each owning its private simplex/LU scratch and re-solving its node from
-//! the [`NodeData`] bound chain (the same chain walk this module uses). The
-//! shared-incumbent protocol: an atomic objective gives workers lock-free
-//! pruning against the best solution found by *any* worker, while the
-//! assignment itself is published under the pool lock — the same lock that
-//! serializes callback events, so the merged anytime stream keeps monotone
-//! incumbents and a sound, capped global bound (the minimum over the heap
-//! top, parked subtrees, every worker's in-flight subtree bound, and the
-//! incumbent). Both modes produce the same [`SearchOutcome`] shape and the
-//! same certificates; only the node visit order differs.
+//! With one worker the search is deterministic: node order, events and
+//! results are bit-identical per (model, options). With more, node
+//! exploration order depends on OS scheduling, so intermediate incumbents,
+//! node counts at limits and tie-broken optima may vary run to run; optimal
+//! objectives, certificates and bound soundness do not.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use milpjoin_shim::time as shim_time;
 
 use crate::branching::{select_branching_var, Pseudocosts};
 use crate::heuristics::{diving_heuristic, rounding_heuristic};
 use crate::lp::LpProblem;
 use crate::options::SolverOptions;
+use crate::pool::{Open, Pool, PoolEvent, PoolLimits};
 use crate::simplex::{LpStatus, Simplex, SimplexLimits};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::status::{SearchStats, SolveStatus, StopReason};
@@ -64,63 +81,41 @@ pub enum SolverEvent {
 
 /// One branching decision relative to the parent node. The chain of
 /// parents encodes the node's complete bound set; `Arc` links let the
-/// sequential heap and the parallel shared pool hold overlapping chains
-/// without copying (and let chains cross worker threads).
+/// shared pool hold overlapping chains without copying and let chains
+/// cross worker threads.
 #[derive(Debug)]
-pub(crate) struct NodeData {
-    pub(crate) parent: Option<Arc<NodeData>>,
-    pub(crate) var: usize,
-    pub(crate) lb: f64,
-    pub(crate) ub: f64,
+struct NodeData {
+    parent: Option<Arc<NodeData>>,
+    var: usize,
+    lb: f64,
+    ub: f64,
     /// LP objective of the parent (for pseudocost updates).
-    pub(crate) parent_obj: f64,
+    parent_obj: f64,
     /// Fractional part of `var` at the parent.
-    pub(crate) frac: f64,
+    frac: f64,
     /// Whether this is the up-branch.
-    pub(crate) up: bool,
-    pub(crate) depth: u32,
+    up: bool,
+    depth: u32,
 }
 
-/// An open node in the priority queue.
-pub(crate) struct OpenNode {
-    pub(crate) bound: f64,
-    pub(crate) seq: u64,
-    pub(crate) data: Option<Arc<NodeData>>,
-}
+/// Node payload in the shared pool: the bound chain (`None` = root).
+type NodePayload = Option<Arc<NodeData>>;
 
-impl PartialEq for OpenNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.seq == other.seq
-    }
-}
-impl Eq for OpenNode {}
-impl PartialOrd for OpenNode {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OpenNode {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the smallest bound pops first.
-        other
-            .bound
-            .total_cmp(&self.bound)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// The shared pool as every worker sees it: bound-chain nodes, structural
+/// value vectors as incumbents.
+type SearchPool<F> = Pool<NodePayload, Vec<f64>, F>;
 
 /// The bound a node was opened under: its parent's LP objective, `-inf`
 /// for the root. This is the "justifying bound" recorded per expansion for
 /// the speculative-work statistic.
-pub(crate) fn node_chain_bound(data: &Option<Arc<NodeData>>) -> f64 {
+fn node_chain_bound(data: &NodePayload) -> f64 {
     data.as_ref().map_or(f64::NEG_INFINITY, |d| d.parent_obj)
 }
 
 /// Applies the bound chain of a node onto the simplex working bounds
 /// (root → leaf, intersecting with any bounds already tightened along the
-/// walk). Shared by the sequential search and every parallel worker — the
-/// chain walk is how a worker re-creates any pool node on its own scratch.
-pub(crate) fn apply_node_bounds(sx: &mut Simplex<'_>, data: &Option<Arc<NodeData>>) {
+/// walk).
+fn apply_node_bounds(sx: &mut Simplex<'_>, data: &NodePayload) {
     sx.reset_bounds();
     let mut chain: Vec<&NodeData> = Vec::new();
     let mut cur = data.as_deref();
@@ -138,7 +133,7 @@ pub(crate) fn apply_node_bounds(sx: &mut Simplex<'_>, data: &Option<Arc<NodeData
 }
 
 /// Fractional integer variables of the current LP solution.
-pub(crate) fn fractional_candidates(
+fn fractional_candidates(
     sx: &Simplex<'_>,
     lp: &LpProblem,
     integrality_tol: f64,
@@ -158,7 +153,7 @@ pub(crate) fn fractional_candidates(
 }
 
 /// Rounds integer entries that are within tolerance of an integer.
-pub(crate) fn snap_integral(lp: &LpProblem, mut values: Vec<f64>) -> Vec<f64> {
+fn snap_integral(lp: &LpProblem, mut values: Vec<f64>) -> Vec<f64> {
     for j in 0..lp.num_structural {
         if lp.integer[j] {
             values[j] = values[j].round();
@@ -170,10 +165,7 @@ pub(crate) fn snap_integral(lp: &LpProblem, mut values: Vec<f64>) -> Vec<f64> {
 /// Counts expanded nodes whose justifying bound already exceeded the final
 /// optimum (see [`SearchStats::speculative_nodes`]). `0` without an
 /// incumbent: with nothing found, no expansion is provably wasted.
-pub(crate) fn speculative_count(
-    expanded_bounds: &[f64],
-    incumbent: Option<&(Vec<f64>, f64)>,
-) -> u64 {
+fn speculative_count(expanded_bounds: &[f64], incumbent: Option<&(Vec<f64>, f64)>) -> u64 {
     match incumbent {
         Some((_, opt)) => {
             let tol = 1e-9 * (1.0 + opt.abs());
@@ -184,7 +176,7 @@ pub(crate) fn speculative_count(
 }
 
 /// Row-activity feasibility check of structural values.
-pub(crate) fn verify_rows(lp: &LpProblem, values: &[f64]) -> bool {
+fn verify_rows(lp: &LpProblem, values: &[f64]) -> bool {
     let m = lp.num_rows;
     let mut act = vec![0.0; m];
     for j in 0..lp.num_structural {
@@ -205,12 +197,11 @@ pub(crate) fn verify_rows(lp: &LpProblem, values: &[f64]) -> bool {
 /// Attempts to turn the user-supplied warm-start hints into an integral
 /// root candidate: fix the hinted integer variables, solve the LP for the
 /// continuous completion, and — if other integer variables come out
-/// fractional — finish with one fractional dive. Returns the snapped
-/// candidate and its objective (**unverified**: the caller runs its own
-/// row check through the incumbent-acceptance path); `None` when the hints
-/// are absent, infeasible, or incompletable. Leaves the simplex bounds
-/// reset in every case.
-pub(crate) fn warm_start_candidate(
+/// fractional — finish with one fractional dive. Returns the candidate and
+/// its objective (**unsnapped and unverified**: [`offer`] does both);
+/// `None` when the hints are absent, infeasible, or incompletable. Leaves
+/// the simplex bounds reset in every case.
+fn warm_start_candidate(
     sx: &mut Simplex<'_>,
     lp: &LpProblem,
     opts: &SolverOptions,
@@ -245,9 +236,7 @@ pub(crate) fn warm_start_candidate(
     let candidate = if res.status != LpStatus::Optimal {
         None
     } else if fractional_candidates(sx, lp, opts.integrality_tol).is_empty() {
-        let obj = sx.objective();
-        let values = sx.values()[..lp.num_structural].to_vec();
-        Some((snap_integral(lp, values), obj))
+        Some((sx.values()[..lp.num_structural].to_vec(), sx.objective()))
     } else {
         // Hints only covered part of the integer variables; dive the rest
         // down from the hinted LP.
@@ -256,7 +245,6 @@ pub(crate) fn warm_start_candidate(
             (l.to_vec(), u.to_vec())
         };
         diving_heuristic(sx, lp, &lb, &ub, opts.integrality_tol, deadline)
-            .map(|(vals, obj)| (snap_integral(lp, vals), obj))
     };
     sx.reset_bounds();
     candidate
@@ -276,464 +264,456 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-pub struct BranchBound<'a, F: FnMut(&SolverEvent)> {
+/// Read-mostly numerical context shared by all workers; the coordination
+/// state lives in the [`Pool`].
+struct Ctx<'a> {
     lp: &'a LpProblem,
     opts: &'a SolverOptions,
-    callback: F,
-    start: Instant,
-    deadline: Option<Instant>,
-    sx: Simplex<'a>,
-    heap: BinaryHeap<OpenNode>,
-    pseudo: Pseudocosts,
-    incumbent: Option<(Vec<f64>, f64)>,
-    nodes: u64,
-    seq: u64,
-    last_bound_reported: f64,
+}
+
+/// Snaps an integral candidate and offers it to the shared incumbent on
+/// behalf of worker `w`. A candidate that does not beat the incumbent
+/// mirror is dropped before its row check; the pool re-checks improvement
+/// under its lock. `current` is the worker's in-flight node bound while
+/// that node is still open (a heuristic ran from it), `None` once the node
+/// is resolved.
+fn offer<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
+    ctx: &Ctx<'_>,
+    pool: &SearchPool<F>,
+    w: usize,
+    values: Vec<f64>,
+    obj: f64,
+    current: Option<f64>,
+) {
+    if !pool.improves_fast(obj) {
+        return;
+    }
+    let values = snap_integral(ctx.lp, values);
+    if verify_rows(ctx.lp, &values) {
+        pool.offer_incumbent(w, values, obj, current);
+    }
+}
+
+fn run_diving<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
+    ctx: &Ctx<'_>,
+    pool: &SearchPool<F>,
+    w: usize,
+    sx: &mut Simplex<'_>,
+    current_obj: f64,
+) {
+    let (lb, ub) = {
+        let (l, u) = sx.bounds();
+        (l.to_vec(), u.to_vec())
+    };
+    if let Some((vals, obj)) = diving_heuristic(
+        sx,
+        ctx.lp,
+        &lb,
+        &ub,
+        ctx.opts.integrality_tol,
+        pool.deadline(),
+    ) {
+        offer(ctx, pool, w, vals, obj, Some(current_obj));
+    }
+}
+
+fn run_rounding<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
+    ctx: &Ctx<'_>,
+    pool: &SearchPool<F>,
+    w: usize,
+    sx: &mut Simplex<'_>,
+    current_obj: f64,
+) {
+    let base = sx.values().to_vec();
+    let (lb, ub) = {
+        let (l, u) = sx.bounds();
+        (l.to_vec(), u.to_vec())
+    };
+    if let Some((vals, obj)) = rounding_heuristic(sx, ctx.lp, &lb, &ub, &base, pool.deadline()) {
+        offer(ctx, pool, w, vals, obj, Some(current_obj));
+    }
+}
+
+/// Per-worker counters, merged into the outcome after the workers join.
+#[derive(Default)]
+struct WorkerScratch {
+    /// Justifying bound of every expanded node, for the speculative-work
+    /// statistic (counted against the final optimum after the search).
+    expanded_bounds: Vec<f64>,
+    simplex_iterations: u64,
     /// Diagnostics: LP infeasibilities confirmed from cold restarts.
     infeasible_nodes: u64,
     /// Diagnostics: warm verdicts that required a cold re-solve.
     cold_retries: u64,
-    /// Diagnostics: confirmed unbounded verdicts in a bounded model.
+    /// Diagnostics: confirmed unbounded verdicts in a bounded model, and
+    /// node LPs that stalled at an infeasible point.
     numerical_failures: u64,
-    /// Bounds of nodes parked after their LP stalled (kept so the global
-    /// dual bound stays valid; never re-processed).
-    stalled_bounds: Vec<f64>,
-    /// Justifying bound of every expanded node, for the speculative-work
-    /// statistic (counted against the final optimum after the search).
-    expanded_bounds: Vec<f64>,
-    /// Simplex iterations spent on the root relaxation's LP solve (cold
-    /// retry included) — the root-LP-bound-vs-search-bound diagnostic.
+    /// Root-relaxation simplex iterations (cold retry included) — nonzero
+    /// on exactly the worker that claimed the root node.
     root_lp_iterations: u64,
 }
 
-impl<'a, F: FnMut(&SolverEvent)> BranchBound<'a, F> {
-    pub fn new(lp: &'a LpProblem, opts: &'a SolverOptions, callback: F) -> Self {
-        let start = milpjoin_shim::time::now();
-        BranchBound {
-            lp,
-            opts,
-            callback,
-            start,
-            deadline: opts.time_limit.map(|d| start + d),
-            sx: Simplex::new(lp),
-            heap: BinaryHeap::new(),
-            pseudo: Pseudocosts::new(lp.num_structural, &lp.obj),
-            incumbent: None,
-            nodes: 0,
-            seq: 0,
-            last_bound_reported: f64::NEG_INFINITY,
-            infeasible_nodes: 0,
-            cold_retries: 0,
-            numerical_failures: 0,
-            stalled_bounds: Vec::new(),
-            expanded_bounds: Vec::new(),
-            root_lp_iterations: 0,
+/// Expands one claimed node: plunges from it up to `max_dive_depth`. The
+/// first node of a plunge comes from the pool and is solved from a cold
+/// basis (robust); dive children reuse the just-solved parent basis in
+/// place (the safest possible warm start), falling back to a cold re-solve
+/// whenever the warm solve fails in any way.
+fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
+    ctx: &Ctx<'_>,
+    pool: &SearchPool<F>,
+    w: usize,
+    sx: &mut Simplex<'_>,
+    pseudo: &mut Pseudocosts,
+    node: Open<NodePayload>,
+    scratch: &mut WorkerScratch,
+) {
+    let mut current = Some((node.payload, /* warm */ false));
+    let mut dive_depth = 0u32;
+    while let Some((data, warm)) = current.take() {
+        // Budget / halt checks before funding another LP. A worker that
+        // backs out re-opens its node so the subtree bound stays valid.
+        if pool.is_finished() {
+            let bound = node_chain_bound(&data);
+            pool.park_open(data, bound);
+            return;
         }
-    }
+        if pool.out_of_time() {
+            let bound = node_chain_bound(&data);
+            pool.halt_with(data, bound, StopReason::TimeLimit);
+            return;
+        }
+        if pool.node_limit_reached() {
+            let bound = node_chain_bound(&data);
+            pool.halt_with(data, bound, StopReason::NodeLimit);
+            return;
+        }
 
-    fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    fn out_of_time(&self) -> bool {
-        self.deadline
-            .is_some_and(|d| milpjoin_shim::time::now() >= d)
-    }
-
-    /// Current global dual bound (min space): min over open nodes, the
-    /// current node (if passed), and — when the tree is exhausted — the
-    /// incumbent.
-    fn global_bound(&self, current: Option<f64>) -> f64 {
-        let mut b = f64::INFINITY;
-        if let Some(top) = self.heap.peek() {
-            b = b.min(top.bound);
+        apply_node_bounds(sx, &data);
+        if !warm {
+            sx.install_slack_basis();
         }
-        for &s in &self.stalled_bounds {
-            b = b.min(s);
-        }
-        if let Some(c) = current {
-            b = b.min(c);
-        }
-        // Cap at the incumbent objective: the true optimum is
-        // min(incumbent, best over open subtrees) >= min(incumbent, b), so
-        // the capped value is always a valid lower bound — while an
-        // uncapped b can *exceed* the optimum when the only remaining open
-        // nodes are about to be pruned (their LP bounds sit above the
-        // incumbent), which would report a false "lower bound" above the
-        // already-found optimum. This also covers the exhausted-tree case
-        // (b = +inf proves the incumbent), while a -inf open bound (e.g.
-        // the root right after a warm start) still dominates and is never
-        // mistaken for proof.
-        if let Some((_, obj)) = &self.incumbent {
-            b = b.min(*obj);
-        }
-        b
-    }
-
-    fn maybe_report_bound(&mut self, current: Option<f64>) {
-        let b = self.global_bound(current);
-        if b.is_finite() && b > self.last_bound_reported + 1e-9 * (1.0 + b.abs()) {
-            self.last_bound_reported = b;
-            let ev = SolverEvent::BoundImproved {
-                elapsed: self.elapsed(),
-                bound: self.lp.user_objective(b),
-                nodes: self.nodes,
-            };
-            (self.callback)(&ev);
-        }
-    }
-
-    /// Verifies an integral candidate against the row system and accepts it
-    /// as incumbent if it improves. `current_bound` is the bound context for
-    /// the emitted event.
-    fn try_accept_incumbent(
-        &mut self,
-        values: &[f64],
-        obj: f64,
-        current_bound: Option<f64>,
-    ) -> bool {
-        if let Some((_, best)) = &self.incumbent {
-            if obj >= *best - 1e-12 * (1.0 + best.abs()) {
-                return false;
-            }
-        }
-        if !verify_rows(self.lp, values) {
-            return false;
-        }
-        self.incumbent = Some((values.to_vec(), obj));
-        let bound = self.global_bound(current_bound);
-        let ev = SolverEvent::Incumbent(IncumbentEvent {
-            elapsed: self.elapsed(),
-            objective: self.lp.user_objective(obj),
-            bound: self.lp.user_objective(bound.min(obj)),
-            nodes: self.nodes,
-            // Events cross the API boundary: report model-space values.
-            solution: Solution::new(self.lp.unscale_values(values)),
+        // Iteration count before this node's LP: the worker's simplex is
+        // reused across nodes and heuristic dives, so the root's share is
+        // a delta, not the running total.
+        let iters_before = sx.iterations_total();
+        let mut res = sx.solve(&SimplexLimits {
+            max_iterations: None,
+            deadline: pool.deadline(),
         });
-        (self.callback)(&ev);
-        true
-    }
+        if warm && res.status != LpStatus::Optimal {
+            // Warm starts can strand phase 1 in a bad basis; verify any
+            // non-optimal verdict from a cold start.
+            sx.install_slack_basis();
+            res = sx.solve(&SimplexLimits {
+                max_iterations: None,
+                deadline: pool.deadline(),
+            });
+            scratch.cold_retries += 1;
+        }
+        if data.is_none() {
+            scratch.root_lp_iterations += sx.iterations_total() - iters_before;
+        }
+        pool.count_node();
+        scratch.expanded_bounds.push(node_chain_bound(&data));
 
-    /// Whether a node can be pruned against the incumbent under the gap
-    /// target.
-    fn prunable(&self, bound: f64) -> bool {
-        match &self.incumbent {
-            Some((_, inc)) => {
-                let slack = self.opts.relative_gap * inc.abs().max(1e-10);
-                bound >= inc - slack - 1e-12
+        // A stalled LP that is primal-feasible is still a usable branching
+        // point: its fractional solution guides the children, whose valid
+        // bound is inherited from the parent.
+        let stalled_feasible =
+            res.status == LpStatus::IterationLimit && sx.primal_infeasibility() < 1e-5;
+
+        match res.status {
+            LpStatus::Infeasible => {
+                scratch.infeasible_nodes += 1;
+                pool.report_bound(w, None);
+                break;
             }
-            None => false,
+            LpStatus::Unbounded => {
+                if data.is_none() {
+                    pool.finish_root_unbounded();
+                    return;
+                }
+                // A bounded-below MILP cannot have unbounded nodes unless
+                // the root was. Never drop the node silently: park it so
+                // its bound stays open.
+                scratch.numerical_failures += 1;
+                pool.park_stalled(node_chain_bound(&data));
+                break;
+            }
+            LpStatus::TimeLimit => {
+                let bound = node_chain_bound(&data);
+                pool.halt_with(data, bound, StopReason::TimeLimit);
+                return;
+            }
+            LpStatus::IterationLimit if !stalled_feasible => {
+                // The node LP stalled at an infeasible point; park the node
+                // (its parent bound stays part of the global bound) and
+                // move on rather than aborting the whole search.
+                scratch.numerical_failures += 1;
+                pool.park_stalled(node_chain_bound(&data));
+                break;
+            }
+            LpStatus::IterationLimit | LpStatus::Optimal => {}
         }
-    }
 
-    /// Attempts to turn the user-supplied warm-start hints into the root
-    /// incumbent (see [`warm_start_candidate`]). Failures are silent: the
-    /// search simply starts without an incumbent, as it would have anyway.
-    fn try_warm_start(&mut self) {
-        if let Some((snapped, obj)) =
-            warm_start_candidate(&mut self.sx, self.lp, self.opts, self.deadline)
-        {
-            self.try_accept_incumbent(&snapped, obj, None);
+        // For a proven-optimal LP the objective is a valid subtree bound; a
+        // stalled-feasible LP only inherits its parent's.
+        let exact = res.status == LpStatus::Optimal;
+        let obj = if exact {
+            res.objective
+        } else {
+            node_chain_bound(&data)
+        };
+
+        // Deadline re-check between the node LP and the heuristic /
+        // branching work below: a deadline that expired during the LP stops
+        // here instead of funding another dive or heuristic first. The
+        // subtree stays open under its fresh bound.
+        if pool.out_of_time() {
+            pool.halt_with(data, obj, StopReason::TimeLimit);
+            return;
         }
+
+        // Pseudocost update from the parent's prediction.
+        if exact {
+            if let Some(d) = &data {
+                if d.parent_obj.is_finite() {
+                    pseudo.record(d.var, d.frac, obj - d.parent_obj, d.up);
+                }
+            }
+        }
+
+        if pool.prunable_fast(obj) {
+            pool.report_bound(w, None);
+            break;
+        }
+
+        let candidates = fractional_candidates(sx, ctx.lp, ctx.opts.integrality_tol);
+        if candidates.is_empty() {
+            let values = sx.values()[..ctx.lp.num_structural].to_vec();
+            offer(ctx, pool, w, values, sx.objective(), None);
+            pool.report_bound(w, None);
+            break;
+        }
+
+        // Select the branching variable and capture the node state *before*
+        // heuristics run: they re-solve LPs on the worker's simplex and
+        // would otherwise leave stale values behind.
+        let Some((var, frac)) = select_branching_var(ctx.opts.branching, &candidates, pseudo)
+        else {
+            break;
+        };
+        let val = sx.values()[var];
+        let (node_lb, node_ub) = {
+            let (l, u) = sx.bounds();
+            (l[var], u[var])
+        };
+        let depth = data.as_ref().map_or(0, |d| d.depth) + 1;
+
+        // Root-only diving heuristic for a fast first incumbent: only one
+        // node has no data (the root), and exactly one worker claims it.
+        if data.is_none() {
+            if ctx.opts.root_diving {
+                run_diving(ctx, pool, w, sx, obj);
+            }
+        } else if ctx.opts.heuristic_frequency > 0
+            && pool.nodes().is_multiple_of(ctx.opts.heuristic_frequency)
+        {
+            run_rounding(ctx, pool, w, sx, obj);
+        }
+
+        let down = Arc::new(NodeData {
+            parent: data.clone(),
+            var,
+            lb: node_lb,
+            ub: val.floor(),
+            parent_obj: obj,
+            frac,
+            up: false,
+            depth,
+        });
+        let up = Arc::new(NodeData {
+            parent: data,
+            var,
+            lb: val.ceil(),
+            ub: node_ub,
+            parent_obj: obj,
+            frac,
+            up: true,
+            depth,
+        });
+        // Dive toward the nearest integer.
+        let (first, second) = if frac < 0.5 { (down, up) } else { (up, down) };
+
+        dive_depth += 1;
+        let keep_diving = dive_depth <= ctx.opts.max_dive_depth;
+        // The in-flight subtree's bound tightened to this node's LP
+        // objective; publish the children in one critical section.
+        let mut children: Vec<(NodePayload, f64)> = vec![(Some(second), obj)];
+        if keep_diving {
+            current = Some((Some(first), true));
+        } else {
+            children.push((Some(first), obj));
+        }
+        pool.publish_children(w, children, obj, keep_diving.then_some(obj));
+    }
+}
+
+/// One worker: claims nodes from the pool and expands them until the
+/// search is over.
+fn worker<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
+    ctx: &Ctx<'_>,
+    pool: &SearchPool<F>,
+    w: usize,
+    scratch: &mut WorkerScratch,
+) {
+    let mut sx = Simplex::new(ctx.lp);
+    let mut pseudo = Pseudocosts::new(ctx.lp.num_structural, &ctx.lp.obj);
+    while let Some(node) = pool.acquire(w) {
+        expand(ctx, pool, w, &mut sx, &mut pseudo, node, scratch);
+        // Close out the claimed subtree: the worker no longer holds (or has
+        // re-opened) it, so waiting workers re-check termination.
+        pool.release(w);
+    }
+    scratch.simplex_iterations = sx.iterations_total();
+}
+
+/// The branch-and-bound search: [`SolverOptions::threads`] workers over one
+/// shared open-node pool (see the module docs, and [`crate::pool`] for the
+/// coordination protocol).
+pub struct BranchBound<'a, F: FnMut(&SolverEvent) + Send> {
+    lp: &'a LpProblem,
+    opts: &'a SolverOptions,
+    callback: F,
+}
+
+impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
+    pub fn new(lp: &'a LpProblem, opts: &'a SolverOptions, callback: F) -> Self {
+        BranchBound { lp, opts, callback }
     }
 
     /// Runs the search to completion or a limit.
-    pub fn run(mut self) -> SearchOutcome {
+    pub fn run(self) -> SearchOutcome {
+        let workers = self.opts.threads.max(1);
+        let start = shim_time::now();
+        let ctx = Ctx {
+            lp: self.lp,
+            opts: self.opts,
+        };
+        // Translate pool events (internal objective space) into the user's
+        // anytime stream. The pool invokes this under its lock, so the
+        // merged stream is ordered.
+        let lp = self.lp;
+        let mut callback = self.callback;
+        let pool = Pool::new(
+            PoolLimits {
+                node_limit: self.opts.node_limit,
+                relative_gap: self.opts.relative_gap,
+                deadline: self.opts.time_limit.map(|d| start + d),
+            },
+            workers,
+            move |ev: PoolEvent<'_, Vec<f64>>| match ev {
+                PoolEvent::Bound { bound, nodes } => callback(&SolverEvent::BoundImproved {
+                    elapsed: shim_time::now().saturating_duration_since(start),
+                    bound: lp.user_objective(bound),
+                    nodes,
+                }),
+                PoolEvent::Incumbent {
+                    objective,
+                    bound,
+                    nodes,
+                    solution,
+                } => callback(&SolverEvent::Incumbent(IncumbentEvent {
+                    elapsed: shim_time::now().saturating_duration_since(start),
+                    objective: lp.user_objective(objective),
+                    bound: lp.user_objective(bound),
+                    nodes,
+                    // Events cross the API boundary: report model-space
+                    // values.
+                    solution: Solution::new(lp.unscale_values(solution)),
+                })),
+            },
+        );
+
         // Root node.
-        let root_seq = self.next_seq();
-        self.heap.push(OpenNode {
-            bound: f64::NEG_INFINITY,
-            seq: root_seq,
-            data: None,
+        pool.push_root(None, f64::NEG_INFINITY);
+
+        // Warm start after the root is open (so the reported global bound
+        // stays -inf: nothing is proven yet) and before any worker starts:
+        // the hinted incumbent seeds the shared incumbent, so every worker
+        // prunes against it from its very first node and the anytime stream
+        // opens with a finite objective at t ≈ 0. Failures are silent: the
+        // search simply starts without an incumbent.
+        let warm_iterations = {
+            let mut sx = Simplex::new(ctx.lp);
+            if let Some((values, obj)) =
+                warm_start_candidate(&mut sx, ctx.lp, ctx.opts, pool.deadline())
+            {
+                offer(&ctx, &pool, 0, values, obj, None);
+            }
+            sx.iterations_total()
+        };
+
+        let mut scratches: Vec<WorkerScratch> =
+            (0..workers).map(|_| WorkerScratch::default()).collect();
+        let (own, others) = scratches.split_at_mut(1);
+        std::thread::scope(|scope| {
+            let (ctx, pool) = (&ctx, &pool);
+            for (i, scratch) in others.iter_mut().enumerate() {
+                scope.spawn(move || worker(ctx, pool, i + 1, scratch));
+            }
+            worker(ctx, pool, 0, &mut own[0]);
         });
 
-        // Warm start after the root is open so the reported global bound
-        // stays -inf (nothing is proven yet) while the incumbent event
-        // fires at t ≈ 0.
-        self.try_warm_start();
-
-        let mut stop = StopReason::Finished;
-        let mut root_unbounded = false;
-        let mut root_done = false;
-
-        // Budget checks run against the heap *top* before popping: a node
-        // under a firing budget simply stays in the heap (its bound keeps
-        // counting as open) instead of the former pop / re-push churn on
-        // every budget path.
-        'search: while let Some(top_bound) = self.heap.peek().map(|n| n.bound) {
-            if self.prunable(top_bound) {
-                // Heap is bound-ordered: everything else is prunable too.
-                break;
-            }
-            if self.out_of_time() {
-                stop = StopReason::TimeLimit;
-                break;
-            }
-            if self.opts.node_limit.is_some_and(|n| self.nodes >= n) {
-                stop = StopReason::NodeLimit;
-                break;
-            }
-            if self.gap_reached(None) {
-                break;
-            }
-            // audit-allow(no-panic): the peek at loop entry proves the heap is
-            // non-empty, and nothing pops between.
-            let node = self.heap.pop().expect("peeked above");
-
-            // Plunge from this node up to max_dive_depth. The first node of
-            // a plunge comes from the heap and is solved from a cold basis
-            // (robust); dive children reuse the just-solved parent basis in
-            // place (the safest possible warm start), falling back to a cold
-            // re-solve whenever the warm solve fails in any way.
-            let mut current = Some((node.data, /* warm */ false));
-            let mut dive_depth = 0u32;
-            while let Some((data, warm)) = current.take() {
-                if self.out_of_time() {
-                    // The abandoned subtree keeps the last node bound open:
-                    // conservatively re-add it so the reported bound stays
-                    // valid.
-                    let bound = node_chain_bound(&data);
-                    let seq = self.next_seq();
-                    self.heap.push(OpenNode { bound, seq, data });
-                    stop = StopReason::TimeLimit;
-                    break 'search;
-                }
-                // The node budget is a hard cap: checked before every node
-                // LP, dive children included, re-opening the node it stops.
-                if self.opts.node_limit.is_some_and(|n| self.nodes >= n) {
-                    let bound = node_chain_bound(&data);
-                    let seq = self.next_seq();
-                    self.heap.push(OpenNode { bound, seq, data });
-                    stop = StopReason::NodeLimit;
-                    break 'search;
-                }
-
-                apply_node_bounds(&mut self.sx, &data);
-                if !warm {
-                    self.sx.install_slack_basis();
-                }
-                // Iteration count before this node's LP: the warm start and
-                // heuristic dives share the simplex, so the root's share is
-                // a delta, not the running total.
-                let iters_before = self.sx.iterations_total();
-                let mut res = self.sx.solve(&SimplexLimits {
-                    max_iterations: None,
-                    deadline: self.deadline,
-                });
-                if warm && res.status != LpStatus::Optimal {
-                    // Warm starts can strand phase 1 in a bad basis; verify
-                    // any non-optimal verdict from a cold start.
-                    self.sx.install_slack_basis();
-                    res = self.sx.solve(&SimplexLimits {
-                        max_iterations: None,
-                        deadline: self.deadline,
-                    });
-                    self.cold_retries += 1;
-                }
-                if data.is_none() {
-                    self.root_lp_iterations += self.sx.iterations_total() - iters_before;
-                }
-                self.nodes += 1;
-                self.expanded_bounds.push(node_chain_bound(&data));
-
-                // A stalled LP that is primal-feasible is still a usable
-                // branching point: its fractional solution guides the
-                // children, whose valid bound is inherited from the parent.
-                let stalled_feasible =
-                    res.status == LpStatus::IterationLimit && self.sx.primal_infeasibility() < 1e-5;
-
-                match res.status {
-                    LpStatus::Infeasible => {
-                        self.infeasible_nodes += 1;
-                        self.maybe_report_bound(None);
-                        break;
-                    }
-                    LpStatus::Unbounded => {
-                        if data.is_none() {
-                            root_unbounded = true;
-                            break 'search;
-                        }
-                        // A bounded-below MILP cannot have unbounded nodes
-                        // unless the root was. Never drop the node silently:
-                        // park it so its bound stays open.
-                        self.numerical_failures += 1;
-                        let bound = node_chain_bound(&data);
-                        self.stalled_bounds.push(bound);
-                        break;
-                    }
-                    LpStatus::TimeLimit => {
-                        stop = StopReason::TimeLimit;
-                        let bound = node_chain_bound(&data);
-                        let seq = self.next_seq();
-                        self.heap.push(OpenNode { bound, seq, data });
-                        break 'search;
-                    }
-                    LpStatus::IterationLimit if !stalled_feasible => {
-                        // The node LP stalled at an infeasible point; park
-                        // the node (its parent bound stays part of the
-                        // global bound) and move on rather than aborting
-                        // the whole search.
-                        self.numerical_failures += 1;
-                        let bound = node_chain_bound(&data);
-                        self.stalled_bounds.push(bound);
-                        break;
-                    }
-                    LpStatus::IterationLimit | LpStatus::Optimal => {}
-                }
-
-                // For a proven-optimal LP the objective is a valid subtree
-                // bound; a stalled-feasible LP only inherits its parent's.
-                let exact = res.status == LpStatus::Optimal;
-                let obj = if exact {
-                    res.objective
-                } else {
-                    node_chain_bound(&data)
-                };
-
-                // Deadline re-check between the node LP and the heuristic /
-                // branching work below: a deadline that expired during the
-                // LP stops here instead of funding another dive or
-                // heuristic first. The subtree stays open under its fresh
-                // bound.
-                if self.out_of_time() {
-                    let seq = self.next_seq();
-                    self.heap.push(OpenNode {
-                        bound: obj,
-                        seq,
-                        data,
-                    });
-                    stop = StopReason::TimeLimit;
-                    break 'search;
-                }
-
-                // Pseudocost update from the parent's prediction.
-                if exact {
-                    if let Some(d) = &data {
-                        if d.parent_obj.is_finite() {
-                            self.pseudo.record(d.var, d.frac, obj - d.parent_obj, d.up);
-                        }
-                    }
-                }
-
-                if self.prunable(obj) {
-                    self.maybe_report_bound(None);
-                    break;
-                }
-
-                let candidates =
-                    fractional_candidates(&self.sx, self.lp, self.opts.integrality_tol);
-                if candidates.is_empty() {
-                    let point_obj = self.sx.objective();
-                    let values = self.sx.values()[..self.lp.num_structural].to_vec();
-                    let snapped = snap_integral(self.lp, values);
-                    self.try_accept_incumbent(&snapped, point_obj, None);
-                    self.maybe_report_bound(None);
-                    break;
-                }
-
-                // Select the branching variable and capture the node state
-                // *before* heuristics run: they re-solve LPs on the shared
-                // simplex and would otherwise leave stale values behind.
-                let Some((var, frac)) =
-                    select_branching_var(self.opts.branching, &candidates, &self.pseudo)
-                else {
-                    break;
-                };
-                let val = self.sx.values()[var];
-                let (node_lb, node_ub) = {
-                    let (l, u) = self.sx.bounds();
-                    (l[var], u[var])
-                };
-                let depth = data.as_ref().map_or(0, |d| d.depth) + 1;
-
-                // Root-only diving heuristic for a fast first incumbent.
-                if data.is_none() && !root_done {
-                    root_done = true;
-                    if self.opts.root_diving {
-                        self.run_diving(obj);
-                    }
-                } else if self.opts.heuristic_frequency > 0
-                    && self.nodes.is_multiple_of(self.opts.heuristic_frequency)
-                {
-                    self.run_rounding(obj);
-                }
-
-                let down = Arc::new(NodeData {
-                    parent: data.clone(),
-                    var,
-                    lb: node_lb,
-                    ub: val.floor(),
-                    parent_obj: obj,
-                    frac,
-                    up: false,
-                    depth,
-                });
-                let up = Arc::new(NodeData {
-                    parent: data.clone(),
-                    var,
-                    lb: val.ceil(),
-                    ub: node_ub,
-                    parent_obj: obj,
-                    frac,
-                    up: true,
-                    depth,
-                });
-                // Dive toward the nearest integer.
-                let (first, second) = if frac < 0.5 { (down, up) } else { (up, down) };
-
-                let seq = self.next_seq();
-                self.heap.push(OpenNode {
-                    bound: obj,
-                    seq,
-                    data: Some(second),
-                });
-
-                dive_depth += 1;
-                if dive_depth <= self.opts.max_dive_depth {
-                    current = Some((Some(first), true));
-                } else {
-                    let seq = self.next_seq();
-                    self.heap.push(OpenNode {
-                        bound: obj,
-                        seq,
-                        data: Some(first),
-                    });
-                }
-                self.maybe_report_bound(current.as_ref().map(|_| obj));
-            }
+        // Workers joined: fold their private counters and map the pool
+        // state to an outcome.
+        let out = pool.finalize();
+        let nodes = out.nodes;
+        let mut expanded_bounds: Vec<f64> = Vec::new();
+        let mut simplex_iterations = warm_iterations;
+        let mut infeasible_nodes = 0u64;
+        let mut cold_retries = 0u64;
+        let mut numerical_failures = 0u64;
+        let mut root_lp_iterations = 0u64;
+        for s in &scratches {
+            expanded_bounds.extend_from_slice(&s.expanded_bounds);
+            simplex_iterations += s.simplex_iterations;
+            infeasible_nodes += s.infeasible_nodes;
+            cold_retries += s.cold_retries;
+            numerical_failures += s.numerical_failures;
+            root_lp_iterations += s.root_lp_iterations;
         }
-
         if std::env::var_os("MILP_STATS").is_some() {
             eprintln!(
-                "bb: nodes={} infeasible={} cold_retries={} numerical_failures={} heap_left={}",
-                self.nodes,
-                self.infeasible_nodes,
-                self.cold_retries,
-                self.numerical_failures,
-                self.heap.len()
+                "bb: workers={workers} nodes={nodes} infeasible={infeasible_nodes} \
+                 cold_retries={cold_retries} numerical_failures={numerical_failures} \
+                 heap_left={}",
+                out.heap_len
             );
         }
+
         // Parked nodes that the incumbent does not prune keep the search
         // inconclusive (recorded only when no configured budget fired
         // first: the stop reason reports the *earliest* cause).
-        if stop == StopReason::Finished && self.stalled_bounds.iter().any(|&b| !self.prunable(b)) {
+        let incumbent_obj = out.incumbent.as_ref().map(|(_, o)| *o);
+        let mut stop = out.halt.unwrap_or(StopReason::Finished);
+        if stop == StopReason::Finished && out.stalled_unresolved {
             stop = StopReason::Stalled;
         }
-        let bound = self.global_bound(None);
-        let status = if root_unbounded {
+        let status = if out.root_unbounded {
             SolveStatus::Unbounded
         } else {
-            match (&self.incumbent, stop != StopReason::Finished) {
-                (Some(_), false) => SolveStatus::Optimal,
-                (Some(_), true) => {
-                    if self.gap_reached(None) {
+            match (incumbent_obj.is_some(), stop != StopReason::Finished) {
+                (true, false) => SolveStatus::Optimal,
+                (true, true) => {
+                    if out.gap_reached {
                         SolveStatus::Optimal
                     } else {
                         SolveStatus::Feasible
                     }
                 }
-                (None, true) => SolveStatus::NoSolutionFound,
-                (None, false) => SolveStatus::Infeasible,
+                (false, true) => SolveStatus::NoSolutionFound,
+                (false, false) => SolveStatus::Infeasible,
             }
         };
         // A conclusive verdict overrides a limit that fired in the same
@@ -743,74 +723,26 @@ impl<'a, F: FnMut(&SolverEvent)> BranchBound<'a, F> {
             stop = StopReason::Finished;
         }
         // When proven optimal the bound equals the incumbent objective.
-        let final_bound = match (&self.incumbent, status) {
-            (Some((_, obj)), SolveStatus::Optimal) => *obj,
-            _ => bound,
+        let final_bound = match (incumbent_obj, status) {
+            (Some(obj), SolveStatus::Optimal) => obj,
+            _ => out.bound,
         };
-        let speculative = speculative_count(&self.expanded_bounds, self.incumbent.as_ref());
+        let incumbent = out.incumbent;
+        let speculative = speculative_count(&expanded_bounds, incumbent.as_ref());
         SearchOutcome {
             status,
             stop,
-            incumbent: self.incumbent,
+            incumbent,
             bound: final_bound,
-            nodes: self.nodes,
-            simplex_iterations: self.sx.iterations_total(),
+            nodes,
+            simplex_iterations,
             stats: SearchStats {
-                nodes_expanded: self.nodes,
-                workers_used: 1,
+                nodes_expanded: nodes,
+                workers_used: workers,
                 speculative_nodes: speculative,
-                root_lp_iterations: self.root_lp_iterations,
-                total_lp_iterations: self.sx.iterations_total(),
+                root_lp_iterations,
+                total_lp_iterations: simplex_iterations,
             },
-        }
-    }
-
-    fn gap_reached(&self, current: Option<f64>) -> bool {
-        let Some((_, inc)) = &self.incumbent else {
-            return false;
-        };
-        let bound = self.global_bound(current);
-        if !bound.is_finite() {
-            return false;
-        }
-        let gap = (inc - bound).max(0.0) / inc.abs().max(1e-10);
-        gap <= self.opts.relative_gap
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    fn run_diving(&mut self, current_obj: f64) {
-        let (lb, ub) = {
-            let (l, u) = self.sx.bounds();
-            (l.to_vec(), u.to_vec())
-        };
-        if let Some((vals, obj)) = diving_heuristic(
-            &mut self.sx,
-            self.lp,
-            &lb,
-            &ub,
-            self.opts.integrality_tol,
-            self.deadline,
-        ) {
-            let snapped = snap_integral(self.lp, vals);
-            self.try_accept_incumbent(&snapped, obj, Some(current_obj));
-        }
-    }
-
-    fn run_rounding(&mut self, current_obj: f64) {
-        let base = self.sx.values().to_vec();
-        let (lb, ub) = {
-            let (l, u) = self.sx.bounds();
-            (l.to_vec(), u.to_vec())
-        };
-        if let Some((vals, obj)) =
-            rounding_heuristic(&mut self.sx, self.lp, &lb, &ub, &base, self.deadline)
-        {
-            let snapped = snap_integral(self.lp, vals);
-            self.try_accept_incumbent(&snapped, obj, Some(current_obj));
         }
     }
 }
@@ -819,6 +751,8 @@ impl<'a, F: FnMut(&SolverEvent)> BranchBound<'a, F> {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+    use crate::solver::Solver;
+    use std::sync::Mutex;
 
     fn run(model: &Model, opts: &SolverOptions) -> SearchOutcome {
         let lp = LpProblem::from_model(model);
@@ -983,5 +917,131 @@ mod tests {
         assert_eq!(out.status, SolveStatus::Optimal);
         assert!(incumbents >= 1);
         assert!(bounds >= 1);
+    }
+
+    // Multi-worker tests: named `parallel_*` so `cargo test -p
+    // milpjoin-milp parallel` selects them.
+
+    fn knapsack(n: usize) -> Model {
+        let mut m = Model::new("ks");
+        let mut cap = crate::expr::LinExpr::new();
+        let mut obj = crate::expr::LinExpr::new();
+        for i in 0..n {
+            let v = m.add_binary(format!("x{i}"));
+            cap += v * (1.0 + (i % 5) as f64);
+            obj += v * (1.5 + (i % 7) as f64 * 1.3);
+        }
+        m.add_le(cap, (n as f64) * 1.2, "cap");
+        m.set_objective(obj, Sense::Maximize);
+        m
+    }
+
+    #[test]
+    fn parallel_matches_sequential_optimum() {
+        let m = knapsack(14);
+        let seq = Solver::new(SolverOptions::default()).solve(&m).unwrap();
+        for threads in [2usize, 4] {
+            let par = Solver::new(SolverOptions::default().threads(threads))
+                .solve(&m)
+                .unwrap();
+            assert_eq!(par.status, SolveStatus::Optimal, "threads={threads}");
+            assert_eq!(par.stop, StopReason::Finished);
+            let (a, b) = (seq.objective.unwrap(), par.objective.unwrap());
+            assert!((a - b).abs() < 1e-6, "threads={threads}: {a} vs {b}");
+            // Proven optimal: bound equals objective.
+            assert!((par.bound - b).abs() < 1e-6);
+            assert_eq!(par.search.workers_used, threads);
+            assert!(par.search.nodes_expanded >= 1);
+        }
+    }
+
+    #[test]
+    fn parallel_events_are_monotone() {
+        let m = knapsack(16);
+        let events = Mutex::new(Vec::new());
+        let r = Solver::new(SolverOptions::default().threads(4))
+            .solve_with_callback(&m, |ev| {
+                if let SolverEvent::Incumbent(inc) = ev {
+                    events.lock().unwrap().push(inc.objective);
+                }
+            })
+            .unwrap();
+        assert_eq!(r.status, SolveStatus::Optimal);
+        let events = events.into_inner().unwrap();
+        assert!(!events.is_empty());
+        // Maximization incumbents must be non-decreasing.
+        for pair in events.windows(2) {
+            assert!(pair[1] >= pair[0] - 1e-9, "{events:?}");
+        }
+        assert_eq!(events.last().copied(), r.objective);
+    }
+
+    #[test]
+    fn parallel_infeasible() {
+        let mut m = Model::new("inf");
+        let x = m.add_integer(0.0, 10.0, "x");
+        m.add_ge(x * 2.0, 3.0, "c0");
+        m.add_le(x * 2.0, 3.5, "c1");
+        m.set_objective(x.into(), Sense::Minimize);
+        // Presolve would catch this; go through the raw search.
+        let mut opts = SolverOptions::default().threads(3);
+        opts.presolve = false;
+        let r = Solver::new(opts).solve(&m).unwrap();
+        assert_eq!(r.status, SolveStatus::Infeasible);
+    }
+
+    #[test]
+    fn parallel_node_limit_is_global() {
+        let m = knapsack(24);
+        for threads in [1usize, 4] {
+            let mut opts = SolverOptions::default().threads(threads);
+            opts.node_limit = Some(5);
+            opts.root_diving = false;
+            opts.heuristic_frequency = 0;
+            let r = Solver::new(opts).solve(&m).unwrap();
+            // The meter is global and checked before every node LP: a lone
+            // worker stops exactly at the limit, and with more workers each
+            // in-flight one may expand at most one more node after it trips.
+            let cap = if threads == 1 { 5 } else { 5 + threads as u64 };
+            assert!(
+                r.nodes <= cap,
+                "threads={threads}: node meter exceeded: {} nodes",
+                r.nodes
+            );
+            if !r.status.has_solution() {
+                assert_eq!(r.stop, StopReason::NodeLimit);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_warm_start_seeds_shared_incumbent() {
+        let mut m = Model::new("ws");
+        let a = m.add_binary("a");
+        let b = m.add_binary("b");
+        let c = m.add_binary("c");
+        m.add_le(a * 3.0 + b * 4.0 + c * 2.0, 6.0, "cap");
+        m.set_objective(a * 4.0 + b * 5.0 + c * 3.0, Sense::Maximize);
+        let opts = SolverOptions::default().threads(2).initial_solution(vec![
+            (a, 1.0),
+            (b, 0.0),
+            (c, 0.0),
+        ]);
+        let first_event = Mutex::new(None);
+        let r = Solver::new(opts)
+            .solve_with_callback(&m, |ev| {
+                let mut guard = first_event.lock().unwrap();
+                if guard.is_none() {
+                    *guard = Some(matches!(ev, SolverEvent::Incumbent(_)));
+                }
+            })
+            .unwrap();
+        assert_eq!(r.status, SolveStatus::Optimal);
+        assert!((r.objective.unwrap() - 8.0).abs() < 1e-6);
+        assert_eq!(
+            first_event.into_inner().unwrap(),
+            Some(true),
+            "warm start must be the first event, before any worker bound"
+        );
     }
 }

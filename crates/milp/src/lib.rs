@@ -15,7 +15,9 @@
 //!   heuristics, and — crucially for the paper — **anytime behaviour**:
 //!   a stream of improving incumbents with global lower bounds, so a
 //!   guaranteed optimality factor is available at every point in time
-//!   ([`solver`], [`branch_bound`]).
+//!   ([`solver`], [`branch_bound`]). One search runs
+//!   [`SolverOptions::threads`] workers over a shared open-node pool, one
+//!   of them on the calling thread; its node budget is a hard cap.
 //!
 //! ## Quick example
 //!
@@ -51,7 +53,6 @@ pub mod lp;
 pub mod lu;
 pub mod model;
 pub mod options;
-pub mod parallel;
 pub(crate) mod pool;
 pub mod presolve;
 pub mod simplex;

@@ -25,7 +25,10 @@ pub struct SolverOptions {
     /// falls below this value. `0.0` demands proven optimality (within
     /// tolerances).
     pub relative_gap: f64,
-    /// Maximum number of branch-and-bound nodes.
+    /// Maximum number of branch-and-bound nodes — a hard cap, checked
+    /// before every node LP. A one-worker solve expands at most this many
+    /// nodes; with more workers, each in-flight worker may finish the one
+    /// node it cleared before the limit tripped.
     pub node_limit: Option<u64>,
     /// Branching variable selection rule.
     pub branching: BranchingRule,
@@ -39,17 +42,14 @@ pub struct SolverOptions {
     pub presolve: bool,
     /// Depth of the periodic best-first plunge (dive) after node selection.
     pub max_dive_depth: u32,
-    /// Random seed (tie-breaking only; the algorithm is deterministic for a
-    /// fixed seed).
-    pub seed: u64,
-    /// Worker threads for the branch-and-bound search. `0` and `1` both
-    /// select the sequential search (`1` is the default), whose execution —
-    /// node order, events, results — is bit-identical to the historical
-    /// single-threaded solver. Values above `1` run the shared-pool
-    /// parallel search ([`crate::parallel`]): same optimum and certificates
-    /// under non-binding budgets, but node exploration order (and therefore
-    /// intermediate incumbents, node counts at limits, and tie-broken
-    /// optima) depends on thread scheduling.
+    /// Workers of the branch-and-bound search ([`crate::branch_bound`]):
+    /// one search over a shared open-node pool, with worker 0 on the
+    /// calling thread and the rest on scoped threads. `0` counts as `1`
+    /// (the default), which spawns nothing and is deterministic — node
+    /// order, events, results. More workers reach the same optimum and
+    /// certificates under non-binding budgets, but node exploration order
+    /// (and therefore intermediate incumbents, node counts at limits, and
+    /// tie-broken optima) depends on thread scheduling.
     pub threads: usize,
     /// Warm start: suggested values for (a subset of) the *integer*
     /// variables. Before the search begins, the hinted variables are fixed
@@ -76,7 +76,6 @@ impl Default for SolverOptions {
             root_diving: true,
             presolve: true,
             max_dive_depth: 64,
-            seed: 0,
             threads: 1,
             initial_solution: None,
         }

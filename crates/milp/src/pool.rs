@@ -1,6 +1,6 @@
-//! The shared-pool coordination core of the parallel branch-and-bound.
+//! The shared-pool coordination core of the branch-and-bound search.
 //!
-//! [`crate::parallel`] separates *what a worker computes* (LP re-solves,
+//! [`crate::branch_bound`] separates *what a worker computes* (LP re-solves,
 //! plunging, heuristics — all numerical, all thread-private) from *how
 //! workers coordinate* (the open-node heap, the busy/active accounting,
 //! the halt protocol, the shared incumbent, the merged event stream).
@@ -17,7 +17,10 @@
 //!   in-flight subtree ([`PoolState::active`]), and the incumbent
 //!   objective. A worker that claims a node parks its bound in `active`
 //!   *under the same lock* ([`Pool::acquire`]), so no in-flight work is
-//!   ever invisible to the bound.
+//!   ever invisible to the bound. A worker reporting on its own node
+//!   ([`Pool::report_bound`], [`Pool::offer_incumbent`]) passes what it
+//!   now knows of it in place of its slot: the node's fresh LP bound while
+//!   the node is open, nothing once it is resolved.
 //! * **Halt, first writer wins.** The first budget that fires sets
 //!   [`PoolState::halt`] (`get_or_insert`); later halts keep the first
 //!   reason. A worker that halts mid-subtree **re-opens** its node
@@ -167,6 +170,12 @@ pub(crate) struct PoolOutcome<S> {
     pub(crate) nodes: u64,
 }
 
+/// Whether `obj` beats the incumbent objective `best` (min space) by more
+/// than rounding noise.
+fn improves(best: Option<f64>, obj: f64) -> bool {
+    best.is_none_or(|best| obj < best - 1e-12 * (1.0 + best.abs()))
+}
+
 /// The coordination core: open-node pool, shared incumbent, halt
 /// protocol, merged event stream (see the module docs).
 pub(crate) struct Pool<P, S, F> {
@@ -263,10 +272,31 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         self.prunable_against(self.incumbent_obj_fast(), bound)
     }
 
+    /// Lock-free check that `obj` would improve on the incumbent mirror:
+    /// lets a caller skip verifying a candidate that cannot be accepted.
+    /// [`Self::offer_incumbent`] re-checks under the lock.
+    pub(crate) fn improves_fast(&self, obj: f64) -> bool {
+        improves(self.incumbent_obj_fast(), obj)
+    }
+
     /// Global dual bound (min space): heap top, stalled subtrees, every
-    /// busy worker's in-flight subtree, `current`, capped at the incumbent
-    /// (same soundness argument as the sequential search).
-    fn global_bound(&self, st: &PoolState<P, S, F>, current: Option<f64>) -> f64 {
+    /// busy worker's in-flight subtree, `current`, capped at the incumbent.
+    /// `reporter` names a worker reporting on its own node, whose `active`
+    /// slot `current` replaces (see the module docs).
+    ///
+    /// Capping at the incumbent keeps the value a valid lower bound: the
+    /// optimum is min(incumbent, best over open subtrees) >= min(incumbent,
+    /// b), while an uncapped b can exceed the optimum when the only open
+    /// nodes are about to be pruned. It also covers the exhausted-tree case
+    /// (b = +inf proves the incumbent), while a -inf open bound (the root
+    /// right after a warm start) still dominates and is never mistaken for
+    /// proof.
+    fn global_bound(
+        &self,
+        st: &PoolState<P, S, F>,
+        reporter: Option<usize>,
+        current: Option<f64>,
+    ) -> f64 {
         let mut b = f64::INFINITY;
         if let Some(top) = st.heap.peek() {
             b = b.min(top.bound);
@@ -274,8 +304,13 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         for &s in &st.stalled_bounds {
             b = b.min(s);
         }
-        for a in st.active.iter().flatten() {
-            b = b.min(*a);
+        let others = st
+            .active
+            .iter()
+            .enumerate()
+            .filter(|&(w, _)| reporter != Some(w));
+        for a in others.filter_map(|(_, a)| *a) {
+            b = b.min(a);
         }
         if let Some(c) = current {
             b = b.min(c);
@@ -286,8 +321,13 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         b
     }
 
-    fn maybe_report_bound(&self, st: &mut PoolState<P, S, F>, current: Option<f64>) {
-        let b = self.global_bound(st, current);
+    fn maybe_report_bound(
+        &self,
+        st: &mut PoolState<P, S, F>,
+        reporter: Option<usize>,
+        current: Option<f64>,
+    ) {
+        let b = self.global_bound(st, reporter, current);
         if b.is_finite() && b > st.last_bound_reported + 1e-9 * (1.0 + b.abs()) {
             st.last_bound_reported = b;
             let nodes = self.nodes();
@@ -295,37 +335,32 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         }
     }
 
-    fn gap_reached_inner(&self, st: &PoolState<P, S, F>, current: Option<f64>) -> bool {
+    fn gap_reached(&self, st: &PoolState<P, S, F>) -> bool {
         let Some((_, inc)) = &st.incumbent else {
             return false;
         };
-        let bound = self.global_bound(st, current);
+        let bound = self.global_bound(st, None, None);
         if !bound.is_finite() {
             return false;
         }
         (inc - bound).max(0.0) / inc.abs().max(1e-10) <= self.limits.relative_gap
     }
 
-    /// Offers a candidate incumbent the caller has already verified;
-    /// accepts it under the lock if it still improves on the shared one.
-    /// The acceptance, atomic-mirror update, and event all happen under
-    /// the lock, so the merged incumbent stream is monotone.
-    pub(crate) fn offer_incumbent(
-        &self,
-        solution: S,
-        obj: f64,
-        current_bound: Option<f64>,
-    ) -> bool {
+    /// Offers worker `w`'s candidate incumbent, already verified by the
+    /// caller; accepts it under the lock if it still improves on the shared
+    /// one. `current` replaces `w`'s in-flight bound in the event's global
+    /// bound (see the module docs). The acceptance, atomic-mirror update,
+    /// and event all happen under the lock, so the merged incumbent stream
+    /// is monotone.
+    pub(crate) fn offer_incumbent(&self, w: usize, solution: S, obj: f64, current: Option<f64>) {
         let mut st = self.state.lock();
-        if let Some((_, best)) = &st.incumbent {
-            if obj >= *best - 1e-12 * (1.0 + best.abs()) {
-                return false;
-            }
+        if !improves(st.incumbent.as_ref().map(|(_, best)| *best), obj) {
+            return;
         }
         st.incumbent = Some((solution, obj));
         self.incumbent_bits
             .store(obj.to_bits(), AtomicOrdering::Release);
-        let bound = self.global_bound(&st, current_bound);
+        let bound = self.global_bound(&st, Some(w), current);
         let nodes = self.nodes();
         let st_ref = &mut *st;
         if let Some((solution, _)) = &st_ref.incumbent {
@@ -342,7 +377,6 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         // A better incumbent changes prunability: waiting workers must
         // re-evaluate their termination conditions.
         self.work.notify_all();
-        true
     }
 
     /// Marks the search done under an already-held lock.
@@ -429,9 +463,11 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
     }
 
     /// Reports the global bound if it improved (callback under the lock).
-    pub(crate) fn report_bound(&self, current: Option<f64>) {
+    /// `current` replaces worker `w`'s in-flight bound (see the module
+    /// docs).
+    pub(crate) fn report_bound(&self, w: usize, current: Option<f64>) {
         let mut st = self.state.lock();
-        self.maybe_report_bound(&mut st, current);
+        self.maybe_report_bound(&mut st, Some(w), current);
     }
 
     /// Publishes a claimed node's children in one critical section:
@@ -455,7 +491,7 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
             });
         }
         st.active[w] = Some(active_bound);
-        self.maybe_report_bound(&mut st, current);
+        self.maybe_report_bound(&mut st, None, current);
         // New open work for idle workers.
         self.work.notify_all();
     }
@@ -467,7 +503,7 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         let mut st = self.state.lock();
         st.busy -= 1;
         st.active[w] = None;
-        self.maybe_report_bound(&mut st, None);
+        self.maybe_report_bound(&mut st, None, None);
         if self.termination_notifies() {
             self.work.notify_all();
         }
@@ -499,7 +535,7 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
                     } else if self.node_limit_reached() {
                         self.finish(&mut st, Some(StopReason::NodeLimit));
                         return None;
-                    } else if self.gap_reached_inner(&st, None) {
+                    } else if self.gap_reached(&st) {
                         self.finish(&mut st, None);
                         return None;
                     } else {
@@ -540,8 +576,8 @@ impl<P, S, F: FnMut(PoolEvent<'_, S>)> Pool<P, S, F> {
         let nodes = self.nodes();
         let st = self.state.lock();
         let incumbent_obj = st.incumbent.as_ref().map(|(_, o)| *o);
-        let bound = self.global_bound(&st, None);
-        let gap_reached = self.gap_reached_inner(&st, None);
+        let bound = self.global_bound(&st, None, None);
+        let gap_reached = self.gap_reached(&st);
         let stalled_unresolved = st
             .stalled_bounds
             .iter()
@@ -591,7 +627,7 @@ mod interleave_tests {
         ))
     }
 
-    /// The worker loop shape from `crate::parallel::worker`/`expand`,
+    /// The worker loop shape from `crate::branch_bound::worker`/`expand`,
     /// reduced to coordination: acquire, re-check budgets mid-"subtree",
     /// count the node, record it processed, optionally push children.
     fn toy_worker(

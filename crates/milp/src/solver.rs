@@ -6,7 +6,6 @@ use crate::branch_bound::{BranchBound, SolverEvent};
 use crate::lp::LpProblem;
 use crate::model::{Model, ModelError};
 use crate::options::SolverOptions;
-use crate::parallel::ParallelBranchBound;
 use crate::presolve::{presolve, PresolveOutcome};
 use crate::solution::{MipResult, Solution};
 use crate::status::{SearchStats, SolveStatus};
@@ -79,11 +78,11 @@ impl Solver {
     }
 
     /// Solves the model, invoking `callback` on every incumbent and global
-    /// bound improvement (the anytime stream). With
-    /// [`SolverOptions::threads`] `> 1` the events of all workers are
-    /// merged into one stream (serialized under the shared-pool lock, so
-    /// incumbent objectives stay monotone and bounds stay sound); the
-    /// callback therefore must be `Send` — it may run on a worker thread.
+    /// bound improvement (the anytime stream). The events of all
+    /// [`SolverOptions::threads`] workers are merged into one stream
+    /// (serialized under the shared-pool lock, so incumbent objectives stay
+    /// monotone and bounds stay sound); the callback therefore must be
+    /// `Send` — with more than one worker it may run on a worker thread.
     pub fn solve_with_callback(
         &self,
         model: &Model,
@@ -110,14 +109,7 @@ impl Solver {
         }
 
         let lp = LpProblem::from_model(&working);
-        // `threads <= 1` takes the historical sequential path untouched —
-        // this is what keeps the default bit-identical to the
-        // single-threaded solver.
-        let outcome = if self.options.threads > 1 {
-            ParallelBranchBound::new(&lp, &self.options, callback).run()
-        } else {
-            BranchBound::new(&lp, &self.options, callback).run()
-        };
+        let outcome = BranchBound::new(&lp, &self.options, callback).run();
 
         let objective = outcome
             .incumbent

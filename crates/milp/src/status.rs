@@ -41,8 +41,9 @@ pub enum StopReason {
     /// The wall-clock deadline ([`crate::SolverOptions::time_limit`]) fired.
     TimeLimit,
     /// The node budget ([`crate::SolverOptions::node_limit`]) was exhausted
-    /// — a deterministic stop: the same model, options, and seed exhaust
-    /// the budget at the same tree state regardless of machine load.
+    /// — a deterministic stop: with one worker, the same model and options
+    /// exhaust the budget at the same tree state regardless of machine
+    /// load.
     NodeLimit,
     /// Numerically stalled subtrees were parked and not pruned, leaving the
     /// search inconclusive without any configured budget firing.
@@ -60,7 +61,8 @@ pub struct SearchStats {
     /// result's `nodes` field; kept here so the stats block is
     /// self-contained).
     pub nodes_expanded: u64,
-    /// Worker threads the search ran with (`1` for the sequential path).
+    /// Workers the search ran with (`1` by default: the calling thread
+    /// alone).
     pub workers_used: usize,
     /// Nodes expanded whose justifying bound (the parent LP objective the
     /// node was opened under) already exceeded the final optimum — work a

@@ -195,31 +195,28 @@ pub struct OrderingOptions {
     /// Stop once the backend proves its objective within this relative gap
     /// of optimal (bounding backends only).
     pub relative_gap: f64,
-    /// Branch-and-bound node budget (search backends only).
-    pub node_limit: Option<u64>,
     /// Deterministic per-solve budget, metered in branch-and-bound nodes
-    /// instead of wall-clock time. Unlike [`Self::time_limit`], node
-    /// metering is invariant under CPU contention: the same query, backend
-    /// configuration and seed stop at the same search-tree state whether
-    /// one solve runs or sixteen — so budget-limited outcomes are
-    /// identical at any worker count. Effectively the tighter of this and
-    /// [`Self::node_limit`] applies; exhaustion before any plan is found
+    /// instead of wall-clock time — the one node budget. It is a hard cap:
+    /// checked before every node LP, so a single-worker solve expands at
+    /// most this many nodes. Unlike [`Self::time_limit`], node metering is
+    /// invariant under CPU contention: the same query and backend
+    /// configuration stop at the same search-tree state whether one solve
+    /// runs or sixteen — so budget-limited outcomes are identical at any
+    /// service worker count. Exhaustion before any plan is found
     /// classifies as [`OrderingError::ResourceLimit`], never
     /// [`OrderingError::Timeout`]. Backends without a node-metered search
     /// (greedy, DP) ignore it.
     pub deterministic_budget: Option<u64>,
-    /// Random seed (tie-breaking; every backend is deterministic per seed).
-    pub seed: u64,
-    /// Worker threads *inside* each single solve (search backends only;
-    /// greedy and DP ignore it). `0` and `1` both select the sequential
-    /// search, which is bit-identical to the historical single-threaded
-    /// solver; values above `1` run the MILP backend's shared-pool
-    /// parallel branch-and-bound. Composes multiplicatively with service
-    /// concurrency: a `QueryService` with `w` workers each solving with
-    /// `t` solver threads can occupy up to `w × t` cores — budget both
-    /// knobs together, and keep this at the default `1` whenever
-    /// bit-identical results matter (`threads > 1` preserves optimal costs
-    /// and certificates but not node-by-node determinism).
+    /// Branch-and-bound workers *inside* each single solve (search
+    /// backends only; greedy and DP ignore it). The MILP backend runs one
+    /// search with this many workers, one of them on the calling thread;
+    /// `0` counts as `1` (the default), which spawns nothing and is
+    /// deterministic. Composes multiplicatively with service concurrency:
+    /// a `QueryService` with `w` workers each solving with `t` solver
+    /// threads can occupy up to `w × t` cores — budget both knobs together,
+    /// and keep this at the default `1` whenever bit-identical results
+    /// matter (more workers preserve optimal costs and certificates but
+    /// not node-by-node determinism).
     pub solver_threads: usize,
 }
 
@@ -262,12 +259,12 @@ impl OrderingOptions {
 pub struct SearchStats {
     /// Branch-and-bound nodes whose relaxation was solved.
     pub nodes_expanded: u64,
-    /// Worker threads the search ran with (`1` for a sequential search,
-    /// `0` when the backend has no search at all).
+    /// Workers the search ran with (`1` for a single-worker search, `0`
+    /// when the backend has no search at all).
     pub workers_used: usize,
     /// Nodes expanded whose justifying bound already exceeded the final
     /// optimum — work a clairvoyant search would have pruned; the natural
-    /// measure of speculative overhead in a parallel search.
+    /// measure of speculative overhead in a multi-worker search.
     pub speculative_nodes: u64,
     /// Simplex iterations spent on the root relaxation's LP solve. A
     /// solve where this dominates `total_lp_iterations` is root-LP-bound:
@@ -410,9 +407,9 @@ pub trait JoinOrderer: Send + Sync {
 /// closure.
 pub trait OrdererFactory: Send + Sync {
     /// Builds one backend instance. Instances built from one factory must
-    /// be *identically configured* (same cost model, same determinism per
-    /// seed): the service's result-identity guarantee assumes any two of
-    /// them produce the same outcome for the same input.
+    /// be *identically configured* (same cost model, same options): the
+    /// service's result-identity guarantee assumes any two of them produce
+    /// the same outcome for the same input.
     fn build(&self) -> Box<dyn JoinOrderer>;
 }
 

@@ -40,7 +40,7 @@
 //!
 //! ## Determinism under load
 //!
-//! Solves are deterministic per backend configuration and seed, and
+//! Solves are deterministic per backend configuration, and
 //! followers derive from the leader's record. What that buys:
 //!
 //! * A one-worker service processes submissions FIFO and returns exactly

@@ -108,7 +108,7 @@ pub struct SessionStats {
     /// [`crate::orderer::SearchStats::speculative_nodes`]).
     pub speculative_nodes: u64,
     /// The largest intra-solve worker count any backend solve ran with
-    /// (`0` until a search backend reports; `1` for sequential solves).
+    /// (`0` until a search backend reports; `1` for single-worker solves).
     pub max_workers_used: usize,
     /// Simplex iterations spent on root LP relaxations, summed across
     /// backend solves. Read next to `total_lp_iterations`: a session whose

@@ -133,10 +133,7 @@ fn node_budget_exhaustion_is_not_a_timeout() {
         .order(
             &catalog,
             &query,
-            &OrderingOptions {
-                node_limit: Some(0),
-                ..Default::default()
-            },
+            &OrderingOptions::with_deterministic_budget(0),
         )
         .unwrap_err();
     assert!(

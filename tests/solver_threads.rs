@@ -130,9 +130,8 @@ fn assert_trace_monotone(label: &str, outcome: &SessionOutcome) {
 }
 
 /// The default configuration (no `solver_threads` set) and explicit
-/// `0`/`1` all take the sequential code path and must be bit-identical —
-/// the regression guard that adding the parallel search changed nothing
-/// for existing callers.
+/// `0`/`1` all run the search on one worker, the calling thread, and
+/// must be bit-identical.
 #[test]
 fn default_and_explicit_single_thread_are_bit_identical() {
     let (catalog, queries) = mixed_stream(11, 5, 2, 2);

@@ -34,7 +34,7 @@ pub const FILE_ALLOW: &[(&str, &str, &str)] = &[
 /// Files the lock-discipline rule applies to: the concurrent core, where
 /// a shard or pool lock guard may be live. Matched by path suffix so the
 /// fixture corpus can opt in.
-const LOCK_FILES: &[&str] = &["cache.rs", "service.rs", "pool.rs", "parallel.rs"];
+const LOCK_FILES: &[&str] = &["cache.rs", "service.rs", "pool.rs", "branch_bound.rs"];
 
 /// Enums whose `match` sites must be exhaustive (no `_` arms): stop and
 /// error classification drives budget accounting and fallback routing, so

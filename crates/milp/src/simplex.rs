@@ -352,6 +352,10 @@ impl<'a> Simplex<'a> {
         let mut stall_counter = 0u64;
         let mut best_progress = f64::INFINITY; // phase1: violation; phase2: objective
         let mut last_phase1 = false;
+        // Whether this solve already engaged (and later dropped) the
+        // perturbation: it is deterministic, so a second stall would only
+        // re-run the same perturbed walk.
+        let mut perturbed_once = false;
 
         loop {
             if iterations >= max_iter {
@@ -406,7 +410,15 @@ impl<'a> Simplex<'a> {
             }
             let engage_perturbation =
                 stall_counter >= STALL_PERTURB && self.perturbation.is_none() && !phase1;
+            if engage_perturbation && perturbed_once {
+                // The perturbed optimum did not hold on the true costs and
+                // the walk stalled again. Re-engaging the identical
+                // perturbation cycles until `max_iter` or `stall_abort`;
+                // give the same verdict now.
+                return self.finish(LpStatus::IterationLimit, iterations);
+            }
             if engage_perturbation {
+                perturbed_once = true;
                 // Deterministic tiny cost perturbation: breaks the exact
                 // dual ties that tolerance-based Bland's rule cannot.
                 let pert: Vec<f64> = (0..ncols)

@@ -210,3 +210,27 @@ fn hybrid_contract_across_seeds() {
         );
     }
 }
+
+/// A node LP that stalls again after its perturbed optimum failed on the
+/// true costs gives up at that second stall. Re-engaging the deterministic
+/// cost perturbation would replay the same walk until the iteration limit:
+/// this 5-table cycle spent 20,309 LP iterations in that loop under a
+/// 20-node budget, and about 3,600 without it.
+#[test]
+fn perturbed_stall_does_not_cycle() {
+    let (catalog, query) =
+        WorkloadSpec::new(Topology::Cycle, 5).generate(6_884_233_016_877_735_413);
+    let out = HybridOptimizer::new(EncoderConfig::default())
+        .order(
+            &catalog,
+            &query,
+            &OrderingOptions::with_deterministic_budget(20),
+        )
+        .unwrap();
+    out.plan.validate(&query).unwrap();
+    let iterations = out.search.total_lp_iterations;
+    assert!(
+        iterations <= 6_000,
+        "{iterations} LP iterations: a perturbed stall cycled"
+    );
+}

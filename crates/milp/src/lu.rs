@@ -209,9 +209,18 @@ impl LuFactors {
     /// Solves `B x = b`. Input `b` is dense, indexed by row; the result is
     /// written back into `b`, indexed by basis position.
     pub fn ftran(&self, b: &mut [f64]) {
+        self.ftran_with(b, &mut Vec::new());
+    }
+
+    /// [`ftran`](Self::ftran) with a caller-owned work vector, so that a
+    /// loop of solves allocates nothing. The result does not depend on the
+    /// work vector's prior contents.
+    pub fn ftran_with(&self, b: &mut [f64], work: &mut Vec<f64>) {
         debug_assert_eq!(b.len(), self.m);
         // Forward: y_k = b[pivot_row[k]]; eliminate below.
-        let mut y = vec![0.0; self.m];
+        work.clear();
+        work.resize(self.m, 0.0);
+        let y = work;
         for k in 0..self.m {
             let v = b[self.pivot_row[k] as usize];
             if v != 0.0 {
@@ -241,12 +250,18 @@ impl LuFactors {
                 }
             }
         }
-        b.copy_from_slice(&y);
+        b.copy_from_slice(y);
     }
 
     /// Solves `Bᵀ y = c`. Input `c` is dense, indexed by basis position; the
     /// result is written back into `c`, indexed by row.
     pub fn btran(&self, c: &mut [f64]) {
+        self.btran_with(c, &mut Vec::new());
+    }
+
+    /// [`btran`](Self::btran) with a caller-owned work vector (see
+    /// [`ftran_with`](Self::ftran_with)).
+    pub fn btran_with(&self, c: &mut [f64], work: &mut Vec<f64>) {
         debug_assert_eq!(c.len(), self.m);
         // Eta transposes, newest first.
         for eta in self.etas.iter().rev() {
@@ -256,25 +271,27 @@ impl LuFactors {
             }
             c[eta.pos] = (c[eta.pos] - dot) / eta.pivot;
         }
-        // Solve Uᵀ w = c (forward in position space).
-        let mut w = vec![0.0; self.m];
+        // Solve Uᵀ w = c (forward in position space, in place: step k reads
+        // only c[k] and the already solved w[j], j < k).
         for k in 0..self.m {
             let mut acc = c[k];
             for &(j, u) in &self.u_cols[k] {
-                acc -= u * w[j as usize];
+                acc -= u * c[j as usize];
             }
-            w[k] = acc / self.u_diag[k];
+            c[k] = acc / self.u_diag[k];
         }
         // Solve Lᵀ v = w (backward), scattering to row space.
-        let mut v = vec![0.0; self.m];
+        work.clear();
+        work.resize(self.m, 0.0);
+        let v = work;
         for k in (0..self.m).rev() {
-            let mut acc = w[k];
+            let mut acc = c[k];
             for &(r, l) in &self.l_cols[k] {
                 acc -= l * v[r as usize];
             }
             v[self.pivot_row[k] as usize] = acc;
         }
-        c.copy_from_slice(&v);
+        c.copy_from_slice(v);
     }
 }
 

@@ -83,6 +83,8 @@ pub struct Simplex<'a> {
     basis: Vec<usize>,
     x: Vec<f64>,
     lu: Option<LuFactors>,
+    /// Work vector of the FTRAN/BTRAN solves, reused across iterations.
+    lu_work: Vec<f64>,
     iterations_total: u64,
     /// Active cost perturbation (anti-cycling), sparse over columns.
     perturbation: Option<Vec<f64>>,
@@ -100,6 +102,7 @@ impl<'a> Simplex<'a> {
             basis: Vec::with_capacity(m),
             x: vec![0.0; ncols],
             lu: None,
+            lu_work: Vec::new(),
             iterations_total: 0,
             perturbation: None,
         };
@@ -275,6 +278,22 @@ impl<'a> Simplex<'a> {
             .expect("basis factorized on the solve path")
     }
 
+    /// FTRAN on the current factors: row-indexed `b` in, position-indexed
+    /// solution out.
+    fn ftran(&mut self, b: &mut [f64]) {
+        let mut work = std::mem::take(&mut self.lu_work);
+        self.factors().ftran_with(b, &mut work);
+        self.lu_work = work;
+    }
+
+    /// BTRAN on the current factors: position-indexed `c` in,
+    /// row-indexed solution out.
+    fn btran(&mut self, c: &mut [f64]) {
+        let mut work = std::mem::take(&mut self.lu_work);
+        self.factors().btran_with(c, &mut work);
+        self.lu_work = work;
+    }
+
     fn factorize(&mut self) {
         let lp = self.lp;
         let basis = self.basis.clone();
@@ -308,7 +327,7 @@ impl<'a> Simplex<'a> {
                 self.lp.column_axpy(j, -self.x[j], &mut rhs);
             }
         }
-        self.factors().ftran(&mut rhs);
+        self.ftran(&mut rhs);
         for (i, &col) in self.basis.iter().enumerate() {
             self.x[col] = rhs[i];
         }
@@ -356,6 +375,10 @@ impl<'a> Simplex<'a> {
         // perturbation: it is deterministic, so a second stall would only
         // re-run the same perturbed walk.
         let mut perturbed_once = false;
+        // Per-iteration vectors, allocated once per solve: the duals `y`
+        // (indexed by row) and the entering direction `dvec` (by position).
+        let mut y = vec![0.0; m];
+        let mut dvec = vec![0.0; m];
 
         loop {
             if iterations >= max_iter {
@@ -435,9 +458,8 @@ impl<'a> Simplex<'a> {
             }
 
             // Dual values for the phase objective.
-            let mut cb = vec![0.0; m];
             for (i, &col) in self.basis.iter().enumerate() {
-                cb[i] = if phase1 {
+                y[i] = if phase1 {
                     let v = self.x[col];
                     if v < self.lb[col] - feas_tol(self.lb[col]) {
                         -1.0
@@ -450,8 +472,7 @@ impl<'a> Simplex<'a> {
                     self.cost(col)
                 };
             }
-            self.factors().btran(&mut cb);
-            let y = cb; // now indexed by row
+            self.btran(&mut y); // now indexed by row
 
             // Pricing: Dantzig rule on scale-normalized reduced costs, or
             // Bland's rule (first eligible index) under prolonged
@@ -477,11 +498,23 @@ impl<'a> Simplex<'a> {
                 // reduced cost when fixing the violation needs a long walk,
                 // and missing it turns a feasible LP into a false
                 // "infeasible".
+                let floor = if phase1 { 1e-10 } else { DUAL_TOL };
+                // The tolerance never falls below its floor, so a reduced
+                // cost with the wrong sign or within the floor cannot be
+                // eligible: skip the noise estimate for it.
+                let eligible_sign = match st {
+                    VarStatus::AtLower => d < -floor,
+                    VarStatus::AtUpper => d > floor,
+                    _ => d.abs() > floor,
+                };
+                if !eligible_sign {
+                    continue;
+                }
                 let scale = 1.0 + cj.abs() + self.lp.column_abs_dot(j, &y);
                 let tol = if phase1 {
-                    1e-10 + 1e-13 * scale
+                    floor + 1e-13 * scale
                 } else {
-                    DUAL_TOL + 1e-12 * scale
+                    floor + 1e-12 * scale
                 };
                 let dir = match st {
                     VarStatus::AtLower | VarStatus::Free if d < -tol => 1.0,
@@ -531,9 +564,9 @@ impl<'a> Simplex<'a> {
             confirmed = false;
 
             // Entering direction d = B^-1 a_q.
-            let mut dvec = vec![0.0; m];
+            dvec.fill(0.0);
             self.lp.column_axpy(q, 1.0, &mut dvec);
-            self.factors().ftran(&mut dvec);
+            self.ftran(&mut dvec);
 
             // Ratio test (two-pass Harris style; strict Bland variant under
             // prolonged degeneracy).

@@ -32,7 +32,9 @@
 //! * **Per-worker scratch.** Each worker owns a private [`Simplex`] (with
 //!   its own LU basis) and its own [`Pseudocosts`]; each re-creates any
 //!   pool node on its own scratch by walking the node's `NodeData` bound
-//!   chain.
+//!   chain and loading the parent's optimal basis that the node carries
+//!   (one shared `Arc` per branching), then re-solves it with the dual
+//!   simplex.
 //! * **Merged anytime stream.** The user callback is invoked only under the
 //!   pool lock: incumbents are monotone, and every reported global bound is
 //!   the minimum over the heap top, parked stalled subtrees, every worker's
@@ -62,7 +64,7 @@ use crate::heuristics::{diving_heuristic, rounding_heuristic};
 use crate::lp::LpProblem;
 use crate::options::SolverOptions;
 use crate::pool::{Open, Pool, PoolEvent, PoolLimits};
-use crate::simplex::{LpStatus, Simplex, SimplexLimits};
+use crate::simplex::{BasisSnapshot, DualPath, LpStatus, Simplex, SimplexLimits};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::status::{SearchStats, SolveStatus, StopReason};
 
@@ -96,6 +98,11 @@ struct NodeData {
     /// Whether this is the up-branch.
     up: bool,
     depth: u32,
+    /// The parent's optimal basis (shared by both children), captured
+    /// before any heuristic moved the simplex; `None` when the parent's LP
+    /// was not proven optimal. The node re-solves from it with the dual
+    /// simplex.
+    basis: Option<Arc<BasisSnapshot>>,
 }
 
 /// Node payload in the shared pool: the bound chain (`None` = root).
@@ -152,14 +159,43 @@ fn fractional_candidates(
     out
 }
 
-/// Rounds integer entries that are within tolerance of an integer.
-fn snap_integral(lp: &LpProblem, mut values: Vec<f64>) -> Vec<f64> {
+/// Snaps an LP point onto the values it stands for: integer entries are
+/// rounded, and continuous entries within rounding noise of a bound move
+/// onto it. An incumbent's objective is recomputed from the snapped values,
+/// so LP noise (a scaled-up cost on a column resting at `-1e-19` instead
+/// of `0`) does not make two equal optima report different objectives.
+fn snap_solution(lp: &LpProblem, mut values: Vec<f64>) -> Vec<f64> {
     for j in 0..lp.num_structural {
-        if lp.integer[j] {
-            values[j] = values[j].round();
-        }
+        let v = values[j];
+        values[j] = if lp.integer[j] {
+            v.round()
+        } else {
+            let near =
+                |bound: f64| bound.is_finite() && (v - bound).abs() <= 1e-9 * (1.0 + bound.abs());
+            let (l, u) = (lp.lb[j], lp.ub[j]);
+            if near(l) {
+                l
+            } else if near(u) {
+                u
+            } else {
+                v
+            }
+        };
     }
     values
+}
+
+/// Minimization-space objective of structural values (without offset),
+/// summed in the simplex's column order.
+fn solution_objective(lp: &LpProblem, values: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for j in 0..lp.num_structural {
+        let c = lp.obj[j];
+        if c != 0.0 {
+            acc += c * values[j];
+        }
+    }
+    acc
 }
 
 /// Counts expanded nodes whose justifying bound already exceeded the final
@@ -197,16 +233,16 @@ fn verify_rows(lp: &LpProblem, values: &[f64]) -> bool {
 /// Attempts to turn the user-supplied warm-start hints into an integral
 /// root candidate: fix the hinted integer variables, solve the LP for the
 /// continuous completion, and — if other integer variables come out
-/// fractional — finish with one fractional dive. Returns the candidate and
-/// its objective (**unsnapped and unverified**: [`offer`] does both);
-/// `None` when the hints are absent, infeasible, or incompletable. Leaves
-/// the simplex bounds reset in every case.
+/// fractional — finish with one fractional dive. Returns the candidate
+/// (**unsnapped and unverified**: [`offer`] does both); `None` when the
+/// hints are absent, infeasible, or incompletable. Leaves the simplex
+/// bounds reset in every case.
 fn warm_start_candidate(
     sx: &mut Simplex<'_>,
     lp: &LpProblem,
     opts: &SolverOptions,
     deadline: Option<Instant>,
-) -> Option<(Vec<f64>, f64)> {
+) -> Option<Vec<f64>> {
     let hints = opts.initial_solution.as_ref()?;
     if hints.is_empty() {
         return None;
@@ -236,7 +272,7 @@ fn warm_start_candidate(
     let candidate = if res.status != LpStatus::Optimal {
         None
     } else if fractional_candidates(sx, lp, opts.integrality_tol).is_empty() {
-        Some((sx.values()[..lp.num_structural].to_vec(), sx.objective()))
+        Some(sx.values()[..lp.num_structural].to_vec())
     } else {
         // Hints only covered part of the integer variables; dive the rest
         // down from the hinted LP.
@@ -244,7 +280,7 @@ fn warm_start_candidate(
             let (l, u) = sx.bounds();
             (l.to_vec(), u.to_vec())
         };
-        diving_heuristic(sx, lp, &lb, &ub, opts.integrality_tol, deadline)
+        diving_heuristic(sx, lp, &lb, &ub, opts.integrality_tol, deadline).map(|(vals, _)| vals)
     };
     sx.reset_bounds();
     candidate
@@ -262,6 +298,10 @@ pub struct SearchOutcome {
     pub simplex_iterations: u64,
     /// Search observability counters (node/worker/speculation accounting).
     pub stats: SearchStats,
+    /// Every worker's private counters, merged (the `MILP_STATS` line),
+    /// kept for the unit tests.
+    #[cfg(test)]
+    counters: WorkerScratch,
 }
 
 /// Read-mostly numerical context shared by all workers; the coordination
@@ -271,24 +311,24 @@ struct Ctx<'a> {
     opts: &'a SolverOptions,
 }
 
-/// Snaps an integral candidate and offers it to the shared incumbent on
-/// behalf of worker `w`. A candidate that does not beat the incumbent
-/// mirror is dropped before its row check; the pool re-checks improvement
-/// under its lock. `current` is the worker's in-flight node bound while
-/// that node is still open (a heuristic ran from it), `None` once the node
-/// is resolved.
+/// Snaps an integral candidate ([`snap_solution`]) and offers it, with the
+/// objective of the snapped values, to the shared incumbent on behalf of
+/// worker `w`. A candidate that does not beat the incumbent mirror is
+/// dropped before its row check; the pool re-checks improvement under its
+/// lock. `current` is the worker's in-flight node bound while that node is
+/// still open (a heuristic ran from it), `None` once the node is resolved.
 fn offer<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
     ctx: &Ctx<'_>,
     pool: &SearchPool<F>,
     w: usize,
     values: Vec<f64>,
-    obj: f64,
     current: Option<f64>,
 ) {
+    let values = snap_solution(ctx.lp, values);
+    let obj = solution_objective(ctx.lp, &values);
     if !pool.improves_fast(obj) {
         return;
     }
-    let values = snap_integral(ctx.lp, values);
     if verify_rows(ctx.lp, &values) {
         pool.offer_incumbent(w, values, obj, current);
     }
@@ -305,7 +345,7 @@ fn run_diving<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         let (l, u) = sx.bounds();
         (l.to_vec(), u.to_vec())
     };
-    if let Some((vals, obj)) = diving_heuristic(
+    if let Some((vals, _)) = diving_heuristic(
         sx,
         ctx.lp,
         &lb,
@@ -313,7 +353,7 @@ fn run_diving<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         ctx.opts.integrality_tol,
         pool.deadline(),
     ) {
-        offer(ctx, pool, w, vals, obj, Some(current_obj));
+        offer(ctx, pool, w, vals, Some(current_obj));
     }
 }
 
@@ -329,22 +369,32 @@ fn run_rounding<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         let (l, u) = sx.bounds();
         (l.to_vec(), u.to_vec())
     };
-    if let Some((vals, obj)) = rounding_heuristic(sx, ctx.lp, &lb, &ub, &base, pool.deadline()) {
-        offer(ctx, pool, w, vals, obj, Some(current_obj));
+    if let Some((vals, _)) = rounding_heuristic(sx, ctx.lp, &lb, &ub, &base, pool.deadline()) {
+        offer(ctx, pool, w, vals, Some(current_obj));
     }
 }
 
 /// Per-worker counters, merged into the outcome after the workers join.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct WorkerScratch {
     /// Justifying bound of every expanded node, for the speculative-work
     /// statistic (counted against the final optimum after the search).
     expanded_bounds: Vec<f64>,
     simplex_iterations: u64,
-    /// Diagnostics: LP infeasibilities confirmed from cold restarts.
+    /// Diagnostics: node LPs found infeasible (certified by the dual or
+    /// confirmed from a cold restart).
     infeasible_nodes: u64,
     /// Diagnostics: warm verdicts that required a cold re-solve.
     cold_retries: u64,
+    /// Diagnostics: node LPs the dual simplex brought to primal
+    /// feasibility from the parent's basis.
+    dual_resolves: u64,
+    /// Diagnostics: dual re-solves that gave up and ran the primal loop
+    /// from the parent's basis.
+    dual_fallbacks: u64,
+    /// Diagnostics: infeasible nodes whose dual ray was certified, so they
+    /// skipped the cold retry.
+    certified_infeasible: u64,
     /// Diagnostics: confirmed unbounded verdicts in a bounded model, and
     /// node LPs that stalled at an infeasible point.
     numerical_failures: u64,
@@ -353,11 +403,29 @@ struct WorkerScratch {
     root_lp_iterations: u64,
 }
 
-/// Expands one claimed node: plunges from it up to `max_dive_depth`. The
-/// first node of a plunge comes from the pool and is solved from a cold
-/// basis (robust); dive children reuse the just-solved parent basis in
-/// place (the safest possible warm start), falling back to a cold re-solve
-/// whenever the warm solve fails in any way.
+impl WorkerScratch {
+    /// Folds another worker's counters into these.
+    fn absorb(&mut self, other: &WorkerScratch) {
+        self.expanded_bounds
+            .extend_from_slice(&other.expanded_bounds);
+        self.simplex_iterations += other.simplex_iterations;
+        self.infeasible_nodes += other.infeasible_nodes;
+        self.cold_retries += other.cold_retries;
+        self.dual_resolves += other.dual_resolves;
+        self.dual_fallbacks += other.dual_fallbacks;
+        self.certified_infeasible += other.certified_infeasible;
+        self.numerical_failures += other.numerical_failures;
+        self.root_lp_iterations += other.root_lp_iterations;
+    }
+}
+
+/// Expands one claimed node: plunges from it up to `max_dive_depth`.
+/// Every node whose parent LP was proven optimal — pool node or dive
+/// child — loads that parent basis and re-solves with the dual simplex
+/// ([`Simplex::solve_dual`]); a warm verdict other than `Optimal` or a
+/// certified infeasibility is re-solved cold. The root, and nodes whose
+/// parent only stalled, are solved cold: the primal loop from the slack
+/// basis.
 fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
     ctx: &Ctx<'_>,
     pool: &SearchPool<F>,
@@ -367,9 +435,9 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
     node: Open<NodePayload>,
     scratch: &mut WorkerScratch,
 ) {
-    let mut current = Some((node.payload, /* warm */ false));
+    let mut current = Some(node.payload);
     let mut dive_depth = 0u32;
-    while let Some((data, warm)) = current.take() {
+    while let Some(data) = current.take() {
         // Budget / halt checks before funding another LP. A worker that
         // backs out re-opens its node so the subtree bound stays valid.
         if pool.is_finished() {
@@ -389,27 +457,46 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         }
 
         apply_node_bounds(sx, &data);
-        if !warm {
-            sx.install_slack_basis();
-        }
         // Iteration count before this node's LP: the worker's simplex is
         // reused across nodes and heuristic dives, so the root's share is
         // a delta, not the running total.
         let iters_before = sx.iterations_total();
-        let mut res = sx.solve(&SimplexLimits {
+        let limits = SimplexLimits {
             max_iterations: None,
             deadline: pool.deadline(),
-        });
-        if warm && res.status != LpStatus::Optimal {
-            // Warm starts can strand phase 1 in a bad basis; verify any
-            // non-optimal verdict from a cold start.
-            sx.install_slack_basis();
-            res = sx.solve(&SimplexLimits {
-                max_iterations: None,
-                deadline: pool.deadline(),
-            });
-            scratch.cold_retries += 1;
-        }
+        };
+        let res = match data.as_ref().and_then(|d| d.basis.as_deref()) {
+            None => {
+                sx.install_slack_basis();
+                sx.solve(&limits)
+            }
+            Some(basis) => {
+                sx.load_basis(basis);
+                // A warm re-solve settles in a handful of pivots; one that
+                // needs more primal iterations than this (the diving
+                // heuristic's cap) is stalling on a degenerate or
+                // ill-conditioned basis, and a cold solve is cheaper than
+                // waiting out the stall.
+                let warm_cap = 500 + 4 * ctx.lp.num_rows as u64;
+                let (res, path) = sx.solve_dual(&SimplexLimits {
+                    max_iterations: Some(warm_cap),
+                    ..limits
+                });
+                match path {
+                    DualPath::Dual => scratch.dual_resolves += 1,
+                    DualPath::CertifiedInfeasible => scratch.certified_infeasible += 1,
+                    DualPath::Fallback => scratch.dual_fallbacks += 1,
+                }
+                if res.status == LpStatus::Optimal || path == DualPath::CertifiedInfeasible {
+                    res
+                } else {
+                    // Verify any other warm verdict from a cold start.
+                    scratch.cold_retries += 1;
+                    sx.install_slack_basis();
+                    sx.solve(&limits)
+                }
+            }
+        };
         if data.is_none() {
             scratch.root_lp_iterations += sx.iterations_total() - iters_before;
         }
@@ -491,7 +578,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         let candidates = fractional_candidates(sx, ctx.lp, ctx.opts.integrality_tol);
         if candidates.is_empty() {
             let values = sx.values()[..ctx.lp.num_structural].to_vec();
-            offer(ctx, pool, w, values, sx.objective(), None);
+            offer(ctx, pool, w, values, None);
             pool.report_bound(w, None);
             break;
         }
@@ -509,6 +596,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
             (l[var], u[var])
         };
         let depth = data.as_ref().map_or(0, |d| d.depth) + 1;
+        let basis = exact.then(|| Arc::new(sx.basis_snapshot()));
 
         // Root-only diving heuristic for a fast first incumbent: only one
         // node has no data (the root), and exactly one worker claims it.
@@ -531,6 +619,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
             frac,
             up: false,
             depth,
+            basis: basis.clone(),
         });
         let up = Arc::new(NodeData {
             parent: data,
@@ -541,6 +630,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
             frac,
             up: true,
             depth,
+            basis,
         });
         // Dive toward the nearest integer.
         let (first, second) = if frac < 0.5 { (down, up) } else { (up, down) };
@@ -551,7 +641,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         // objective; publish the children in one critical section.
         let mut children: Vec<(NodePayload, f64)> = vec![(Some(second), obj)];
         if keep_diving {
-            current = Some((Some(first), true));
+            current = Some(Some(first));
         } else {
             children.push((Some(first), obj));
         }
@@ -646,10 +736,8 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         // search simply starts without an incumbent.
         let warm_iterations = {
             let mut sx = Simplex::new(ctx.lp);
-            if let Some((values, obj)) =
-                warm_start_candidate(&mut sx, ctx.lp, ctx.opts, pool.deadline())
-            {
-                offer(&ctx, &pool, 0, values, obj, None);
+            if let Some(values) = warm_start_candidate(&mut sx, ctx.lp, ctx.opts, pool.deadline()) {
+                offer(&ctx, &pool, 0, values, None);
             }
             sx.iterations_total()
         };
@@ -669,25 +757,25 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         // state to an outcome.
         let out = pool.finalize();
         let nodes = out.nodes;
-        let mut expanded_bounds: Vec<f64> = Vec::new();
-        let mut simplex_iterations = warm_iterations;
-        let mut infeasible_nodes = 0u64;
-        let mut cold_retries = 0u64;
-        let mut numerical_failures = 0u64;
-        let mut root_lp_iterations = 0u64;
+        let mut totals = WorkerScratch {
+            simplex_iterations: warm_iterations,
+            ..WorkerScratch::default()
+        };
         for s in &scratches {
-            expanded_bounds.extend_from_slice(&s.expanded_bounds);
-            simplex_iterations += s.simplex_iterations;
-            infeasible_nodes += s.infeasible_nodes;
-            cold_retries += s.cold_retries;
-            numerical_failures += s.numerical_failures;
-            root_lp_iterations += s.root_lp_iterations;
+            totals.absorb(s);
         }
+        let simplex_iterations = totals.simplex_iterations;
         if std::env::var_os("MILP_STATS").is_some() {
             eprintln!(
-                "bb: workers={workers} nodes={nodes} infeasible={infeasible_nodes} \
-                 cold_retries={cold_retries} numerical_failures={numerical_failures} \
+                "bb: workers={workers} nodes={nodes} infeasible={} certified_infeasible={} \
+                 dual_resolves={} dual_fallbacks={} cold_retries={} numerical_failures={} \
                  heap_left={}",
+                totals.infeasible_nodes,
+                totals.certified_infeasible,
+                totals.dual_resolves,
+                totals.dual_fallbacks,
+                totals.cold_retries,
+                totals.numerical_failures,
                 out.heap_len
             );
         }
@@ -728,7 +816,7 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
             _ => out.bound,
         };
         let incumbent = out.incumbent;
-        let speculative = speculative_count(&expanded_bounds, incumbent.as_ref());
+        let speculative = speculative_count(&totals.expanded_bounds, incumbent.as_ref());
         SearchOutcome {
             status,
             stop,
@@ -740,9 +828,11 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
                 nodes_expanded: nodes,
                 workers_used: workers,
                 speculative_nodes: speculative,
-                root_lp_iterations,
+                root_lp_iterations: totals.root_lp_iterations,
                 total_lp_iterations: simplex_iterations,
             },
+            #[cfg(test)]
+            counters: totals,
         }
     }
 }
@@ -786,6 +876,44 @@ mod tests {
         m.set_objective(x.into(), Sense::Minimize);
         let out = run(&m, &SolverOptions::default());
         assert_eq!(out.status, SolveStatus::Infeasible);
+    }
+
+    #[test]
+    fn certified_infeasible_children_skip_the_cold_retry() {
+        // 1.5 <= x <= 1.75 with x integer: the root LP settles at x = 1.5
+        // and both children are infeasible. Each re-solves from the root's
+        // basis, and the dual proves it infeasible on its own.
+        let mut m = Model::new("inf");
+        let x = m.add_integer(0.0, 10.0, "x");
+        m.add_ge(x * 2.0, 3.0, "c0");
+        m.add_le(x * 2.0, 3.5, "c1");
+        m.set_objective(x.into(), Sense::Minimize);
+        let out = run(&m, &SolverOptions::default());
+        assert_eq!(out.status, SolveStatus::Infeasible);
+        let c = &out.counters;
+        assert_eq!(c.infeasible_nodes, 2, "{c:?}");
+        assert_eq!(c.certified_infeasible, 2, "{c:?}");
+        assert_eq!(c.cold_retries, 0, "{c:?}");
+        assert_eq!(c.dual_fallbacks, 0, "{c:?}");
+    }
+
+    #[test]
+    fn snapping_rounds_integers_and_moves_noise_onto_finite_bounds() {
+        let mut m = Model::new("snap");
+        m.add_integer(0.0, 3.0, "n");
+        m.add_continuous(0.0, 1.0, "boxed");
+        m.add_continuous(f64::NEG_INFINITY, 2.0, "below");
+        m.add_continuous(0.0, f64::INFINITY, "above");
+        let lp = LpProblem::from_model(&m);
+        let (lb, ub) = (&lp.lb, &lp.ub);
+        let snapped = snap_solution(
+            &lp,
+            vec![1.000_000_000_1, lb[1] - 1e-19, -5.0, lb[3] + 7e-19],
+        );
+        assert_eq!(snapped, vec![1.0, lb[1], -5.0, lb[3]]);
+        // Values off every bound, finite or not, stay put.
+        let interior = snap_solution(&lp, vec![2.0, 0.5 * ub[1], ub[2] - 1.0, 1e9]);
+        assert_eq!(interior, vec![2.0, 0.5 * ub[1], ub[2] - 1.0, 1e9]);
     }
 
     #[test]

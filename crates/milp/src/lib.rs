@@ -9,7 +9,9 @@
 //! * a **model builder** ([`Model`], [`LinExpr`]) for variables, linear
 //!   constraints, and a linear objective;
 //! * a **bounded-variable primal simplex** over a sparse LU-factorized basis
-//!   with product-form updates ([`simplex`], [`lu`]);
+//!   with product-form updates, plus a bounded **dual simplex** phase that
+//!   re-solves a branch-and-bound node from its parent's optimal basis
+//!   ([`simplex`], [`lu`]);
 //! * **branch and bound** with best-first + diving node selection,
 //!   most-fractional / pseudocost branching, rounding and diving primal
 //!   heuristics, and — crucially for the paper — **anytime behaviour**:

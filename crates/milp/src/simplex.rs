@@ -1,16 +1,26 @@
-//! Bounded-variable primal simplex with composite phase 1.
+//! Bounded-variable simplex: a primal loop with composite phase 1, and a
+//! bounded dual phase for re-solves after bound changes.
 //!
 //! The engine works on the computational form of [`crate::lp::LpProblem`]:
 //! all columns (structural and logical) are bounded variables, the
-//! constraint system is `A x + s = 0`. Phase 1 minimizes the sum of primal
-//! infeasibilities of the basic variables (no artificial variables are
-//! introduced), which makes warm starts after branch-and-bound bound changes
-//! cheap: a handful of phase-1 iterations repair the basis.
+//! constraint system is `A x + s = 0`. Phase 1 of the primal loop
+//! ([`Simplex::solve`]) minimizes the sum of primal infeasibilities of the
+//! basic variables (no artificial variables are introduced). Cold solves
+//! and the primal heuristics use it.
+//!
+//! Branch and bound re-solves a node with [`Simplex::solve_dual`] instead.
+//! Tightening a bound leaves the parent's optimal basis dual feasible but
+//! primal infeasible, which is exactly where the dual simplex starts: a
+//! few dual pivots restore primal feasibility, and the primal loop confirms
+//! the optimum on fresh factors. An infeasible node is reported only with a
+//! dual ray certified on fresh factors; every other dual failure restores
+//! the starting basis and hands it to the primal loop.
 //!
 //! Numerical safeguards: sparse LU with partial pivoting, product-form
-//! updates with periodic refactorization, Harris-style two-pass ratio test,
-//! relative dual tolerances, and a Bland's-rule fallback under prolonged
-//! degeneracy.
+//! updates with periodic refactorization, Harris-style two-pass ratio tests
+//! (primal and dual), relative dual tolerances, a Bland's-rule fallback
+//! under prolonged degeneracy, and a one-shot cost perturbation against
+//! stalling.
 
 use std::time::Instant;
 
@@ -27,11 +37,16 @@ pub enum VarStatus {
     Free,
 }
 
-/// A saved basis: per-column status. Row assignments are reconstructed on
-/// load.
+/// A saved basis: per-column status, and the column at each basis
+/// position. Loading the same order reproduces the saved factorization
+/// exactly, so the simplex multipliers — and with them the optimality
+/// verdict the basis was saved under — carry over bit for bit even on an
+/// ill-conditioned basis. An order that does not list exactly the basic
+/// columns (e.g. empty) is rebuilt in column order on load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasisSnapshot {
     pub status: Vec<VarStatus>,
+    pub order: Vec<usize>,
 }
 
 /// Outcome of an LP solve.
@@ -61,12 +76,35 @@ pub struct SimplexLimits {
     pub deadline: Option<Instant>,
 }
 
+/// Which route a [`Simplex::solve_dual`] re-solve took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DualPath {
+    /// Dual pivots reached a primal feasible point, and the primal loop
+    /// took over from there to confirm optimality on fresh factors.
+    Dual,
+    /// The dual proved the LP infeasible, and the proof held on fresh
+    /// factors.
+    CertifiedInfeasible,
+    /// The dual gave up: the starting basis was restored and the primal
+    /// loop ran from it.
+    Fallback,
+}
+
+/// How the dual phase ended, with the number of dual pivots it made.
+enum DualEnd {
+    Feasible(u64),
+    Infeasible(u64),
+    Failed(u64),
+}
+
 const FEAS_TOL: f64 = 1e-7;
 const DUAL_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-8;
 const REFACTOR_INTERVAL: usize = 100;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_LIMIT: u64 = 400;
+/// Dual pivots without objective progress before the dual gives up.
+const DUAL_STALL: u64 = 100;
 
 fn feas_tol(bound: f64) -> f64 {
     FEAS_TOL * (1.0 + bound.abs())
@@ -152,12 +190,17 @@ impl<'a> Simplex<'a> {
     pub fn basis_snapshot(&self) -> BasisSnapshot {
         BasisSnapshot {
             status: self.status.clone(),
+            order: self.basis.clone(),
         }
     }
 
     /// Loads a basis snapshot. Falls back to the slack basis if the snapshot
     /// does not contain exactly `m` basic columns.
     pub fn load_basis(&mut self, snap: &BasisSnapshot) {
+        if self.lu.is_some() && snap.status == self.status && snap.order == self.basis {
+            // Already installed: keep the factors.
+            return;
+        }
         let m = self.lp.num_rows;
         if snap.status.len() != self.status.len()
             || snap
@@ -171,11 +214,22 @@ impl<'a> Simplex<'a> {
             return;
         }
         self.status.copy_from_slice(&snap.status);
+        let mut listed = vec![false; self.status.len()];
+        let order_ok = snap.order.len() == m
+            && snap.order.iter().all(|&j| {
+                let fresh = j < listed.len() && !listed[j] && self.status[j] == VarStatus::Basic;
+                if fresh {
+                    listed[j] = true;
+                }
+                fresh
+            });
         self.basis.clear();
-        for (j, s) in self.status.iter().enumerate() {
-            if *s == VarStatus::Basic {
-                self.basis.push(j);
-            }
+        if order_ok {
+            self.basis.extend_from_slice(&snap.order);
+        } else {
+            let status = &self.status;
+            self.basis
+                .extend((0..status.len()).filter(|&j| status[j] == VarStatus::Basic));
         }
         self.lu = None;
     }
@@ -776,6 +830,276 @@ impl<'a> Simplex<'a> {
         }
     }
 
+    /// Re-solves after bound changes from a dual feasible basis — the
+    /// optimal basis of the LP before the bounds were tightened — with the
+    /// bounded dual simplex:
+    ///
+    /// * dual pivots run until the point is primal feasible; the primal
+    ///   loop then confirms optimality on fresh factors under its own
+    ///   pricing tolerance (and pivots on if it finds an entering column);
+    /// * an `Infeasible` verdict is returned only when the dual ray is
+    ///   certified on fresh factors (see `certify_infeasible`);
+    /// * any other failure — a dual infeasible start, a stall, the pivot
+    ///   cap, an unusable pivot, an uncertified ray, the deadline — restores
+    ///   the starting basis and runs the primal loop from it (which reports
+    ///   a passed deadline before its first pivot).
+    pub fn solve_dual(&mut self, limits: &SimplexLimits) -> (LpResult, DualPath) {
+        let start = self.basis_snapshot();
+        let (mut res, path, pivots) = match self.dual_phase(limits) {
+            DualEnd::Feasible(pivots) => (self.solve(limits), DualPath::Dual, pivots),
+            DualEnd::Infeasible(pivots) => (
+                self.finish(LpStatus::Infeasible, 0),
+                DualPath::CertifiedInfeasible,
+                pivots,
+            ),
+            DualEnd::Failed(pivots) => {
+                self.load_basis(&start);
+                (self.solve(limits), DualPath::Fallback, pivots)
+            }
+        };
+        self.iterations_total += pivots;
+        res.iterations += pivots;
+        (res, path)
+    }
+
+    /// The dual pivots of [`solve_dual`](Self::solve_dual): Dantzig choice
+    /// of the leaving row (largest bound violation), Harris two-pass ratio
+    /// test over the pivot row.
+    fn dual_phase(&mut self, limits: &SimplexLimits) -> DualEnd {
+        let m = self.lp.num_rows;
+        self.perturbation = None;
+        if self.lu.is_none() {
+            self.factorize();
+        }
+        self.compute_basics();
+        let mut y = vec![0.0; m];
+        let mut rho = vec![0.0; m];
+        let mut dvec = vec![0.0; m];
+        self.dual_values(&mut y);
+        if !self.dual_feasible(&y) {
+            return DualEnd::Failed(0);
+        }
+        let cap = 100 + m as u64;
+        let mut pivots = 0u64;
+        let mut best = f64::NEG_INFINITY;
+        let mut stall = 0u64;
+        loop {
+            if pivots >= cap || stall >= DUAL_STALL {
+                return DualEnd::Failed(pivots);
+            }
+            if pivots.is_multiple_of(16) {
+                if let Some(deadline) = limits.deadline {
+                    if milpjoin_shim::time::now() >= deadline {
+                        return DualEnd::Failed(pivots);
+                    }
+                }
+            }
+            if self.factors().num_etas() >= REFACTOR_INTERVAL {
+                self.factorize();
+                self.compute_basics();
+            }
+            let Some((r, target)) = self.dual_leaving_row() else {
+                return DualEnd::Feasible(pivots);
+            };
+            let p = self.basis[r];
+            // +1: the leaving variable must rise to `target`; -1: fall.
+            let rise = if self.x[p] < target { 1.0 } else { -1.0 };
+            rho.fill(0.0);
+            rho[r] = 1.0;
+            self.btran(&mut rho);
+            if pivots > 0 {
+                self.dual_values(&mut y);
+            }
+            let Some(q) = self.dual_ratio_test(&rho, &y, rise) else {
+                return if self.certify_infeasible(p) {
+                    DualEnd::Infeasible(pivots)
+                } else {
+                    DualEnd::Failed(pivots)
+                };
+            };
+            dvec.fill(0.0);
+            self.lp.column_axpy(q, 1.0, &mut dvec);
+            self.ftran(&mut dvec);
+            // The pivot element from the column must agree in sign with the
+            // one the row priced (x_p moves by -alpha per unit of x_q).
+            let alpha = dvec[r];
+            if alpha.abs() <= PIVOT_TOL || alpha * self.lp.column_dot(q, &rho) <= 0.0 {
+                return DualEnd::Failed(pivots);
+            }
+            let step = (self.x[p] - target) / alpha;
+            self.apply_step(q, 1.0, step, &dvec);
+            self.x[p] = target;
+            self.status[p] = if target == self.ub[p] && self.lb[p] != self.ub[p] {
+                VarStatus::AtUpper
+            } else {
+                VarStatus::AtLower
+            };
+            self.status[q] = VarStatus::Basic;
+            self.basis[r] = q;
+            if !self.factors_mut().push_eta(r, &dvec) {
+                self.factorize();
+                self.compute_basics();
+            }
+            pivots += 1;
+            // The dual objective (the objective of the basic point) never
+            // falls; count pivots that do not raise it.
+            let obj = self.objective();
+            if obj > best + 1e-13 * (1.0 + best.abs()) {
+                best = obj;
+                stall = 0;
+            } else {
+                stall += 1;
+            }
+        }
+    }
+
+    /// Simplex multipliers `y = B^-T c_B` of the true costs.
+    fn dual_values(&mut self, y: &mut [f64]) {
+        for (i, &col) in self.basis.iter().enumerate() {
+            y[i] = self.lp.obj[col];
+        }
+        self.btran(y);
+    }
+
+    /// Whether every movable nonbasic column prices out under the primal
+    /// loop's optimality tolerance, i.e. the basis is dual feasible.
+    fn dual_feasible(&self, y: &[f64]) -> bool {
+        (0..self.lp.num_cols()).all(|j| {
+            if self.status[j] == VarStatus::Basic || self.ub[j] - self.lb[j] <= 0.0 {
+                return true;
+            }
+            let cj = self.lp.obj[j];
+            let d = cj - self.lp.column_dot(j, y);
+            let tol = DUAL_TOL + 1e-12 * (1.0 + cj.abs() + self.lp.column_abs_dot(j, y));
+            match self.status[j] {
+                VarStatus::AtLower => d >= -tol,
+                VarStatus::AtUpper => d <= tol,
+                _ => d.abs() <= tol,
+            }
+        })
+    }
+
+    /// The basis position with the largest bound violation and the bound
+    /// it must reach; `None` when the basic point is primal feasible.
+    fn dual_leaving_row(&self) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64, f64)> = None; // (row, violation, target)
+        for (i, &col) in self.basis.iter().enumerate() {
+            let (v, l, u) = (self.x[col], self.lb[col], self.ub[col]);
+            let (violation, target) = if v < l - feas_tol(l) {
+                (l - v, l)
+            } else if v > u + feas_tol(u) {
+                (v - u, u)
+            } else {
+                continue;
+            };
+            match best {
+                Some((_, b, _)) if violation <= b => {}
+                _ => best = Some((i, violation, target)),
+            }
+        }
+        best.map(|(i, _, target)| (i, target))
+    }
+
+    /// Harris two-pass dual ratio test over the pivot row `rho = B^-T e_r`.
+    /// A dual step `t` moves each reduced cost to `d_j - t * beta_j`, with
+    /// `beta_j = -rise * alpha_j` the rate at which raising `x_j` moves the
+    /// leaving variable toward its bound. Returns the entering column, or
+    /// `None` when no column can move the leaving variable (a dual ray).
+    fn dual_ratio_test(&self, rho: &[f64], y: &[f64], rise: f64) -> Option<usize> {
+        // (column, dual slack, rate) of every column that can enter.
+        let mut eligible: Vec<(usize, f64, f64)> = Vec::new();
+        let mut limit = f64::INFINITY;
+        for j in 0..self.lp.num_cols() {
+            let st = self.status[j];
+            if st == VarStatus::Basic || self.ub[j] - self.lb[j] <= 0.0 {
+                continue;
+            }
+            let beta = -rise * self.lp.column_dot(j, rho);
+            if beta.abs() <= PIVOT_TOL {
+                continue;
+            }
+            let d = self.lp.obj[j] - self.lp.column_dot(j, y);
+            // A column at its lower bound can only rise (beta > 0 helps),
+            // one at its upper bound only fall; a free column either way.
+            let (slack, rate) = match st {
+                VarStatus::AtLower if beta > 0.0 => (d, beta),
+                VarStatus::AtUpper if beta < 0.0 => (-d, -beta),
+                VarStatus::Free => (d * beta.signum(), beta.abs()),
+                _ => continue,
+            };
+            limit = limit.min((slack.max(0.0) + DUAL_TOL) / rate);
+            eligible.push((j, slack, rate));
+        }
+        // Pass 2: the largest rate among the columns whose exact ratio fits
+        // under the relaxed limit.
+        let mut best: Option<(usize, f64)> = None;
+        for &(j, slack, rate) in &eligible {
+            if slack.max(0.0) / rate <= limit {
+                match best {
+                    Some((_, r)) if rate <= r => {}
+                    _ => best = Some((j, rate)),
+                }
+            }
+        }
+        best.map(|(j, _)| j)
+    }
+
+    /// Certifies a dual ray for leaving column `p` on fresh factors: with
+    /// `rho = B^-T e_r`, every solution of `A x = 0` has
+    /// `x_p = -sum_j (rho . a_j) x_j` over the nonbasic columns, so if that
+    /// sum cannot reach `p`'s violated bound anywhere in the nonbasic box,
+    /// the LP is infeasible. Any doubt (the column left the basis on
+    /// refactorization, the violation vanished, an unbounded helpful
+    /// column, a margin within noise) refuses the certificate.
+    fn certify_infeasible(&mut self, p: usize) -> bool {
+        self.factorize();
+        self.compute_basics();
+        let Some(r) = self.basis.iter().position(|&c| c == p) else {
+            return false;
+        };
+        let (v, l, u) = (self.x[p], self.lb[p], self.ub[p]);
+        let rise = if v < l - feas_tol(l) {
+            true
+        } else if v > u + feas_tol(u) {
+            false
+        } else {
+            return false;
+        };
+        let mut rho = vec![0.0; self.lp.num_rows];
+        rho[r] = 1.0;
+        self.btran(&mut rho);
+        // Pivot-row entries below this are rounding noise of the BTRAN
+        // and the dot product (the matrix is equilibrated, so true entries
+        // are commensurate with `rho`); they are dropped even next to an
+        // infinite bound.
+        let noise = 1e-11 * rho.iter().fold(1.0f64, |acc, v| acc.max(v.abs()));
+        // Range of x_p over the nonbasic box, and the magnitude of its
+        // terms for the noise margin.
+        let (mut lo, mut hi, mut magnitude) = (0.0f64, 0.0f64, 0.0f64);
+        for j in 0..self.lp.num_cols() {
+            if self.status[j] == VarStatus::Basic {
+                continue;
+            }
+            let a = self.lp.column_dot(j, &rho);
+            if a.abs() <= noise {
+                continue;
+            }
+            let (at_lb, at_ub) = (-a * self.lb[j], -a * self.ub[j]);
+            lo += at_lb.min(at_ub);
+            hi += at_lb.max(at_ub);
+            for t in [at_lb, at_ub] {
+                if t.is_finite() {
+                    magnitude += t.abs();
+                }
+            }
+        }
+        if rise {
+            hi < l - feas_tol(l) - 1e-9 * magnitude
+        } else {
+            lo > u + feas_tol(u) + 1e-9 * magnitude
+        }
+    }
+
     fn finish(&mut self, status: LpStatus, iterations: u64) -> LpResult {
         self.iterations_total += iterations;
         LpResult {
@@ -961,7 +1285,8 @@ mod tests {
         assert!((r1.objective - (-6.0)).abs() < 1e-6); // min space: -(x+y)
 
         sx.set_bounds(0, 0.0, 1.0); // x <= 1
-        let r2 = sx.solve(&SimplexLimits::default());
+        let (r2, path) = sx.solve_dual(&SimplexLimits::default());
+        assert_eq!(path, DualPath::Dual);
         assert_eq!(r2.status, LpStatus::Optimal);
         assert!((r2.objective - (-5.0)).abs() < 1e-6);
         // The warm-started solve should be quick.
@@ -969,6 +1294,145 @@ mod tests {
             r2.iterations <= 10,
             "warm start took {} iterations",
             r2.iterations
+        );
+    }
+
+    #[test]
+    fn dual_infeasible_free_column_falls_back_to_the_optimum() {
+        // min x + 2y, x free, y in [0, 3], x + y >= 1, x >= -4 (a row):
+        // optimum 1 at x = 1, y = 0. Starting from a basis that leaves the
+        // free column nonbasic with a nonzero reduced cost, the dual has no
+        // dual feasible start; the primal loop must take over from it.
+        let mut m = Model::new("t");
+        let x = m.add_continuous(f64::NEG_INFINITY, f64::INFINITY, "x");
+        let y = m.add_continuous(0.0, 3.0, "y");
+        m.add_ge(x + y, 1.0, "c0");
+        m.add_ge(x.into(), -4.0, "c1");
+        m.set_objective(x + y * 2.0, Sense::Minimize);
+        let lp = LpProblem::from_model(&m);
+        let mut sx = Simplex::new(&lp);
+        sx.load_basis(&BasisSnapshot {
+            status: vec![
+                VarStatus::Free,
+                VarStatus::AtLower,
+                VarStatus::Basic,
+                VarStatus::Basic,
+            ],
+            order: Vec::new(),
+        });
+        let (res, path) = sx.solve_dual(&SimplexLimits::default());
+        assert_eq!(path, DualPath::Fallback);
+        assert_eq!(res.status, LpStatus::Optimal);
+        assert!((lp.user_objective(res.objective) - 1.0).abs() < 1e-6);
+    }
+
+    /// Deterministic generator for the differential tests (xorshift64*).
+    struct Gen(u64);
+
+    impl Gen {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+    }
+
+    /// One differential case: a random LP over boxed columns whose ranged
+    /// rows contain a random interior point (so the root LP is feasible),
+    /// solved to optimality; then a few column boxes shrink — often past
+    /// what the rows allow — and the LP is re-solved warm through the dual
+    /// and cold through the primal. Status and objective must agree.
+    /// Returns the warm solve's route.
+    fn dual_matches_cold_primal(seed: u64) -> DualPath {
+        let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let n = 3 + (g.unit() * 6.0) as usize;
+        let rows = 2 + (g.unit() * 5.0) as usize;
+        let mut m = Model::new("diff");
+        let mut point = Vec::new();
+        let vars: Vec<_> = (0..n)
+            .map(|j| {
+                let lo = g.range(-3.0, 0.0);
+                let hi = lo + g.range(0.5, 5.0);
+                point.push(g.range(lo, hi));
+                m.add_continuous(lo, hi, format!("x{j}"))
+            })
+            .collect();
+        for i in 0..rows {
+            let mut expr = crate::expr::LinExpr::new();
+            let mut activity = 0.0;
+            for (j, &v) in vars.iter().enumerate() {
+                if g.unit() < 0.6 {
+                    let a = g.range(-2.0, 2.0);
+                    expr += v * a;
+                    activity += a * point[j];
+                }
+            }
+            let half = g.range(0.05, 1.5);
+            m.add_range(activity - half, expr, activity + half, format!("r{i}"));
+        }
+        let mut obj = crate::expr::LinExpr::new();
+        for &v in &vars {
+            obj += v * g.range(-1.0, 1.0);
+        }
+        m.set_objective(obj, Sense::Minimize);
+        let lp = LpProblem::from_model(&m);
+
+        let mut warm = Simplex::new(&lp);
+        let root = warm.solve(&SimplexLimits::default());
+        assert_eq!(root.status, LpStatus::Optimal, "seed {seed}: root LP");
+        let mut cold = Simplex::new(&lp);
+        for _ in 0..1 + (g.unit() * 3.0) as usize {
+            let j = (g.unit() * n as f64) as usize;
+            let (l, u) = (lp.lb[j], lp.ub[j]);
+            let a = g.range(l, u);
+            let b = g.range(l, u);
+            let (l2, u2) = (a.min(b), a.max(b));
+            warm.set_bounds(j, l2, u2);
+            cold.set_bounds(j, l2, u2);
+        }
+        let (w, path) = warm.solve_dual(&SimplexLimits::default());
+        let c = cold.solve(&SimplexLimits::default());
+        assert_eq!(w.status, c.status, "seed {seed}: warm {path:?} vs cold");
+        if c.status == LpStatus::Optimal {
+            assert!(
+                (w.objective - c.objective).abs() <= 1e-6 * (1.0 + c.objective.abs()),
+                "seed {seed}: warm {path:?} objective {} vs cold {}",
+                w.objective,
+                c.objective
+            );
+        }
+        path
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn dual_resolve_agrees_with_cold_primal(seed in 0u64..u64::MAX) {
+            dual_matches_cold_primal(seed);
+        }
+    }
+
+    #[test]
+    fn differential_cases_cover_every_dual_route() {
+        let mut dual = 0;
+        let mut certified = 0;
+        for seed in 0..200 {
+            match dual_matches_cold_primal(seed) {
+                DualPath::Dual => dual += 1,
+                DualPath::CertifiedInfeasible => certified += 1,
+                DualPath::Fallback => {}
+            }
+        }
+        assert!(dual >= 100, "{dual} of 200 re-solves finished in the dual");
+        assert!(
+            certified >= 25,
+            "{certified} of 200 re-solves certified infeasible"
         );
     }
 

@@ -381,8 +381,8 @@ struct WorkerScratch {
     /// statistic (counted against the final optimum after the search).
     expanded_bounds: Vec<f64>,
     simplex_iterations: u64,
-    /// Diagnostics: node LPs found infeasible (certified by the dual or
-    /// confirmed from a cold restart).
+    /// Diagnostics: node LPs found infeasible (the certified ones below
+    /// included).
     infeasible_nodes: u64,
     /// Diagnostics: warm verdicts that required a cold re-solve.
     cold_retries: u64,

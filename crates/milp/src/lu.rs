@@ -207,15 +207,10 @@ impl LuFactors {
     }
 
     /// Solves `B x = b`. Input `b` is dense, indexed by row; the result is
-    /// written back into `b`, indexed by basis position.
-    pub fn ftran(&self, b: &mut [f64]) {
-        self.ftran_with(b, &mut Vec::new());
-    }
-
-    /// [`ftran`](Self::ftran) with a caller-owned work vector, so that a
-    /// loop of solves allocates nothing. The result does not depend on the
-    /// work vector's prior contents.
-    pub fn ftran_with(&self, b: &mut [f64], work: &mut Vec<f64>) {
+    /// written back into `b`, indexed by basis position. `work` is scratch
+    /// owned by the caller, so that a loop of solves allocates nothing; the
+    /// result does not depend on its prior contents.
+    pub fn ftran(&self, b: &mut [f64], work: &mut Vec<f64>) {
         debug_assert_eq!(b.len(), self.m);
         // Forward: y_k = b[pivot_row[k]]; eliminate below.
         work.clear();
@@ -254,14 +249,9 @@ impl LuFactors {
     }
 
     /// Solves `Bᵀ y = c`. Input `c` is dense, indexed by basis position; the
-    /// result is written back into `c`, indexed by row.
-    pub fn btran(&self, c: &mut [f64]) {
-        self.btran_with(c, &mut Vec::new());
-    }
-
-    /// [`btran`](Self::btran) with a caller-owned work vector (see
-    /// [`ftran_with`](Self::ftran_with)).
-    pub fn btran_with(&self, c: &mut [f64], work: &mut Vec<f64>) {
+    /// result is written back into `c`, indexed by row. `work` is scratch,
+    /// as for [`ftran`](Self::ftran).
+    pub fn btran(&self, c: &mut [f64], work: &mut Vec<f64>) {
         debug_assert_eq!(c.len(), self.m);
         // Eta transposes, newest first.
         for eta in self.etas.iter().rev() {
@@ -335,10 +325,10 @@ mod tests {
         let (lu, rep) = factor(&cols);
         assert!(rep.replaced.is_empty());
         let mut b = vec![1.0, 2.0, 3.0, 4.0];
-        lu.ftran(&mut b);
+        lu.ftran(&mut b, &mut Vec::new());
         assert_close(&b, &[1.0, 2.0, 3.0, 4.0], 1e-12);
         let mut c = vec![4.0, 3.0, 2.0, 1.0];
-        lu.btran(&mut c);
+        lu.btran(&mut c, &mut Vec::new());
         assert_close(&c, &[4.0, 3.0, 2.0, 1.0], 1e-12);
     }
 
@@ -354,12 +344,12 @@ mod tests {
         assert!(rep.replaced.is_empty());
         let rhs = vec![1.0, -2.0, 3.5];
         let mut x = rhs.clone();
-        lu.ftran(&mut x);
+        lu.ftran(&mut x, &mut Vec::new());
         assert_close(&mat_vec(&cols, &x), &rhs, 1e-10);
 
         let c = vec![0.5, 1.5, -1.0];
         let mut y = c.clone();
-        lu.btran(&mut y);
+        lu.btran(&mut y, &mut Vec::new());
         assert_close(&mat_t_vec(&cols, &y), &c, 1e-10);
     }
 
@@ -370,7 +360,7 @@ mod tests {
         let (lu, _) = factor(&cols);
         let rhs = vec![7.0, 8.0, 9.0];
         let mut x = rhs.clone();
-        lu.ftran(&mut x);
+        lu.ftran(&mut x, &mut Vec::new());
         assert_close(&mat_vec(&cols, &x), &rhs, 1e-12);
     }
 
@@ -391,7 +381,7 @@ mod tests {
         patched[k] = vec![(r as u32, 1.0)];
         let rhs = vec![1.0, 2.0, 3.0];
         let mut x = rhs.clone();
-        lu.ftran(&mut x);
+        lu.ftran(&mut x, &mut Vec::new());
         assert_close(&mat_vec(&patched, &x), &rhs, 1e-10);
     }
 
@@ -409,19 +399,19 @@ mod tests {
         for &(r, v) in &newcol {
             d[r as usize] = v;
         }
-        lu.ftran(&mut d);
+        lu.ftran(&mut d, &mut Vec::new());
         assert!(lu.push_eta(1, &d));
 
         let mut updated = cols.clone();
         updated[1] = newcol;
         let rhs = vec![0.3, -1.2, 2.2];
         let mut x = rhs.clone();
-        lu.ftran(&mut x);
+        lu.ftran(&mut x, &mut Vec::new());
         assert_close(&mat_vec(&updated, &x), &rhs, 1e-9);
 
         let c = vec![1.0, 2.0, 3.0];
         let mut y = c.clone();
-        lu.btran(&mut y);
+        lu.btran(&mut y, &mut Vec::new());
         assert_close(&mat_t_vec(&updated, &y), &c, 1e-9);
     }
 
@@ -459,10 +449,10 @@ mod tests {
             }
             let rhs: Vec<f64> = (0..m).map(|_| next()).collect();
             let mut x = rhs.clone();
-            lu.ftran(&mut x);
+            lu.ftran(&mut x, &mut Vec::new());
             assert_close(&mat_vec(&patched, &x), &rhs, 1e-7);
             let mut y = rhs.clone();
-            lu.btran(&mut y);
+            lu.btran(&mut y, &mut Vec::new());
             assert_close(&mat_t_vec(&patched, &y), &rhs, 1e-7);
         }
     }

@@ -38,10 +38,11 @@ pub enum VarStatus {
 }
 
 /// A saved basis: per-column status, and the column at each basis
-/// position. Loading the same order reproduces the saved factorization
-/// exactly, so the simplex multipliers — and with them the optimality
-/// verdict the basis was saved under — carry over bit for bit even on an
-/// ill-conditioned basis. An order that does not list exactly the basic
+/// position. Factorizing the same columns in the same order gives the same
+/// factors bit for bit, so a basis saved right after an optimality verdict
+/// on fresh factors loads with the simplex multipliers of that verdict —
+/// even on an ill-conditioned basis, where another order can move reduced
+/// costs past the tolerance. An order that does not list exactly the basic
 /// columns (e.g. empty) is rebuilt in column order on load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasisSnapshot {
@@ -194,8 +195,10 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Loads a basis snapshot. Falls back to the slack basis if the snapshot
-    /// does not contain exactly `m` basic columns.
+    /// Loads a basis snapshot (see [`BasisSnapshot`] for the order). Falls
+    /// back to the slack basis if the snapshot does not contain exactly `m`
+    /// basic columns, and keeps the current factors if it is the basis
+    /// already installed.
     pub fn load_basis(&mut self, snap: &BasisSnapshot) {
         if self.lu.is_some() && snap.status == self.status && snap.order == self.basis {
             // Already installed: keep the factors.
@@ -336,7 +339,7 @@ impl<'a> Simplex<'a> {
     /// solution out.
     fn ftran(&mut self, b: &mut [f64]) {
         let mut work = std::mem::take(&mut self.lu_work);
-        self.factors().ftran_with(b, &mut work);
+        self.factors().ftran(b, &mut work);
         self.lu_work = work;
     }
 
@@ -344,7 +347,7 @@ impl<'a> Simplex<'a> {
     /// row-indexed solution out.
     fn btran(&mut self, c: &mut [f64]) {
         let mut work = std::mem::take(&mut self.lu_work);
-        self.factors().btran_with(c, &mut work);
+        self.factors().btran(c, &mut work);
         self.lu_work = work;
     }
 
@@ -1324,6 +1327,38 @@ mod tests {
         assert_eq!(path, DualPath::Fallback);
         assert_eq!(res.status, LpStatus::Optimal);
         assert!((lp.user_objective(res.objective) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn uncertified_dual_ray_is_not_reported_infeasible() {
+        // min 2x + 1e-6 n s.t. x + 5e-9 n >= 1.5, x in [0, 2], n in
+        // [0, 1e4] (integer columns keep their scale): the optimum uses x
+        // alone. Once x <= 1.5 - 1e-5, only n can make up the row, at a
+        // rate below the pivot tolerance, so the dual ratio test finds no
+        // entering column. The row's bound over the nonbasic box still
+        // reaches x <= 1.5 - 1e-5 (n = 2000 does it), so the ray must not
+        // be certified: the re-solve falls back to the primal loop and
+        // reports whatever the primal reports from a cold start.
+        let mut m = Model::new("t");
+        let x = m.add_continuous(0.0, 2.0, "x");
+        let n = m.add_integer(0.0, 1e4, "n");
+        m.add_ge(x + n * 5e-9, 1.5, "c");
+        m.set_objective(x * 2.0 + n * 1e-6, Sense::Minimize);
+        let lp = LpProblem::from_model(&m);
+        let cap = (1.5 - 1e-5) / lp.col_scale[0];
+        let mut warm = Simplex::new(&lp);
+        assert_eq!(
+            warm.solve(&SimplexLimits::default()).status,
+            LpStatus::Optimal
+        );
+        warm.set_bounds(0, lp.lb[0], cap);
+        let (res, path) = warm.solve_dual(&SimplexLimits::default());
+        let mut cold = Simplex::new(&lp);
+        cold.set_bounds(0, lp.lb[0], cap);
+        let reference = cold.solve(&SimplexLimits::default());
+        assert_eq!(path, DualPath::Fallback);
+        assert_ne!(res.status, LpStatus::Infeasible);
+        assert_eq!(res.status, reference.status);
     }
 
     /// Deterministic generator for the differential tests (xorshift64*).

@@ -1,25 +1,24 @@
 //! Criterion bench: ablations of formulation design choices discussed in
-//! §4 — threshold-ordering strengthening, overlap constraints on all joins
-//! vs. only the last, and the branching rule.
+//! §4 — threshold-ordering strengthening, and overlap constraints on all
+//! joins vs. only the last.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
-use milpjoin_milp::BranchingRule;
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use std::hint::black_box;
 use std::time::Duration;
 
-fn run(config: EncoderConfig, seed_opts: &OptimizeOptions) -> f64 {
+fn run(config: EncoderConfig, options: &OrderingOptions) -> f64 {
     let (catalog, query) = WorkloadSpec::new(Topology::Star, 6).generate(1);
     MilpOptimizer::new(config)
-        .optimize(&catalog, &query, seed_opts)
+        .optimize(&catalog, &query, options, None)
         .map_or(f64::NAN, |o| o.true_cost)
 }
 
 fn bench_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation");
     g.sample_size(10);
-    let opts = OptimizeOptions::with_time_limit(Duration::from_secs(20));
+    let opts = OrderingOptions::with_time_limit(Duration::from_secs(20));
 
     for (name, ordering, overlap_all) in [
         ("baseline", true, true),
@@ -35,32 +34,6 @@ fn bench_ablation(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("encoding", name), &name, |b, _| {
             let (config, opts) = (config.clone(), opts.clone());
             b.iter(|| black_box(run(config.clone(), &opts)));
-        });
-    }
-
-    for (name, rule) in [
-        ("pseudocost", BranchingRule::Pseudocost),
-        ("most-fractional", BranchingRule::MostFractional),
-    ] {
-        // The branching rule lives in the solver options, reached through
-        // OptimizeOptions only via defaults; bench the underlying solver
-        // path by re-solving the same encoding.
-        use milpjoin::encode;
-        use milpjoin_milp::{Solver, SolverOptions};
-        let (catalog, query) = WorkloadSpec::new(Topology::Star, 6).generate(1);
-        let enc = encode(
-            &catalog,
-            &query,
-            &EncoderConfig::default().precision(Precision::Low),
-        )
-        .unwrap();
-        let sopts = SolverOptions {
-            time_limit: Some(Duration::from_secs(20)),
-            branching: rule,
-            ..SolverOptions::default()
-        };
-        g.bench_with_input(BenchmarkId::new("branching", name), &name, |b, _| {
-            b.iter(|| black_box(Solver::new(sopts.clone()).solve(&enc.model).unwrap().nodes));
         });
     }
     g.finish();

@@ -2,7 +2,7 @@
 //! decode) on small queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use std::hint::black_box;
 use std::time::Duration;
@@ -13,12 +13,12 @@ fn bench_end_to_end(c: &mut Criterion) {
     for n in [4usize, 6, 8] {
         let (catalog, query) = WorkloadSpec::new(Topology::Star, n).generate(1);
         let optimizer = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low));
-        let opts = OptimizeOptions::with_time_limit(Duration::from_secs(20));
+        let opts = OrderingOptions::with_time_limit(Duration::from_secs(20));
         g.bench_with_input(BenchmarkId::new("star-low", n), &n, |b, _| {
             b.iter(|| {
                 black_box(
                     optimizer
-                        .optimize(&catalog, &query, &opts)
+                        .optimize(&catalog, &query, &opts, None)
                         .unwrap()
                         .true_cost,
                 )

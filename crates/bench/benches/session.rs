@@ -25,7 +25,7 @@
 //!   solve per structure whatever the submitter count (scraped into
 //!   `BENCH_0004.json`).
 //! * `solver_scaling` — one cold MILP solve with 1/2/4 intra-solve
-//!   branch-and-bound workers (`OptimizeOptions::threads`) on
+//!   branch-and-bound workers (`OrderingOptions::solver_threads`) on
 //!   search-bound and root-LP-bound instances, with worker-count and
 //!   optimum-agreement assertions inside the loop (scraped into
 //!   `BENCH_0005.json`).
@@ -401,7 +401,7 @@ fn bench_warm_boot(c: &mut Criterion) {
 }
 
 /// Intra-solve scaling: the same cold MILP solve with 1/2/4
-/// branch-and-bound workers (`OptimizeOptions::threads`), per instance.
+/// branch-and-bound workers (`OrderingOptions::solver_threads`), per instance.
 /// Two search-bound instances (many nodes, cheap LPs — where node-level
 /// parallelism can help) and one root-LP-bound 20-table star under a
 /// binding wall-clock budget (nodes ≈ 1: the honest negative case —
@@ -423,15 +423,12 @@ fn bench_solver_scaling(c: &mut Criterion) {
     for (name, topo, tables, seed, limit) in instances {
         let (catalog, query) = WorkloadSpec::new(topo, tables).generate(seed);
         let opt = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low));
-        let options = |threads: usize| milpjoin::OptimizeOptions {
-            time_limit: Some(limit),
-            threads,
-            ..milpjoin::OptimizeOptions::default()
-        };
+        let options =
+            |threads: usize| OrderingOptions::with_time_limit(limit).solver_threads(threads);
         // 1-thread reference objective (None when even the reference
         // cannot find a plan within the budget — the root-LP-bound case).
         let reference = opt
-            .optimize(&catalog, &query, &options(1))
+            .optimize(&catalog, &query, &options(1), None)
             .ok()
             .filter(|o| o.status == milpjoin_milp::SolveStatus::Optimal)
             .map(|o| o.milp_objective);
@@ -439,7 +436,7 @@ fn bench_solver_scaling(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new(name, threads), &threads, |b, &t| {
                 b.iter(|| {
                     let start = Instant::now();
-                    let out = opt.optimize(&catalog, &query, &options(t));
+                    let out = opt.optimize(&catalog, &query, &options(t), None);
                     let elapsed = start.elapsed();
                     let (status, nodes, speculative, workers, objective) = match &out {
                         Ok(o) => (

@@ -17,7 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions};
 use milpjoin_bench::{median, ExperimentArgs, PRECISIONS, TOPOLOGIES};
 use milpjoin_dp::{optimize as dp_optimize, DpOptions};
 use milpjoin_workloads::WorkloadSpec;
@@ -83,7 +83,8 @@ fn main() {
                     let outcome = optimizer.optimize(
                         &catalog,
                         &query,
-                        &OptimizeOptions::with_time_limit(timeout),
+                        &OrderingOptions::with_time_limit(timeout),
+                        None,
                     );
                     let row = match &outcome {
                         Ok(out) => sample_points

@@ -4,11 +4,11 @@
 //! Integer Linear Programming for Large-Scale Join Order Optimisation",
 //! 2025): a linear-time greedy heuristic produces a feasible plan in
 //! microseconds; that plan is injected into the MILP solver as the root
-//! incumbent ([`OptimizeOptions::initial_plan`]), so the anytime trace opens
-//! with a finite incumbent at t ≈ 0 — and a finite *guaranteed optimality
-//! factor* as soon as the root LP bound lands — instead of waiting for
-//! branch and bound to stumble on its first integral solution. The search
-//! also prunes against the greedy bound from the first node.
+//! incumbent (the `seed` of [`MilpOptimizer::optimize`]), so the anytime
+//! trace opens with a finite incumbent at t ≈ 0 — and a finite *guaranteed
+//! optimality factor* as soon as the root LP bound lands — instead of
+//! waiting for branch and bound to stumble on its first integral solution.
+//! The search also prunes against the greedy bound from the first node.
 //!
 //! The hybrid additionally keeps the greedy plan as a safety net: when the
 //! decoded MILP plan is worse than the greedy one under the *exact* cost
@@ -35,13 +35,13 @@ use milpjoin_qopt::{Catalog, LeftDeepPlan, Query};
 
 use crate::config::EncoderConfig;
 use crate::decode::DecodedPlan;
-use crate::optimizer::{MilpOptimizer, OptimizeError, OptimizeOptions, OptimizeOutcome};
+use crate::optimizer::{MilpOptimizer, OptimizeError, OptimizeOutcome};
 
 /// Greedy-seeded MILP optimizer (the recommended entry point).
 ///
 /// ```
 /// use std::time::Duration;
-/// use milpjoin::{EncoderConfig, HybridOptimizer, OptimizeOptions};
+/// use milpjoin::{EncoderConfig, HybridOptimizer, OrderingOptions};
 /// use milpjoin_qopt::{Catalog, Predicate, Query};
 ///
 /// let mut catalog = Catalog::new();
@@ -52,7 +52,7 @@ use crate::optimizer::{MilpOptimizer, OptimizeError, OptimizeOptions, OptimizeOu
 /// query.add_predicate(Predicate::binary(r, s, 0.1));
 ///
 /// let outcome = HybridOptimizer::with_defaults()
-///     .optimize(&catalog, &query, &OptimizeOptions::default())
+///     .optimize(&catalog, &query, &OrderingOptions::default())
 ///     .unwrap();
 /// outcome.plan.validate(&query).unwrap();
 /// // The warm start guarantees an incumbent from the very first event.
@@ -86,10 +86,8 @@ impl HybridOptimizer {
         greedy_order(catalog, query, &dp_options)
     }
 
-    /// Runs greedy, then the warm-started MILP pipeline. Any
-    /// `initial_plan` already present in `options` takes precedence over
-    /// the greedy seed (callers may have a better incumbent, e.g. a cached
-    /// plan for a similar query).
+    /// Runs greedy, then the MILP pipeline warm-started with the greedy
+    /// plan ([`Self::seed_plan`]).
     ///
     /// Caveat when the safety net fires (the seed beats the decoded MILP
     /// plan under the exact cost model): `plan` / `decoded` / `true_cost`
@@ -109,52 +107,45 @@ impl HybridOptimizer {
         &self,
         catalog: &Catalog,
         query: &Query,
-        options: &OptimizeOptions,
+        options: &OrderingOptions,
     ) -> Result<OptimizeOutcome, OptimizeError> {
-        let seed = self.resolve_seed(catalog, query, options)?;
+        let seed = self.validated_seed(catalog, query)?;
         Ok(self.optimize_tracked(catalog, query, options, seed)?.0)
     }
 
-    /// Validates the query and resolves the warm-start seed: any
-    /// `initial_plan` already present in `options` takes precedence over
-    /// the greedy construction (callers may have a better incumbent, e.g.
-    /// a cached plan for a similar query). Validation must come first: the
-    /// greedy construction (and the warm-start hint builder) index the
-    /// catalog directly and would panic on a query the MILP path rejects
-    /// with a proper error.
-    fn resolve_seed(
+    /// Validates the query, then builds the greedy seed. Validation must
+    /// come first: the greedy construction (and the warm-start hint
+    /// builder) index the catalog directly and would panic on a query the
+    /// MILP path rejects with a proper error.
+    fn validated_seed(
         &self,
         catalog: &Catalog,
         query: &Query,
-        options: &OptimizeOptions,
     ) -> Result<LeftDeepPlan, OptimizeError> {
         query
             .validate(catalog)
             .map_err(|e| OptimizeError::Encode(crate::encode::EncodeError::Query(e)))?;
-        Ok(match &options.initial_plan {
-            Some(plan) => plan.clone(),
-            None => self.seed_plan(catalog, query),
-        })
+        Ok(self.seed_plan(catalog, query))
     }
 
     /// Like [`Self::optimize`], additionally reporting whether the seed
     /// plan replaced the decoded MILP plan (`true` when the safety net
     /// fired, meaning the MILP certificate does not describe the returned
-    /// plan). The query must already be validated and `seed` resolved
-    /// ([`Self::resolve_seed`]).
+    /// plan). The query must already be validated and `seed` built
+    /// ([`Self::validated_seed`]).
     fn optimize_tracked(
         &self,
         catalog: &Catalog,
         query: &Query,
-        options: &OptimizeOptions,
+        options: &OrderingOptions,
         seed: LeftDeepPlan,
     ) -> Result<(OptimizeOutcome, bool), OptimizeError> {
-        let milp_options = OptimizeOptions {
-            initial_plan: Some(seed.clone()),
-            ..options.clone()
-        };
-        let mut outcome =
-            MilpOptimizer::new(self.config.clone()).optimize(catalog, query, &milp_options)?;
+        let mut outcome = MilpOptimizer::new(self.config.clone()).optimize(
+            catalog,
+            query,
+            options,
+            Some(&seed),
+        )?;
 
         // Safety net: never return a plan worse than the seed under the
         // exact cost model. `plan`, `decoded` and `true_cost` then describe
@@ -243,15 +234,14 @@ impl JoinOrderer for HybridOptimizer {
         query: &Query,
         options: &OrderingOptions,
     ) -> Result<OrderingOutcome, OrderingError> {
-        // Resolve the seed here so it survives a MILP failure (the
+        // Build the seed here so it survives a MILP failure (the
         // greedy-only fallback below needs it).
         let start = milpjoin_shim::time::now();
-        let opt_options = OptimizeOptions::from_ordering(options);
         let seed = self
-            .resolve_seed(catalog, query, &opt_options)
+            .validated_seed(catalog, query)
             .map_err(crate::optimizer::ordering_error)?;
         let seed_elapsed = start.elapsed();
-        match self.optimize_tracked(catalog, query, &opt_options, seed.clone()) {
+        match self.optimize_tracked(catalog, query, options, seed.clone()) {
             Ok((outcome, swapped)) => {
                 let mut ordering = outcome.into_ordering_outcome();
                 if swapped {
@@ -305,7 +295,7 @@ mod tests {
     fn hybrid_solves_the_paper_example() {
         let (c, q) = example();
         let out = HybridOptimizer::with_defaults()
-            .optimize(&c, &q, &OptimizeOptions::default())
+            .optimize(&c, &q, &OrderingOptions::default())
             .unwrap();
         out.plan.validate(&q).unwrap();
         // Greedy alone already reaches 1000 here, so the hybrid must too.
@@ -316,7 +306,7 @@ mod tests {
     fn trace_opens_with_an_incumbent() {
         let (c, q) = example();
         let out = HybridOptimizer::with_defaults()
-            .optimize(&c, &q, &OptimizeOptions::default())
+            .optimize(&c, &q, &OrderingOptions::default())
             .unwrap();
         let first = out.trace.points().first().expect("non-empty trace");
         assert!(
@@ -331,7 +321,7 @@ mod tests {
         let r = c.add_table("R", 42.0);
         let q = Query::new(vec![r]);
         let out = HybridOptimizer::with_defaults()
-            .optimize(&c, &q, &OptimizeOptions::default())
+            .optimize(&c, &q, &OrderingOptions::default())
             .unwrap();
         assert_eq!(out.plan.order, vec![r]);
         assert_eq!(out.true_cost, 0.0);

@@ -24,7 +24,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+//! use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 //! use milpjoin_qopt::{Catalog, Predicate, Query};
 //!
 //! // The paper's running example: R(10) ⋈ S(1000) ⋈ T(100) with one
@@ -37,7 +37,9 @@
 //! query.add_predicate(Predicate::binary(r, s, 0.1));
 //!
 //! let optimizer = MilpOptimizer::new(EncoderConfig::default().precision(Precision::High));
-//! let outcome = optimizer.optimize(&catalog, &query, &OptimizeOptions::default()).unwrap();
+//! let outcome = optimizer
+//!     .optimize(&catalog, &query, &OrderingOptions::default(), None)
+//!     .unwrap();
 //!
 //! outcome.plan.validate(&query).unwrap();
 //! // The worst plan joins S and T first (100,000 intermediate tuples);
@@ -64,7 +66,7 @@ pub use encode::{encode, warm_start_assignment, EncodeError, Encoding, EncodingV
 pub use hybrid::HybridOptimizer;
 pub use optimizer::{
     bound_projection, cost_space_bound, AnytimeTrace, MilpOptimizer, OptimizeError,
-    OptimizeOptions, OptimizeOutcome, TracePoint, MIN_RELATIVE_GAP,
+    OptimizeOutcome, TracePoint, MIN_RELATIVE_GAP,
 };
 pub use router::standard_router;
 pub use stats::{ConstrCategory, FormulationStats, VarCategory};

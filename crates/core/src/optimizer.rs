@@ -5,7 +5,9 @@
 //! and every incumbent / bound improvement is recorded — the data behind
 //! the paper's Figure 2, where algorithms are compared by the *guaranteed
 //! optimality factor* (incumbent cost / lower bound) they can prove at
-//! each point in time.
+//! each point in time. It takes the [`OrderingOptions`] every
+//! [`JoinOrderer`] takes, plus an optional warm-start plan (the hybrid
+//! passes its greedy plan there).
 //!
 //! Two traces are kept per solve:
 //!
@@ -240,10 +242,8 @@ pub struct OptimizeOutcome {
     /// projected bound (see the module docs).
     pub cost_trace: CostTrace,
     pub stats: FormulationStats,
-    pub nodes: u64,
-    pub simplex_iterations: u64,
     pub solve_time: Duration,
-    /// Search observability counters (nodes expanded, workers used,
+    /// Search counters (nodes expanded, LP iterations, workers used,
     /// speculative work), mapped from the solver's own record.
     pub search: SearchStats,
 }
@@ -310,63 +310,10 @@ impl From<EncodeError> for OptimizeError {
 /// tolerance" — which is also how [`SolveStatus::Optimal`] is reported.
 pub const MIN_RELATIVE_GAP: f64 = 1e-6;
 
-/// Solve-time limits and knobs.
-#[derive(Debug, Clone, Default)]
-pub struct OptimizeOptions {
-    pub time_limit: Option<Duration>,
-    /// Stop when the MILP gap reaches this value. Values below
-    /// [`MIN_RELATIVE_GAP`] (including the default `0.0`) are clamped to
-    /// that floor, so `0.0` requests proven optimality within numerical
-    /// tolerance.
-    pub relative_gap: f64,
-    /// Branch-and-bound node budget, a hard cap (see
-    /// [`milpjoin_milp::SolverOptions::node_limit`]).
-    pub node_limit: Option<u64>,
-    /// Warm start: a feasible plan (typically from a heuristic) installed
-    /// as the root incumbent before branch and bound starts. The anytime
-    /// trace then opens with this incumbent at t ≈ 0 and the search prunes
-    /// against it from the first node — every worker's first node.
-    pub initial_plan: Option<LeftDeepPlan>,
-    /// Workers of the one branch-and-bound search, one of them on the
-    /// calling thread. `0` (the `Default`) counts as `1`: no thread is
-    /// spawned and the solve is deterministic; see
-    /// [`OrderingOptions::solver_threads`] for the thread-budgeting story.
-    pub threads: usize,
-}
-
-impl OptimizeOptions {
-    pub fn with_time_limit(limit: Duration) -> Self {
-        OptimizeOptions {
-            time_limit: Some(limit),
-            ..Default::default()
-        }
-    }
-
-    /// Builder-style setter for the warm-start plan.
-    pub fn initial_plan(mut self, plan: LeftDeepPlan) -> Self {
-        self.initial_plan = Some(plan);
-        self
-    }
-
-    /// Translates backend-agnostic [`OrderingOptions`] into MILP options.
-    /// The deterministic budget rides on the solver's node metering (node
-    /// counts are invariant under CPU contention, which is the whole point
-    /// of the deterministic form).
-    pub fn from_ordering(options: &OrderingOptions) -> Self {
-        OptimizeOptions {
-            time_limit: options.time_limit,
-            relative_gap: options.relative_gap,
-            node_limit: options.deterministic_budget,
-            initial_plan: None,
-            threads: options.solver_threads,
-        }
-    }
-}
-
 /// The MILP-based join order optimizer (the paper's system).
 ///
 /// ```
-/// use milpjoin::{MilpOptimizer, OptimizeOptions};
+/// use milpjoin::{MilpOptimizer, OrderingOptions};
 /// use milpjoin_qopt::{Catalog, Query, Predicate};
 ///
 /// let mut catalog = Catalog::new();
@@ -377,7 +324,7 @@ impl OptimizeOptions {
 /// query.add_predicate(Predicate::binary(r, s, 0.1));
 ///
 /// let outcome = MilpOptimizer::with_defaults()
-///     .optimize(&catalog, &query, &OptimizeOptions::default())
+///     .optimize(&catalog, &query, &OrderingOptions::default(), None)
 ///     .unwrap();
 /// outcome.plan.validate(&query).unwrap();
 /// ```
@@ -404,12 +351,28 @@ impl MilpOptimizer {
         encode(catalog, query, &self.config)
     }
 
-    /// Runs the full optimize pipeline.
+    /// Runs the full optimize pipeline under `options`:
+    ///
+    /// * `time_limit` and `deterministic_budget` become the solver's
+    ///   wall-clock and node budgets (node metering is invariant under CPU
+    ///   contention, which is the point of the deterministic form);
+    /// * `relative_gap` is clamped up to [`MIN_RELATIVE_GAP`], so the
+    ///   default `0.0` requests proven optimality within numerical
+    ///   tolerance;
+    /// * `solver_threads` sets the workers of the one branch-and-bound
+    ///   search, `0` counting as `1`.
+    ///
+    /// `seed` is an optional warm start: a feasible plan (typically from a
+    /// heuristic) installed as the root incumbent before branch and bound
+    /// starts. The anytime trace then opens with it at t ≈ 0, and every
+    /// worker prunes against it from its first node. A seed that is not a
+    /// plan for `query` is a caller bug, reported as an error.
     pub fn optimize(
         &self,
         catalog: &Catalog,
         query: &Query,
-        options: &OptimizeOptions,
+        options: &OrderingOptions,
+        seed: Option<&LeftDeepPlan>,
     ) -> Result<OptimizeOutcome, OptimizeError> {
         // Single-table queries need no joins and no MILP.
         if query.num_tables() == 1 {
@@ -427,8 +390,6 @@ impl MilpOptimizer {
                 trace: AnytimeTrace::default(),
                 cost_trace: CostTrace::default(),
                 stats: FormulationStats::default(),
-                nodes: 0,
-                simplex_iterations: 0,
                 solve_time: Duration::ZERO,
                 search: SearchStats::default(),
             });
@@ -438,9 +399,7 @@ impl MilpOptimizer {
 
         // A warm-start plan becomes integer-variable hints for the solver;
         // an invalid plan is a caller bug, reported loudly.
-        let initial_solution = options
-            .initial_plan
-            .as_ref()
+        let initial_solution = seed
             .map(|plan| {
                 warm_start_assignment(&encoding, catalog, query, plan)
                     .map_err(|e| OptimizeError::Solver(format!("invalid initial plan: {e}")))
@@ -450,11 +409,10 @@ impl MilpOptimizer {
         let solver_options = SolverOptions {
             time_limit: options.time_limit,
             relative_gap: options.relative_gap.max(MIN_RELATIVE_GAP),
-            node_limit: options.node_limit,
-            initial_solution,
+            node_limit: options.deterministic_budget,
             // `0` (the `Default`) counts as one worker.
-            threads: options.threads.max(1),
-            ..SolverOptions::default()
+            threads: options.solver_threads.max(1),
+            initial_solution,
         };
 
         // Per-query dual-bound projection into exact cost space.
@@ -599,8 +557,6 @@ impl MilpOptimizer {
             trace,
             cost_trace,
             stats: encoding.stats,
-            nodes: result.nodes,
-            simplex_iterations: result.simplex_iterations,
             solve_time: result.solve_time,
             // Map the solver-native stats struct onto the backend-agnostic
             // one (qopt cannot depend on the milp crate).
@@ -697,7 +653,6 @@ pub(crate) fn ordering_error(e: OptimizeError) -> OrderingError {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MilpOptimizer>();
-    assert_send_sync::<OptimizeOptions>();
     assert_send_sync::<OptimizeOutcome>();
     assert_send_sync::<OptimizeError>();
 };
@@ -718,7 +673,7 @@ impl JoinOrderer for MilpOptimizer {
         options: &OrderingOptions,
     ) -> Result<OrderingOutcome, OrderingError> {
         let outcome = self
-            .optimize(catalog, query, &OptimizeOptions::from_ordering(options))
+            .optimize(catalog, query, options, None)
             .map_err(ordering_error)?;
         Ok(outcome.into_ordering_outcome())
     }
@@ -734,15 +689,15 @@ mod tests {
         let r = catalog.add_table("R", 42.0);
         let query = Query::new(vec![r]);
         let out = MilpOptimizer::with_defaults()
-            .optimize(&catalog, &query, &OptimizeOptions::default())
+            .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap();
         // No joins: zero-cost plan over the single table, no MILP built.
         assert_eq!(out.plan.order, vec![r]);
         assert_eq!(out.status, SolveStatus::Optimal);
         assert_eq!(out.true_cost, 0.0);
         assert_eq!(out.milp_objective, 0.0);
-        assert_eq!(out.nodes, 0);
-        assert_eq!(out.simplex_iterations, 0);
+        assert_eq!(out.search.nodes_expanded, 0);
+        assert_eq!(out.search.total_lp_iterations, 0);
         assert!(out.trace.is_empty());
         assert_eq!(out.stats.num_vars(), 0);
         // The empty trace has no state to report, at any time.
@@ -757,7 +712,7 @@ mod tests {
         let r = other.add_table("R", 42.0);
         let query = Query::new(vec![r]);
         let err = MilpOptimizer::with_defaults()
-            .optimize(&catalog, &query, &OptimizeOptions::default())
+            .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap_err();
         assert!(matches!(err, OptimizeError::Encode(_)));
     }
@@ -886,7 +841,7 @@ mod tests {
         // must report the argmin like the hybrid's seed-swap path does.
         let (catalog, query) = paper_example();
         let out = MilpOptimizer::with_defaults()
-            .optimize(&catalog, &query, &OptimizeOptions::default())
+            .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap();
         let swapped = OptimizeOutcome {
             argmin_swapped: true,
@@ -907,7 +862,7 @@ mod tests {
         // A request of 0.0 (the default) is documented to mean "proven
         // optimal within numerical tolerance" — i.e. the clamped floor.
         assert!(
-            OptimizeOptions::default()
+            OrderingOptions::default()
                 .relative_gap
                 .max(MIN_RELATIVE_GAP)
                 == MIN_RELATIVE_GAP
@@ -922,10 +877,11 @@ mod tests {
             .optimize(
                 &catalog,
                 &query,
-                &OptimizeOptions {
+                &OrderingOptions {
                     relative_gap: 0.0,
                     ..Default::default()
                 },
+                None,
             )
             .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use milpjoin::{decode, encode, EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{decode, encode, EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_milp::{Solution, Solver, SolverOptions};
 use milpjoin_qopt::{Catalog, Estimator, Predicate, Query, TableSet};
 
@@ -113,7 +113,7 @@ fn optimizer_is_deterministic_for_fixed_seed() {
     let (c, q) = example();
     let run = || {
         MilpOptimizer::new(EncoderConfig::default().precision(Precision::Medium))
-            .optimize(&c, &q, &OptimizeOptions::default())
+            .optimize(&c, &q, &OrderingOptions::default(), None)
             .unwrap()
     };
     let a = run();
@@ -159,7 +159,8 @@ fn page_mode_threshold_variant_solves() {
         .optimize(
             &c,
             &q,
-            &OptimizeOptions::with_time_limit(Duration::from_secs(30)),
+            &OrderingOptions::with_time_limit(Duration::from_secs(30)),
+            None,
         )
         .unwrap();
     out.plan.validate(&q).unwrap();
@@ -175,7 +176,7 @@ fn two_table_cout_objective_is_constant_zero() {
     let mut q = Query::new(vec![a, b]);
     q.add_predicate(Predicate::binary(a, b, 0.25));
     let out = MilpOptimizer::with_defaults()
-        .optimize(&c, &q, &OptimizeOptions::default())
+        .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.milp_objective, 0.0);
     assert_eq!(out.true_cost, 0.0);

@@ -4,13 +4,13 @@
 use std::time::Duration;
 
 use milpjoin::{
-    encode, ConfigError, EncodeError, EncoderConfig, MilpOptimizer, OptimizeOptions, Precision,
+    encode, ConfigError, EncodeError, EncoderConfig, MilpOptimizer, OrderingOptions, Precision,
 };
 use milpjoin_qopt::cost::{operator_cost, CostModelKind, CostParams, JoinContext};
 use milpjoin_qopt::{Catalog, JoinOp, Predicate, Query};
 
-fn opts() -> OptimizeOptions {
-    OptimizeOptions::with_time_limit(Duration::from_secs(30))
+fn opts() -> OrderingOptions {
+    OrderingOptions::with_time_limit(Duration::from_secs(30))
 }
 
 fn three_tables() -> (Catalog, Query) {
@@ -31,7 +31,7 @@ fn operator_selection_decodes_one_operator_per_join() {
         .cost_model(CostModelKind::Hash)
         .operator_selection(true);
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     assert_eq!(out.plan.operators.len(), q.num_joins());
     out.plan.validate(&q).unwrap();
@@ -48,10 +48,10 @@ fn operator_selection_beats_or_matches_single_operator() {
         .cost_model(CostModelKind::Hash);
     let with_sel = hash_only.clone().operator_selection(true);
     let out_hash = MilpOptimizer::new(hash_only)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     let out_sel = MilpOptimizer::new(with_sel)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     // Cost the operator-selected plan exactly with its chosen operators.
     let sel_cost =
@@ -92,7 +92,7 @@ fn interesting_orders_enable_cheaper_sort_merge() {
     let enc = encode(&c, &q, &config).unwrap();
     assert!(enc.stats.vars_in(milpjoin::VarCategory::Property) > 0);
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();
 }
@@ -145,7 +145,7 @@ fn projection_tracks_columns_end_to_end() {
     let enc = encode(&c, &q, &config).unwrap();
     assert!(enc.stats.vars_in(milpjoin::VarCategory::Column) > 0);
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();
 }
@@ -167,7 +167,7 @@ fn expensive_predicates_get_scheduled() {
             > 0
     );
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     // The expensive predicate's schedule must be reported.
     assert_eq!(out.decoded.predicate_schedule.len(), 2);
@@ -189,7 +189,7 @@ fn correlated_groups_change_cardinalities() {
     let enc = encode(&c, &q, &config).unwrap();
     assert!(enc.stats.vars_in(milpjoin::VarCategory::GroupApplicable) > 0);
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();
 }
@@ -205,7 +205,7 @@ fn nary_predicates_encode_and_solve() {
     q.add_predicate(Predicate::nary(vec![a, b, d], 0.001));
     q.add_predicate(Predicate::binary(d, e, 0.1));
     let out = MilpOptimizer::new(EncoderConfig::default().precision(Precision::High))
-        .optimize(&c, &q, &opts())
+        .optimize(&c, &q, &opts(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();
 }

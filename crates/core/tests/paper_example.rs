@@ -3,7 +3,7 @@
 //! selectivity 0.1.
 
 use milpjoin::{
-    encode, ApproxMode, ConstrCategory, EncoderConfig, MilpOptimizer, OptimizeOptions, Precision,
+    encode, ApproxMode, ConstrCategory, EncoderConfig, MilpOptimizer, OrderingOptions, Precision,
     VarCategory,
 };
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
@@ -57,7 +57,9 @@ fn optimizer_finds_a_good_plan_cout() {
     let (c, q) = example();
     for precision in [Precision::High, Precision::Medium, Precision::Low] {
         let opt = MilpOptimizer::new(EncoderConfig::default().precision(precision));
-        let out = opt.optimize(&c, &q, &OptimizeOptions::default()).unwrap();
+        let out = opt
+            .optimize(&c, &q, &OrderingOptions::default(), None)
+            .unwrap();
         out.plan.validate(&q).unwrap();
         // Optimal Cout is 1000 (either R⋈S or R⋈T first); the worst plan
         // (S⋈T first) costs 100000. Even the lowest precision (factor 100)
@@ -78,7 +80,9 @@ fn optimizer_finds_a_good_plan_cout() {
 fn optimizer_matches_brute_force_exactly_at_high_precision() {
     let (c, q) = example();
     let opt = MilpOptimizer::new(EncoderConfig::default().precision(Precision::High));
-    let out = opt.optimize(&c, &q, &OptimizeOptions::default()).unwrap();
+    let out = opt
+        .optimize(&c, &q, &OrderingOptions::default(), None)
+        .unwrap();
     // Enumerate all left-deep plans.
     let mut best = f64::INFINITY;
     let perms = [
@@ -108,7 +112,7 @@ fn hash_cost_model_end_to_end() {
         .precision(Precision::High)
         .cost_model(CostModelKind::Hash);
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &OptimizeOptions::default())
+        .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();
     assert!(out.true_cost > 0.0);
@@ -126,7 +130,7 @@ fn hash_cost_model_end_to_end() {
 fn anytime_trace_is_monotone() {
     let (c, q) = example();
     let out = MilpOptimizer::with_defaults()
-        .optimize(&c, &q, &OptimizeOptions::default())
+        .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     let mut last_inc = f64::INFINITY;
     let mut last_bound = f64::NEG_INFINITY;
@@ -149,7 +153,7 @@ fn upper_bound_mode_still_finds_good_plans() {
         ..Default::default()
     };
     let out = MilpOptimizer::new(config)
-        .optimize(&c, &q, &OptimizeOptions::default())
+        .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     assert!(out.true_cost <= 1000.0 * 3.0, "{}", out.true_cost);
 }
@@ -160,7 +164,7 @@ fn single_table_query_trivial() {
     let r = c.add_table("R", 10.0);
     let q = Query::new(vec![r]);
     let out = MilpOptimizer::with_defaults()
-        .optimize(&c, &q, &OptimizeOptions::default())
+        .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.plan.order, vec![r]);
     assert_eq!(out.true_cost, 0.0);
@@ -174,7 +178,7 @@ fn two_table_query() {
     let mut q = Query::new(vec![r, s]);
     q.add_predicate(Predicate::binary(r, s, 0.5));
     let out = MilpOptimizer::with_defaults()
-        .optimize(&c, &q, &OptimizeOptions::default())
+        .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();
     assert_eq!(out.plan.order.len(), 2);

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
 use milpjoin_qopt::{Catalog, LeftDeepPlan, Predicate, Query, TableId};
 use proptest::prelude::*;
@@ -81,7 +81,8 @@ proptest! {
             .optimize(
                 &catalog,
                 &query,
-                &OptimizeOptions::with_time_limit(Duration::from_secs(30)),
+                &OrderingOptions::with_time_limit(Duration::from_secs(30)),
+                None,
             )
             .unwrap();
         // Decoder invariant: always a valid permutation.

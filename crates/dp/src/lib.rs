@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use milpjoin_qopt::cost::{CostModelKind, CostParams, JoinContext};
+use milpjoin_qopt::cost::{CostModelKind, CostParams, StepPricer};
 use milpjoin_qopt::{Catalog, Estimator, LeftDeepPlan, Query, TableSet};
 
 pub mod dpconv;
@@ -98,6 +98,8 @@ pub struct DpResult {
 }
 
 /// Exhaustive left-deep join ordering with cross products via subset DP.
+/// Joins are priced by [`StepPricer`], the rule `plan_cost` applies, so
+/// the reported cost is the returned plan's `plan_cost`.
 pub fn optimize(
     catalog: &Catalog,
     query: &Query,
@@ -128,6 +130,7 @@ pub fn optimize(
     }
 
     let est = Estimator::new(catalog, query);
+    let pricer = StepPricer::new(catalog, query, options.cost_model, &options.params);
     // Cardinality of each subset is needed repeatedly; computing it on the
     // fly keeps memory at 9 bytes/state (cost + choice).
     let mut best_cost = vec![f64::INFINITY; num_sets as usize];
@@ -138,7 +141,6 @@ pub fn optimize(
         best_cost[TableSet::single(i).0 as usize] = 0.0;
     }
 
-    let num_joins = n - 1;
     let mut states = 0u64;
     // Enumerate subsets in increasing popcount order implicitly: any subset
     // in increasing numeric order already sees all of its proper subsets.
@@ -157,7 +159,6 @@ pub fn optimize(
             }
         }
         let output_card = est.cardinality(set);
-        let join_index = size - 2; // joining the `size`-th table is join #size-2
         let mut best = f64::INFINITY;
         let mut best_t = u8::MAX;
         for t in set.iter() {
@@ -166,17 +167,10 @@ pub fn optimize(
             if !prev.is_finite() {
                 continue;
             }
-            let outer_card = est.cardinality(rest);
-            let inner_card = est.cardinality(TableSet::single(t));
-            let ctx = JoinContext {
-                outer_card,
-                inner_card,
-                output_card,
-                join_index,
-                num_joins,
-            };
-            let join = options.cost_model.join_cost(&ctx, &options.params);
-            let total = prev + join;
+            let (join, charge) = pricer.price(rest, est.cardinality(rest), t, output_card, None);
+            // Summed in `plan_cost`'s order, so the optimum's cost matches
+            // it bit for bit.
+            let total = prev + join + charge;
             if total < best {
                 best = total;
                 best_t = t as u8;
@@ -213,8 +207,8 @@ pub fn optimize(
 }
 
 /// Greedy nearest-neighbor construction: start from the smallest table and
-/// repeatedly append the table minimizing the next join's cost. Linear-time
-/// sanity baseline.
+/// repeatedly append the table minimizing the next join's cost, priced by
+/// [`StepPricer`] as `plan_cost` prices it. Linear-time sanity baseline.
 pub fn greedy_order(catalog: &Catalog, query: &Query, options: &DpOptions) -> LeftDeepPlan {
     let n = query.num_tables();
     if n == 0 {
@@ -230,24 +224,17 @@ pub fn greedy_order(catalog: &Catalog, query: &Query, options: &DpOptions) -> Le
         // audit-allow(no-panic): `0..n` is non-empty — validated queries
         // have at least one table.
         .unwrap();
+    let pricer = StepPricer::new(catalog, query, options.cost_model, &options.params);
     let mut set = TableSet::single(start);
     let mut order = vec![query.tables[start]];
-    let num_joins = n - 1;
     while set.len() < n {
-        let join_index = set.len() - 1;
         let outer_card = est.cardinality(set);
         let (next, _) = (0..n)
             .filter(|&t| !set.contains(t))
             .map(|t| {
-                let result = set.insert(t);
-                let ctx = JoinContext {
-                    outer_card,
-                    inner_card: est.cardinality(TableSet::single(t)),
-                    output_card: est.cardinality(result),
-                    join_index,
-                    num_joins,
-                };
-                (t, options.cost_model.join_cost(&ctx, &options.params))
+                let (join, charge) =
+                    pricer.price(set, outer_card, t, est.cardinality(set.insert(t)), None);
+                (t, join + charge)
             })
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             // audit-allow(no-panic): the while-loop guard proves the remaining

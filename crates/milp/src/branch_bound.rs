@@ -15,8 +15,8 @@
 //! workers join it, so the default single-worker solve spawns nothing.
 //! This module holds what a worker *computes* (LP re-solves, plunging,
 //! heuristics, pseudocost branching — all thread-private); how workers
-//! *coordinate* lives in [`crate::pool`], where the interleaving explorer
-//! model-checks it:
+//! *coordinate* lives in the crate-private `pool` module, where the
+//! interleaving explorer model-checks it:
 //!
 //! * **Shared open-node pool.** One lock-protected best-bound heap feeds
 //!   every worker: each idle worker pops the open node with the smallest
@@ -67,6 +67,16 @@ use crate::pool::{Open, Pool, PoolEvent, PoolLimits};
 use crate::simplex::{BasisSnapshot, DualPath, LpStatus, Simplex, SimplexLimits};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::status::{SearchStats, SolveStatus, StopReason};
+
+/// An integer column whose LP value lies within this distance of an
+/// integer counts as integral.
+const INTEGRALITY_TOL: f64 = 1e-6;
+/// Every this many nodes, the node being expanded also runs the rounding
+/// heuristic.
+const ROUNDING_INTERVAL: u64 = 50;
+/// Depth of the plunge that follows each claimed node before its children
+/// go back to the pool.
+const MAX_DIVE_DEPTH: u32 = 64;
 
 /// Events emitted during the search (the anytime stream).
 #[derive(Debug, Clone)]
@@ -140,18 +150,14 @@ fn apply_node_bounds(sx: &mut Simplex<'_>, data: &NodePayload) {
 }
 
 /// Fractional integer variables of the current LP solution.
-fn fractional_candidates(
-    sx: &Simplex<'_>,
-    lp: &LpProblem,
-    integrality_tol: f64,
-) -> Vec<(usize, f64)> {
+fn fractional_candidates(sx: &Simplex<'_>, lp: &LpProblem) -> Vec<(usize, f64)> {
     let values = sx.values();
     let mut out = Vec::new();
     for j in 0..lp.num_structural {
         if lp.integer[j] {
             let v = values[j];
             let f = v - v.floor();
-            if f > integrality_tol && f < 1.0 - integrality_tol {
+            if f > INTEGRALITY_TOL && f < 1.0 - INTEGRALITY_TOL {
                 out.push((j, f));
             }
         }
@@ -271,7 +277,7 @@ fn warm_start_candidate(
     });
     let candidate = if res.status != LpStatus::Optimal {
         None
-    } else if fractional_candidates(sx, lp, opts.integrality_tol).is_empty() {
+    } else if fractional_candidates(sx, lp).is_empty() {
         Some(sx.values()[..lp.num_structural].to_vec())
     } else {
         // Hints only covered part of the integer variables; dive the rest
@@ -280,7 +286,7 @@ fn warm_start_candidate(
             let (l, u) = sx.bounds();
             (l.to_vec(), u.to_vec())
         };
-        diving_heuristic(sx, lp, &lb, &ub, opts.integrality_tol, deadline).map(|(vals, _)| vals)
+        diving_heuristic(sx, lp, &lb, &ub, INTEGRALITY_TOL, deadline).map(|(vals, _)| vals)
     };
     sx.reset_bounds();
     candidate
@@ -294,21 +300,13 @@ pub struct SearchOutcome {
     pub stop: StopReason,
     pub incumbent: Option<(Vec<f64>, f64)>,
     pub bound: f64,
-    pub nodes: u64,
-    pub simplex_iterations: u64,
-    /// Search observability counters (node/worker/speculation accounting).
+    /// Search counters: nodes expanded, LP iterations, workers, speculative
+    /// work.
     pub stats: SearchStats,
     /// Every worker's private counters, merged (the `MILP_STATS` line),
     /// kept for the unit tests.
     #[cfg(test)]
     counters: WorkerScratch,
-}
-
-/// Read-mostly numerical context shared by all workers; the coordination
-/// state lives in the [`Pool`].
-struct Ctx<'a> {
-    lp: &'a LpProblem,
-    opts: &'a SolverOptions,
 }
 
 /// Snaps an integral candidate ([`snap_solution`]) and offers it, with the
@@ -318,24 +316,24 @@ struct Ctx<'a> {
 /// lock. `current` is the worker's in-flight node bound while that node is
 /// still open (a heuristic ran from it), `None` once the node is resolved.
 fn offer<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
-    ctx: &Ctx<'_>,
+    lp: &LpProblem,
     pool: &SearchPool<F>,
     w: usize,
     values: Vec<f64>,
     current: Option<f64>,
 ) {
-    let values = snap_solution(ctx.lp, values);
-    let obj = solution_objective(ctx.lp, &values);
+    let values = snap_solution(lp, values);
+    let obj = solution_objective(lp, &values);
     if !pool.improves_fast(obj) {
         return;
     }
-    if verify_rows(ctx.lp, &values) {
+    if verify_rows(lp, &values) {
         pool.offer_incumbent(w, values, obj, current);
     }
 }
 
 fn run_diving<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
-    ctx: &Ctx<'_>,
+    lp: &LpProblem,
     pool: &SearchPool<F>,
     w: usize,
     sx: &mut Simplex<'_>,
@@ -345,20 +343,13 @@ fn run_diving<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         let (l, u) = sx.bounds();
         (l.to_vec(), u.to_vec())
     };
-    if let Some((vals, _)) = diving_heuristic(
-        sx,
-        ctx.lp,
-        &lb,
-        &ub,
-        ctx.opts.integrality_tol,
-        pool.deadline(),
-    ) {
-        offer(ctx, pool, w, vals, Some(current_obj));
+    if let Some((vals, _)) = diving_heuristic(sx, lp, &lb, &ub, INTEGRALITY_TOL, pool.deadline()) {
+        offer(lp, pool, w, vals, Some(current_obj));
     }
 }
 
 fn run_rounding<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
-    ctx: &Ctx<'_>,
+    lp: &LpProblem,
     pool: &SearchPool<F>,
     w: usize,
     sx: &mut Simplex<'_>,
@@ -369,8 +360,8 @@ fn run_rounding<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         let (l, u) = sx.bounds();
         (l.to_vec(), u.to_vec())
     };
-    if let Some((vals, _)) = rounding_heuristic(sx, ctx.lp, &lb, &ub, &base, pool.deadline()) {
-        offer(ctx, pool, w, vals, Some(current_obj));
+    if let Some((vals, _)) = rounding_heuristic(sx, lp, &lb, &ub, &base, pool.deadline()) {
+        offer(lp, pool, w, vals, Some(current_obj));
     }
 }
 
@@ -419,7 +410,7 @@ impl WorkerScratch {
     }
 }
 
-/// Expands one claimed node: plunges from it up to `max_dive_depth`.
+/// Expands one claimed node: plunges from it up to [`MAX_DIVE_DEPTH`].
 /// Every node whose parent LP was proven optimal — pool node or dive
 /// child — loads that parent basis and re-solves with the dual simplex
 /// ([`Simplex::solve_dual`]); a warm verdict other than `Optimal` or a
@@ -427,7 +418,7 @@ impl WorkerScratch {
 /// parent only stalled, are solved cold: the primal loop from the slack
 /// basis.
 fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
-    ctx: &Ctx<'_>,
+    lp: &LpProblem,
     pool: &SearchPool<F>,
     w: usize,
     sx: &mut Simplex<'_>,
@@ -477,7 +468,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
                 // heuristic's cap) is stalling on a degenerate or
                 // ill-conditioned basis, and a cold solve is cheaper than
                 // waiting out the stall.
-                let warm_cap = 500 + 4 * ctx.lp.num_rows as u64;
+                let warm_cap = 500 + 4 * lp.num_rows as u64;
                 let (res, path) = sx.solve_dual(&SimplexLimits {
                     max_iterations: Some(warm_cap),
                     ..limits
@@ -575,10 +566,10 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
             break;
         }
 
-        let candidates = fractional_candidates(sx, ctx.lp, ctx.opts.integrality_tol);
+        let candidates = fractional_candidates(sx, lp);
         if candidates.is_empty() {
-            let values = sx.values()[..ctx.lp.num_structural].to_vec();
-            offer(ctx, pool, w, values, None);
+            let values = sx.values()[..lp.num_structural].to_vec();
+            offer(lp, pool, w, values, None);
             pool.report_bound(w, None);
             break;
         }
@@ -586,8 +577,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         // Select the branching variable and capture the node state *before*
         // heuristics run: they re-solve LPs on the worker's simplex and
         // would otherwise leave stale values behind.
-        let Some((var, frac)) = select_branching_var(ctx.opts.branching, &candidates, pseudo)
-        else {
+        let Some((var, frac)) = select_branching_var(&candidates, pseudo) else {
             break;
         };
         let val = sx.values()[var];
@@ -601,13 +591,9 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         // Root-only diving heuristic for a fast first incumbent: only one
         // node has no data (the root), and exactly one worker claims it.
         if data.is_none() {
-            if ctx.opts.root_diving {
-                run_diving(ctx, pool, w, sx, obj);
-            }
-        } else if ctx.opts.heuristic_frequency > 0
-            && pool.nodes().is_multiple_of(ctx.opts.heuristic_frequency)
-        {
-            run_rounding(ctx, pool, w, sx, obj);
+            run_diving(lp, pool, w, sx, obj);
+        } else if pool.nodes().is_multiple_of(ROUNDING_INTERVAL) {
+            run_rounding(lp, pool, w, sx, obj);
         }
 
         let down = Arc::new(NodeData {
@@ -636,7 +622,7 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         let (first, second) = if frac < 0.5 { (down, up) } else { (up, down) };
 
         dive_depth += 1;
-        let keep_diving = dive_depth <= ctx.opts.max_dive_depth;
+        let keep_diving = dive_depth <= MAX_DIVE_DEPTH;
         // The in-flight subtree's bound tightened to this node's LP
         // objective; publish the children in one critical section.
         let mut children: Vec<(NodePayload, f64)> = vec![(Some(second), obj)];
@@ -652,15 +638,15 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
 /// One worker: claims nodes from the pool and expands them until the
 /// search is over.
 fn worker<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
-    ctx: &Ctx<'_>,
+    lp: &LpProblem,
     pool: &SearchPool<F>,
     w: usize,
     scratch: &mut WorkerScratch,
 ) {
-    let mut sx = Simplex::new(ctx.lp);
-    let mut pseudo = Pseudocosts::new(ctx.lp.num_structural, &ctx.lp.obj);
+    let mut sx = Simplex::new(lp);
+    let mut pseudo = Pseudocosts::new(lp.num_structural, &lp.obj);
     while let Some(node) = pool.acquire(w) {
-        expand(ctx, pool, w, &mut sx, &mut pseudo, node, scratch);
+        expand(lp, pool, w, &mut sx, &mut pseudo, node, scratch);
         // Close out the claimed subtree: the worker no longer holds (or has
         // re-opened) it, so waiting workers re-check termination.
         pool.release(w);
@@ -669,8 +655,8 @@ fn worker<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
 }
 
 /// The branch-and-bound search: [`SolverOptions::threads`] workers over one
-/// shared open-node pool (see the module docs, and [`crate::pool`] for the
-/// coordination protocol).
+/// shared open-node pool (see the module docs, and the crate-private `pool`
+/// module for the coordination protocol).
 pub struct BranchBound<'a, F: FnMut(&SolverEvent) + Send> {
     lp: &'a LpProblem,
     opts: &'a SolverOptions,
@@ -686,10 +672,6 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
     pub fn run(self) -> SearchOutcome {
         let workers = self.opts.threads.max(1);
         let start = shim_time::now();
-        let ctx = Ctx {
-            lp: self.lp,
-            opts: self.opts,
-        };
         // Translate pool events (internal objective space) into the user's
         // anytime stream. The pool invokes this under its lock, so the
         // merged stream is ordered.
@@ -735,9 +717,9 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         // opens with a finite objective at t ≈ 0. Failures are silent: the
         // search simply starts without an incumbent.
         let warm_iterations = {
-            let mut sx = Simplex::new(ctx.lp);
-            if let Some(values) = warm_start_candidate(&mut sx, ctx.lp, ctx.opts, pool.deadline()) {
-                offer(&ctx, &pool, 0, values, None);
+            let mut sx = Simplex::new(lp);
+            if let Some(values) = warm_start_candidate(&mut sx, lp, self.opts, pool.deadline()) {
+                offer(lp, &pool, 0, values, None);
             }
             sx.iterations_total()
         };
@@ -746,11 +728,11 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
             (0..workers).map(|_| WorkerScratch::default()).collect();
         let (own, others) = scratches.split_at_mut(1);
         std::thread::scope(|scope| {
-            let (ctx, pool) = (&ctx, &pool);
+            let pool = &pool;
             for (i, scratch) in others.iter_mut().enumerate() {
-                scope.spawn(move || worker(ctx, pool, i + 1, scratch));
+                scope.spawn(move || worker(lp, pool, i + 1, scratch));
             }
-            worker(ctx, pool, 0, &mut own[0]);
+            worker(lp, pool, 0, &mut own[0]);
         });
 
         // Workers joined: fold their private counters and map the pool
@@ -822,8 +804,6 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
             stop,
             incumbent,
             bound: final_bound,
-            nodes,
-            simplex_iterations,
             stats: SearchStats {
                 nodes_expanded: nodes,
                 workers_used: workers,
@@ -1016,7 +996,7 @@ mod tests {
         // reason records the node budget — a deterministic resource limit.
         assert_eq!(out.status, SolveStatus::Feasible);
         assert_eq!(out.stop, StopReason::NodeLimit);
-        assert_eq!(out.nodes, 0);
+        assert_eq!(out.stats.nodes_expanded, 0);
         assert!((out.incumbent.unwrap().1 + 2.0).abs() < 1e-9);
         assert_eq!(out.bound, f64::NEG_INFINITY);
     }
@@ -1106,16 +1086,20 @@ mod tests {
 
     #[test]
     fn parallel_infeasible() {
+        // 2·Σx = 7 over six binaries: every bound is consistent, so presolve
+        // passes the model on, and only the search proves that no integer
+        // point hits an odd right-hand side.
         let mut m = Model::new("inf");
-        let x = m.add_integer(0.0, 10.0, "x");
-        m.add_ge(x * 2.0, 3.0, "c0");
-        m.add_le(x * 2.0, 3.5, "c1");
-        m.set_objective(x.into(), Sense::Minimize);
-        // Presolve would catch this; go through the raw search.
-        let mut opts = SolverOptions::default().threads(3);
-        opts.presolve = false;
-        let r = Solver::new(opts).solve(&m).unwrap();
-        assert_eq!(r.status, SolveStatus::Infeasible);
+        let vars: Vec<_> = (0..6).map(|i| m.add_binary(format!("x{i}"))).collect();
+        m.add_eq(vars.iter().map(|&v| v * 2.0).sum(), 7.0, "odd");
+        m.set_objective(vars.iter().map(|&v| v * 1.0).sum(), Sense::Minimize);
+        for threads in [1usize, 3] {
+            let r = Solver::new(SolverOptions::default().threads(threads))
+                .solve(&m)
+                .unwrap();
+            assert_eq!(r.status, SolveStatus::Infeasible, "threads={threads}");
+            assert!(r.search.nodes_expanded > 0, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1124,21 +1108,19 @@ mod tests {
         for threads in [1usize, 4] {
             let mut opts = SolverOptions::default().threads(threads);
             opts.node_limit = Some(5);
-            opts.root_diving = false;
-            opts.heuristic_frequency = 0;
             let r = Solver::new(opts).solve(&m).unwrap();
             // The meter is global and checked before every node LP: a lone
             // worker stops exactly at the limit, and with more workers each
             // in-flight one may expand at most one more node after it trips.
             let cap = if threads == 1 { 5 } else { 5 + threads as u64 };
+            let nodes = r.search.nodes_expanded;
             assert!(
-                r.nodes <= cap,
-                "threads={threads}: node meter exceeded: {} nodes",
-                r.nodes
+                nodes <= cap,
+                "threads={threads}: node meter exceeded: {nodes} nodes"
             );
-            if !r.status.has_solution() {
-                assert_eq!(r.stop, StopReason::NodeLimit);
-            }
+            // The root dive and the rounding heuristic run, yet the limit
+            // still binds.
+            assert_eq!(r.stop, StopReason::NodeLimit, "threads={threads}");
         }
     }
 

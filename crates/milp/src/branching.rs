@@ -1,6 +1,4 @@
-//! Branching-variable selection: most-fractional and pseudocost rules.
-
-use crate::options::BranchingRule;
+//! Branching-variable selection by pseudocost.
 
 /// Per-variable pseudocost statistics: observed objective degradation per
 /// unit of fractionality, separately for down- and up-branches.
@@ -69,41 +67,22 @@ impl Pseudocosts {
 }
 
 /// Selects the branching variable among `candidates` (columns with
-/// fractional LP values). Returns the column index and its fractional part.
+/// fractional LP values): the highest pseudocost score wins. Returns the
+/// column index and its fractional part.
 pub fn select_branching_var(
-    rule: BranchingRule,
     candidates: &[(usize, f64)],
     pseudocosts: &Pseudocosts,
 ) -> Option<(usize, f64)> {
-    if candidates.is_empty() {
-        return None;
-    }
-    match rule {
-        BranchingRule::MostFractional => candidates.iter().copied().max_by(|a, b| {
-            let fa = a.1.min(1.0 - a.1);
-            let fb = b.1.min(1.0 - b.1);
-            fa.partial_cmp(&fb).unwrap_or(std::cmp::Ordering::Equal)
-        }),
-        BranchingRule::Pseudocost => candidates.iter().copied().max_by(|a, b| {
-            let sa = pseudocosts.score(a.0, a.1);
-            let sb = pseudocosts.score(b.0, b.1);
-            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-        }),
-    }
+    candidates.iter().copied().max_by(|a, b| {
+        let sa = pseudocosts.score(a.0, a.1);
+        let sb = pseudocosts.score(b.0, b.1);
+        sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn most_fractional_picks_closest_to_half() {
-        let pc = Pseudocosts::new(3, &[1.0, 1.0, 1.0]);
-        let cands = vec![(0, 0.9), (1, 0.45), (2, 0.2)];
-        let (v, f) = select_branching_var(BranchingRule::MostFractional, &cands, &pc).unwrap();
-        assert_eq!(v, 1);
-        assert_eq!(f, 0.45);
-    }
 
     #[test]
     fn pseudocost_prefers_high_degradation() {
@@ -114,21 +93,21 @@ mod tests {
         pc.record(0, 0.5, 0.1, true);
         pc.record(0, 0.5, 0.1, false);
         let cands = vec![(0, 0.5), (1, 0.5)];
-        let (v, _) = select_branching_var(BranchingRule::Pseudocost, &cands, &pc).unwrap();
+        let (v, _) = select_branching_var(&cands, &pc).unwrap();
         assert_eq!(v, 1);
     }
 
     #[test]
     fn empty_candidates() {
         let pc = Pseudocosts::new(1, &[0.0]);
-        assert!(select_branching_var(BranchingRule::MostFractional, &[], &pc).is_none());
+        assert!(select_branching_var(&[], &pc).is_none());
     }
 
     #[test]
     fn uninitialized_pseudocosts_fall_back_to_objective() {
         let pc = Pseudocosts::new(2, &[10.0, 0.1]);
         let cands = vec![(0, 0.5), (1, 0.5)];
-        let (v, _) = select_branching_var(BranchingRule::Pseudocost, &cands, &pc).unwrap();
+        let (v, _) = select_branching_var(&cands, &pc).unwrap();
         assert_eq!(v, 0);
     }
 }

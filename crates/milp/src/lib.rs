@@ -13,8 +13,8 @@
 //!   re-solves a branch-and-bound node from its parent's optimal basis
 //!   ([`simplex`], [`lu`]);
 //! * **branch and bound** with best-first + diving node selection,
-//!   most-fractional / pseudocost branching, rounding and diving primal
-//!   heuristics, and — crucially for the paper — **anytime behaviour**:
+//!   pseudocost branching, bound-tightening presolve, rounding and diving
+//!   primal heuristics, and — crucially for the paper — **anytime behaviour**:
 //!   a stream of improving incumbents with global lower bounds, so a
 //!   guaranteed optimality factor is available at every point in time
 //!   ([`solver`], [`branch_bound`]). One search runs
@@ -65,7 +65,7 @@ pub mod status;
 
 pub use expr::LinExpr;
 pub use model::{ConstrId, Model, ModelError, Sense, Var, VarType};
-pub use options::{BranchingRule, SolverOptions};
+pub use options::SolverOptions;
 pub use solution::{IncumbentEvent, MipResult, Solution};
 pub use solver::{SolveError, Solver};
 pub use status::{SearchStats, SolveStatus, StopReason};

@@ -4,19 +4,10 @@ use std::time::Duration;
 
 use crate::model::Var;
 
-/// Variable selection rule for branching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchingRule {
-    /// Branch on the integer variable whose LP value is closest to 0.5
-    /// fractionality.
-    MostFractional,
-    /// Pseudocost branching: estimated objective degradation per unit of
-    /// fractionality, learned from observed LP bound changes.
-    #[default]
-    Pseudocost,
-}
-
-/// Options controlling a MILP solve.
+/// Options controlling a MILP solve: the budgets, the gap target, the
+/// worker count and an optional warm start. Everything else about the
+/// search is fixed — bound-tightening presolve and a root dive always run,
+/// and variables are branched on by pseudocost.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
     /// Wall-clock limit for the whole solve.
@@ -30,18 +21,6 @@ pub struct SolverOptions {
     /// nodes; with more workers, each in-flight worker may finish the one
     /// node it cleared before the limit tripped.
     pub node_limit: Option<u64>,
-    /// Branching variable selection rule.
-    pub branching: BranchingRule,
-    /// Integer feasibility tolerance.
-    pub integrality_tol: f64,
-    /// Run the rounding heuristic every this many nodes (0 disables).
-    pub heuristic_frequency: u64,
-    /// Enable the diving heuristic at the root node.
-    pub root_diving: bool,
-    /// Enable bound-tightening presolve.
-    pub presolve: bool,
-    /// Depth of the periodic best-first plunge (dive) after node selection.
-    pub max_dive_depth: u32,
     /// Workers of the branch-and-bound search ([`crate::branch_bound`]):
     /// one search over a shared open-node pool, with worker 0 on the
     /// calling thread and the rest on scoped threads. `0` counts as `1`
@@ -70,12 +49,6 @@ impl Default for SolverOptions {
             time_limit: None,
             relative_gap: 1e-6,
             node_limit: None,
-            branching: BranchingRule::default(),
-            integrality_tol: 1e-6,
-            heuristic_frequency: 50,
-            root_diving: true,
-            presolve: true,
-            max_dive_depth: 64,
             threads: 1,
             initial_solution: None,
         }
@@ -94,12 +67,6 @@ impl SolverOptions {
     /// Builder-style setter for the relative gap target.
     pub fn relative_gap(mut self, gap: f64) -> Self {
         self.relative_gap = gap;
-        self
-    }
-
-    /// Builder-style setter for the branching rule.
-    pub fn branching(mut self, rule: BranchingRule) -> Self {
-        self.branching = rule;
         self
     }
 
@@ -126,18 +93,19 @@ mod tests {
         let o = SolverOptions::default();
         assert!(o.time_limit.is_none());
         assert!(o.relative_gap >= 0.0);
-        assert!(o.integrality_tol > 0.0 && o.integrality_tol < 1e-2);
+        assert!(o.node_limit.is_none());
+        assert!(o.initial_solution.is_none());
     }
 
     #[test]
     fn builders() {
         let o = SolverOptions::with_time_limit(Duration::from_secs(3))
             .relative_gap(0.05)
-            .branching(BranchingRule::MostFractional)
+            .initial_solution(vec![(Var::from_index(0), 1.0)])
             .threads(4);
         assert_eq!(o.time_limit, Some(Duration::from_secs(3)));
         assert_eq!(o.relative_gap, 0.05);
-        assert_eq!(o.branching, BranchingRule::MostFractional);
+        assert_eq!(o.initial_solution, Some(vec![(Var::from_index(0), 1.0)]));
         assert_eq!(o.threads, 4);
     }
 

@@ -77,14 +77,10 @@ pub struct MipResult {
     pub bound: f64,
     /// Best incumbent.
     pub solution: Option<Solution>,
-    /// Branch-and-bound nodes processed.
-    pub nodes: u64,
-    /// Total simplex iterations.
-    pub simplex_iterations: u64,
     /// Wall-clock time spent.
     pub solve_time: Duration,
-    /// Search observability counters (nodes expanded, workers used,
-    /// speculative work).
+    /// Search counters: nodes expanded, LP iterations (root and total),
+    /// workers used, speculative work.
     pub search: SearchStats,
 }
 
@@ -139,8 +135,6 @@ mod tests {
             objective: Some(10.0),
             bound: 9.0,
             solution: Some(Solution::new(vec![])),
-            nodes: 0,
-            simplex_iterations: 0,
             solve_time: Duration::ZERO,
             search: SearchStats::default(),
         };

@@ -92,20 +92,16 @@ impl Solver {
         let start = milpjoin_shim::time::now();
 
         let mut working = model.clone();
-        if self.options.presolve {
-            if let PresolveOutcome::Infeasible = presolve(&mut working, 10) {
-                return Ok(MipResult {
-                    status: SolveStatus::Infeasible,
-                    stop: crate::status::StopReason::Finished,
-                    objective: None,
-                    bound: f64::NAN,
-                    solution: None,
-                    nodes: 0,
-                    simplex_iterations: 0,
-                    solve_time: start.elapsed(),
-                    search: SearchStats::default(),
-                });
-            }
+        if let PresolveOutcome::Infeasible = presolve(&mut working, 10) {
+            return Ok(MipResult {
+                status: SolveStatus::Infeasible,
+                stop: crate::status::StopReason::Finished,
+                objective: None,
+                bound: f64::NAN,
+                solution: None,
+                solve_time: start.elapsed(),
+                search: SearchStats::default(),
+            });
         }
 
         let lp = LpProblem::from_model(&working);
@@ -124,8 +120,6 @@ impl Solver {
             objective,
             bound: lp.user_objective(outcome.bound),
             solution,
-            nodes: outcome.nodes,
-            simplex_iterations: outcome.simplex_iterations,
             solve_time: start.elapsed(),
             search: outcome.stats,
         })

@@ -57,9 +57,8 @@ pub enum StopReason {
 /// root-LP-bound (one huge root simplex) or search-bound (many nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchStats {
-    /// Branch-and-bound nodes whose LP relaxation was solved (mirrors the
-    /// result's `nodes` field; kept here so the stats block is
-    /// self-contained).
+    /// Branch-and-bound nodes whose LP relaxation was solved — the count
+    /// that [`crate::SolverOptions::node_limit`] caps.
     pub nodes_expanded: u64,
     /// Workers the search ran with (`1` by default: the calling thread
     /// alone).

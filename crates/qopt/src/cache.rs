@@ -30,9 +30,9 @@
 //!   lock-free.
 //! * **Cross-batch in-flight table.** Each shard additionally tracks the
 //!   fingerprints currently *being solved*, one condvar-backed slot per
-//!   fingerprint. [`ShardedPlanCache::claim`] is the single entry point of
+//!   fingerprint. `ShardedPlanCache::claim` is the single entry point of
 //!   the dedup protocol: a claimant either gets the cached entry, becomes
-//!   the **leader** (an [`InFlightGuard`] obliging it to publish or
+//!   the **leader** (an `InFlightGuard` obliging it to publish or
 //!   abandon), or gets the leader's slot to **wait** on. Concurrent
 //!   identical submissions — across threads, batches, and sessions sharing
 //!   the cache handle — therefore trigger exactly one backend solve;

@@ -13,11 +13,13 @@
 //!
 //! Plan cost is the sum of per-join costs plus, when the expensive-predicate
 //! extension is active, predicate evaluation costs at the join where each
-//! predicate first becomes applicable.
+//! predicate first becomes applicable. [`StepPricer`] holds that per-join
+//! rule; [`plan_cost`], the classical DP and the greedy heuristic all price
+//! joins through it, so they agree on every plan.
 
 use crate::card::Estimator;
-use crate::catalog::Catalog;
-use crate::plan::{eager_evaluation_joins, JoinOp, LeftDeepPlan};
+use crate::catalog::{Catalog, TableId};
+use crate::plan::{JoinOp, LeftDeepPlan};
 use crate::query::Query;
 use crate::table_set::TableSet;
 
@@ -137,6 +139,89 @@ pub fn operator_cost(op: JoinOp, ctx: &JoinContext, params: &CostParams) -> f64 
     }
 }
 
+/// Prices the join steps of left-deep plans over one query. A step joins
+/// an outer operand (a set of query-local positions) with one base table,
+/// the inner operand, and costs two parts:
+///
+/// * the join itself, under the cost model (or the step's operator), for
+///   the outer's estimated cardinality, the inner table's raw catalog
+///   cardinality and the result's estimated cardinality;
+/// * the evaluation charge `eval_cost_per_tuple × outer cardinality` of
+///   every expensive predicate whose last table the step adds — the
+///   paper's eager schedule, `Σ_j pco_pj · co_j`.
+///
+/// Both depend only on the outer set and the inner table, so a subset DP
+/// over them is exact.
+#[derive(Debug, Clone)]
+pub struct StepPricer<'a> {
+    catalog: &'a Catalog,
+    query: &'a Query,
+    model: CostModelKind,
+    params: CostParams,
+    /// (table positions, evaluation cost per tuple) of each expensive
+    /// predicate, in query order.
+    expensive: Vec<(TableSet, f64)>,
+}
+
+impl<'a> StepPricer<'a> {
+    /// A pricer for `query`; the query must be valid for the catalog.
+    pub fn new(
+        catalog: &'a Catalog,
+        query: &'a Query,
+        model: CostModelKind,
+        params: &CostParams,
+    ) -> Self {
+        let positions = |tables: &[TableId]| {
+            TableSet::from_positions(tables.iter().map(|&t| query.position_of(t)))
+        };
+        StepPricer {
+            catalog,
+            query,
+            model,
+            params: *params,
+            expensive: query
+                .predicates
+                .iter()
+                .filter(|p| p.eval_cost_per_tuple > 0.0)
+                .map(|p| (positions(&p.tables), p.eval_cost_per_tuple))
+                .collect(),
+        }
+    }
+
+    /// `(join cost, predicate charge)` of joining the table at position
+    /// `inner` to `outer`, of estimated cardinality `outer_card`, into a
+    /// result of estimated cardinality `output_card`. An explicit `op`
+    /// prices the join instead of the model, except under C_out.
+    pub fn price(
+        &self,
+        outer: TableSet,
+        outer_card: f64,
+        inner: usize,
+        output_card: f64,
+        op: Option<JoinOp>,
+    ) -> (f64, f64) {
+        let ctx = JoinContext {
+            outer_card,
+            inner_card: self.catalog.cardinality(self.query.tables[inner]),
+            output_card,
+            join_index: outer.len().saturating_sub(1),
+            num_joins: self.query.num_tables().saturating_sub(1),
+        };
+        let join = match op {
+            Some(op) if self.model != CostModelKind::Cout => operator_cost(op, &ctx, &self.params),
+            _ => self.model.join_cost(&ctx, &self.params),
+        };
+        let result = outer.insert(inner);
+        let mut charge = 0.0;
+        for &(tables, eval_cost) in &self.expensive {
+            if tables.contains(inner) && tables.is_subset_of(result) {
+                charge += eval_cost * outer_card;
+            }
+        }
+        (join, charge)
+    }
+}
+
 /// Per-join cost breakdown of a plan.
 #[derive(Debug, Clone)]
 pub struct PlanCost {
@@ -146,12 +231,14 @@ pub struct PlanCost {
     pub predicate_cost: f64,
 }
 
-/// Computes the exact (estimator-based) cost of a left-deep plan.
+/// Computes the exact (estimator-based) cost of a left-deep plan, join by
+/// join through [`StepPricer`].
 ///
 /// When `plan.operators` is non-empty, each join is costed with its chosen
 /// physical operator (overriding `model` for non-C_out models); otherwise
 /// `model` applies globally. Expensive predicates contribute
-/// `eval_cost_per_tuple * |result where first applicable|`.
+/// `eval_cost_per_tuple × outer cardinality` at the join that first makes
+/// them applicable.
 pub fn plan_cost(
     catalog: &Catalog,
     query: &Query,
@@ -172,69 +259,25 @@ pub fn plan_cost_with_estimator(
     model: CostModelKind,
     params: &CostParams,
 ) -> PlanCost {
-    let n = plan.order.len();
-    let num_joins = n.saturating_sub(1);
-    let mut per_join = Vec::with_capacity(num_joins);
+    let pricer = StepPricer::new(catalog, query, model, params);
+    let mut per_join = Vec::with_capacity(plan.order.len());
     let mut total = 0.0;
     let mut predicate_cost = 0.0;
-
-    // Expensive predicates are evaluated eagerly, during the join that
-    // first makes them applicable — the shared schedule of
-    // `eager_evaluation_joins` (also the source for the MILP decoder's
-    // implicit schedule and the warm-start hints). Computed only when a
-    // predicate actually carries an evaluation cost (hot path).
-    let eval_joins: Option<Vec<Option<usize>>> = query
-        .predicates
-        .iter()
-        .any(|p| p.eval_cost_per_tuple > 0.0)
-        .then(|| eager_evaluation_joins(query, plan));
-
-    let mut outer_set = TableSet::EMPTY;
-    if n > 0 {
-        let pos0 = query.position_of(plan.order[0]);
-        outer_set = TableSet::single(pos0);
-    }
-    let mut outer_card = if n > 0 {
-        est.cardinality(outer_set)
-    } else {
-        0.0
-    };
-
-    for j in 0..num_joins {
-        let inner = plan.order[j + 1];
+    let mut outer_set = plan
+        .order
+        .first()
+        .map_or(TableSet::EMPTY, |&t| TableSet::single(query.position_of(t)));
+    let mut outer_card = est.cardinality(outer_set);
+    for (j, &inner) in plan.order.iter().enumerate().skip(1) {
         let inner_pos = query.position_of(inner);
-        let inner_card = catalog.cardinality(inner);
         let result_set = outer_set.insert(inner_pos);
         let output_card = est.cardinality(result_set);
-
-        let ctx = JoinContext {
-            outer_card,
-            inner_card,
-            output_card,
-            join_index: j,
-            num_joins,
-        };
-        let cost = if !plan.operators.is_empty() && model != CostModelKind::Cout {
-            operator_cost(plan.operator(j), &ctx, params)
-        } else {
-            model.join_cost(&ctx, params)
-        };
-        per_join.push(cost);
-        total += cost;
-
-        // Following the paper's cost term  sum_j pco_pj * co_j,  the
-        // charge for an expensive predicate evaluated during this join is
-        // proportional to the join's outer-operand cardinality.
-        if let Some(eval_joins) = &eval_joins {
-            for (p, eval_join) in query.predicates.iter().zip(eval_joins) {
-                if p.eval_cost_per_tuple > 0.0 && *eval_join == Some(j) {
-                    let c = p.eval_cost_per_tuple * outer_card;
-                    predicate_cost += c;
-                    total += c;
-                }
-            }
-        }
-
+        let op = (!plan.operators.is_empty()).then(|| plan.operator(j - 1));
+        let (join, charge) = pricer.price(outer_set, outer_card, inner_pos, output_card, op);
+        per_join.push(join);
+        total += join;
+        total += charge;
+        predicate_cost += charge;
         outer_set = result_set;
         outer_card = output_card;
     }

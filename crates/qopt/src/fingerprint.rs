@@ -2,7 +2,7 @@
 //!
 //! Two queries of a stream frequently share their *structure* — the same
 //! join graph over tables of (nearly) the same size with (nearly) the same
-//! selectivities — while naming entirely different [`TableId`]s. A
+//! selectivities — while naming entirely different [`TableId`](crate::TableId)s. A
 //! [`Fingerprint`] captures that structure in a hashable key so a plan
 //! cache ([`crate::session::PlanSession`]) can reuse one backend solve for
 //! the whole equivalence class:

@@ -47,7 +47,7 @@
 //!
 //! Snapshot *writing* never blocks the in-flight claim protocol: the read
 //! side clones `Arc` pointers one brief shard lock at a time
-//! ([`ShardedPlanCache::snapshot_entries`]); serialization and file IO
+//! (`ShardedPlanCache::snapshot_entries`); serialization and file IO
 //! run with no lock held.
 //!
 //! This file is the workspace's single approved filesystem choke point —
@@ -643,8 +643,7 @@ impl ShardedPlanCache {
     /// Serializes the current cache contents to `path`, atomically (temp
     /// file + rename), keyed to `config`. Returns what was written.
     /// Concurrent serving proceeds during the export: only brief per-shard
-    /// `Arc`-clone passes take locks (see
-    /// [`snapshot_entries`](Self::snapshot_entries)).
+    /// `Arc`-clone passes take locks (see `snapshot_entries`).
     pub fn write_snapshot(
         &self,
         path: &Path,

@@ -24,7 +24,7 @@
 //! A continuous stream has no batch boundary to deduplicate over. The
 //! service instead relies on the **in-flight table** inside
 //! [`ShardedPlanCache`]: one condvar-backed slot per fingerprint currently
-//! being solved ([`ShardedPlanCache::claim`]). The first worker to miss a
+//! being solved (`ShardedPlanCache::claim`). The first worker to miss a
 //! structure becomes its *leader* and solves; every concurrent duplicate —
 //! from any worker, any submitter thread, any session sharing the cache
 //! handle — *blocks on the leader's slot* and instantiates its published

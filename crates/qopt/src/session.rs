@@ -19,7 +19,7 @@
 //!   counters).
 //!
 //! The session is the *sequential* surface over the per-query engine
-//! ([`process_query`]) that the continuous-ingest
+//! (`process_query`) that the continuous-ingest
 //! [`crate::service::QueryService`] workers also run — including the
 //! cross-batch in-flight claim protocol, so a session sharing its cache
 //! handle with a service deduplicates solves against the service's workers
@@ -681,7 +681,7 @@ impl PlanSession {
 
     /// Optimizes one query, reusing a cached plan when a structurally
     /// identical query was solved before. Runs the same engine
-    /// ([`process_query`]) as the [`crate::service::QueryService`] workers
+    /// (`process_query`) as the [`crate::service::QueryService`] workers
     /// — including the in-flight claim protocol, so a sequential session
     /// sharing its cache with a service participates in cross-session
     /// dedup: if a service worker is already solving this structure, the

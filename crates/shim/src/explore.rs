@@ -3,7 +3,7 @@
 //! [`Explorer::run`] executes a *trial factory* repeatedly: each call
 //! builds fresh shared state and returns the trial's thread bodies (plus
 //! an optional post-trial invariant check). The explorer runs every trial
-//! under the deterministic scheduler in [`crate::sched`], then
+//! under the crate-private deterministic scheduler (`sched`), then
 //! backtracks over the recorded branching decisions depth-first until
 //! every yield-point interleaving has been enumerated (or a configured
 //! cap is hit — the report says which).

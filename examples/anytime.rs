@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
         .optimize(
             &catalog,
             &query,
-            &OptimizeOptions::with_time_limit(Duration::from_secs(10)),
+            &OrderingOptions::with_time_limit(Duration::from_secs(10)),
+            None,
         )
         .expect("a plan within the budget");
 

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example extensions`
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_qopt::{Catalog, Predicate, Query};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
 
     let config = EncoderConfig::default().precision(Precision::High);
     let outcome = MilpOptimizer::new(config)
-        .optimize(&catalog, &query, &OptimizeOptions::default())
+        .optimize(&catalog, &query, &OrderingOptions::default(), None)
         .expect("optimizable");
 
     println!("plan: {}", outcome.plan.render(&catalog));

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example operator_selection`
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_qopt::{Catalog, CostModelKind, Predicate, Query};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         .operator_selection(true)
         .interesting_orders(true);
     let outcome = MilpOptimizer::new(config)
-        .optimize(&catalog, &query, &OptimizeOptions::default())
+        .optimize(&catalog, &query, &OrderingOptions::default(), None)
         .expect("optimizable");
 
     println!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_qopt::{Catalog, Predicate, Query};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     // Optimize with the high-precision configuration (tolerance factor 3).
     let optimizer = MilpOptimizer::new(EncoderConfig::default().precision(Precision::High));
     let outcome = optimizer
-        .optimize(&catalog, &query, &OptimizeOptions::default())
+        .optimize(&catalog, &query, &OrderingOptions::default(), None)
         .expect("optimization succeeds");
 
     println!("plan:        {}", outcome.plan.render(&catalog));
@@ -35,7 +35,7 @@ fn main() {
         outcome.milp_objective
     );
     println!("MILP bound:  {:.1}", outcome.milp_bound);
-    println!("B&B nodes:   {}", outcome.nodes);
+    println!("B&B nodes:   {}", outcome.search.nodes_expanded);
     println!();
     println!(
         "formulation: {} variables, {} constraints",

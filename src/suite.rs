@@ -2,8 +2,9 @@
 
 use std::time::Duration;
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, OptimizeOutcome, Precision};
-use milpjoin_qopt::{Catalog, Query};
+use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOutcome, OrderingOptions, Precision};
+use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
+use milpjoin_qopt::{Catalog, LeftDeepPlan, Query, TableId};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
 /// Generates a seeded random workload (re-exported convenience).
@@ -22,8 +23,31 @@ pub fn optimize_with(
     optimizer.optimize(
         catalog,
         query,
-        &OptimizeOptions::with_time_limit(time_limit),
+        &OrderingOptions::with_time_limit(time_limit),
+        None,
     )
+}
+
+/// `plan_cost` of every left-deep plan of `query` under `model` and the
+/// default cost parameters: the brute-force optimality oracle (n! plans;
+/// keep n small).
+pub fn all_plan_costs(catalog: &Catalog, query: &Query, model: CostModelKind) -> Vec<f64> {
+    fn permute(order: &mut [TableId], k: usize, visit: &mut dyn FnMut(&[TableId])) {
+        if k == order.len() {
+            return visit(order);
+        }
+        for i in k..order.len() {
+            order.swap(k, i);
+            permute(order, k + 1, visit);
+            order.swap(k, i);
+        }
+    }
+    let mut costs = Vec::new();
+    permute(&mut query.tables.clone(), 0, &mut |order| {
+        let plan = LeftDeepPlan::from_order(order.to_vec());
+        costs.push(plan_cost(catalog, query, &plan, model, &CostParams::default()).total);
+    });
+    costs
 }
 
 /// Formats a duration as fractional seconds.

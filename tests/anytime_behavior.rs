@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
 #[test]
@@ -13,7 +13,8 @@ fn trace_monotonicity() {
         .optimize(
             &catalog,
             &query,
-            &OptimizeOptions::with_time_limit(Duration::from_secs(20)),
+            &OrderingOptions::with_time_limit(Duration::from_secs(20)),
+            None,
         )
         .unwrap();
     let mut last_inc = f64::INFINITY;
@@ -41,7 +42,8 @@ fn guaranteed_factor_is_nonincreasing_over_time() {
         .optimize(
             &catalog,
             &query,
-            &OptimizeOptions::with_time_limit(Duration::from_secs(20)),
+            &OrderingOptions::with_time_limit(Duration::from_secs(20)),
+            None,
         )
         .unwrap();
     let mut last = f64::INFINITY;
@@ -64,7 +66,8 @@ fn time_limit_respected() {
     let _ = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low)).optimize(
         &catalog,
         &query,
-        &OptimizeOptions::with_time_limit(limit),
+        &OrderingOptions::with_time_limit(limit),
+        None,
     );
     // Generous slack: one node LP may overshoot slightly.
     assert!(start.elapsed() < limit + Duration::from_secs(10));
@@ -77,7 +80,8 @@ fn final_factor_matches_trace_tail() {
         .optimize(
             &catalog,
             &query,
-            &OptimizeOptions::with_time_limit(Duration::from_secs(20)),
+            &OrderingOptions::with_time_limit(Duration::from_secs(20)),
+            None,
         )
         .unwrap();
     if let (Some(final_factor), Some(tail)) = (

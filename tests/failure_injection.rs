@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use milpjoin::{encode, EncodeError, EncoderConfig, MilpOptimizer, OptimizeOptions};
+use milpjoin::{encode, EncodeError, EncoderConfig, MilpOptimizer, OrderingOptions};
 use milpjoin_dp::{optimize as dp_optimize, DpError, DpOptions};
 use milpjoin_qopt::{Catalog, Predicate, Query, QueryError};
 use milpjoin_workloads::{Topology, WorkloadSpec};
@@ -31,7 +31,7 @@ fn single_table_query_is_trivial_everywhere() {
     ));
     // ... but the optimizer facade handles it.
     let out = MilpOptimizer::with_defaults()
-        .optimize(&catalog, &query, &OptimizeOptions::default())
+        .optimize(&catalog, &query, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.plan.order, vec![r]);
 }
@@ -66,7 +66,8 @@ fn milp_tiny_time_limit_fails_gracefully() {
     let result = MilpOptimizer::with_defaults().optimize(
         &catalog,
         &query,
-        &OptimizeOptions::with_time_limit(Duration::from_millis(1)),
+        &OrderingOptions::with_time_limit(Duration::from_millis(1)),
+        None,
     );
     // Either a plan (fast machine) or a clean "no plan" error.
     if let Err(e) = result {
@@ -91,7 +92,8 @@ fn extreme_selectivities_and_cardinalities() {
         .optimize(
             &catalog,
             &query,
-            &OptimizeOptions::with_time_limit(Duration::from_secs(20)),
+            &OrderingOptions::with_time_limit(Duration::from_secs(20)),
+            None,
         )
         .unwrap();
     out.plan.validate(&query).unwrap();

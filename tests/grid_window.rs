@@ -11,7 +11,7 @@
 //! solve without phantom infeasibility and land on (or within the
 //! documented tolerance of) the DP optimum.
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOptions, Precision};
+use milpjoin::{EncoderConfig, MilpOptimizer, Precision};
 use milpjoin_dp::DpOptimizer;
 use milpjoin_qopt::cost::CostModelKind;
 use milpjoin_qopt::orderer::{JoinOrderer, OrderingOptions};
@@ -60,7 +60,8 @@ fn wide_cardinality_bnl_solves_to_the_dp_optimum() {
                 .optimize(
                     &c,
                     &q,
-                    &OptimizeOptions::with_time_limit(Duration::from_secs(30)),
+                    &OrderingOptions::with_time_limit(Duration::from_secs(30)),
+                    None,
                 )
                 .unwrap();
             let dp = DpOptimizer::new(CostModelKind::BlockNestedLoop)

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use milpjoin::{
     warm_start_assignment, EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer,
-    OptimizeOptions, OrderingOptions, Precision,
+    OrderingOptions, Precision,
 };
 use milpjoin_dp::GreedyOptimizer;
 use milpjoin_workloads::{Topology, WorkloadSpec};
@@ -52,15 +52,14 @@ fn root_incumbent_equals_greedy_objective() {
         .order(&catalog, &query, &OrderingOptions::default())
         .unwrap();
 
-    let options = OptimizeOptions {
-        node_limit: Some(0),
-        initial_plan: Some(greedy.plan.clone()),
-        ..Default::default()
-    };
+    let options = OrderingOptions::with_deterministic_budget(0);
     let out = MilpOptimizer::new(config)
-        .optimize(&catalog, &query, &options)
+        .optimize(&catalog, &query, &options, Some(&greedy.plan))
         .unwrap();
-    assert_eq!(out.nodes, 0, "node limit must keep the search at the root");
+    assert_eq!(
+        out.search.nodes_expanded, 0,
+        "node limit must keep the search at the root"
+    );
     assert_eq!(
         out.plan.order, greedy.plan.order,
         "decoded root incumbent is the seed plan"
@@ -92,13 +91,9 @@ fn warm_start_assignment_is_always_feasible() {
             let n = query.num_tables();
             assert!(hints.len() >= 2 * n * (n - 1));
 
-            let options = OptimizeOptions {
-                node_limit: Some(0),
-                initial_plan: Some(greedy.plan.clone()),
-                ..Default::default()
-            };
+            let options = OrderingOptions::with_deterministic_budget(0);
             let out = MilpOptimizer::new(config)
-                .optimize(&catalog, &query, &options)
+                .optimize(&catalog, &query, &options, Some(&greedy.plan))
                 .unwrap();
             assert_eq!(
                 out.plan.order, greedy.plan.order,
@@ -114,12 +109,8 @@ fn warm_start_assignment_is_always_feasible() {
 fn invalid_initial_plan_is_an_error() {
     let (catalog, query) = WorkloadSpec::new(Topology::Chain, 4).generate(0);
     let bad = milpjoin_qopt::LeftDeepPlan::from_order(vec![query.tables[0], query.tables[1]]);
-    let options = OptimizeOptions {
-        initial_plan: Some(bad),
-        ..Default::default()
-    };
     let err = MilpOptimizer::with_defaults()
-        .optimize(&catalog, &query, &options)
+        .optimize(&catalog, &query, &OrderingOptions::default(), Some(&bad))
         .unwrap_err();
     assert!(err.to_string().contains("invalid initial plan"), "{err}");
 }

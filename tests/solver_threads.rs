@@ -8,9 +8,7 @@
 //! The streams mirror `query_service.rs`: mixed chain/cycle/star traffic
 //! over one shared catalog, solved by the real hybrid backend.
 
-use milpjoin::{
-    EncoderConfig, HybridOptimizer, MilpOptimizer, OptimizeOptions, PlanSession, Precision,
-};
+use milpjoin::{EncoderConfig, HybridOptimizer, MilpOptimizer, PlanSession, Precision};
 use milpjoin_milp::SolveStatus;
 use milpjoin_qopt::{Catalog, OrderingOptions, Query, SessionOutcome};
 use milpjoin_workloads::{Topology, WorkloadSpec};
@@ -160,17 +158,16 @@ fn multi_threaded_solves_reach_single_threaded_optimum() {
     let (catalog, queries) = mixed_stream(29, 5, 2, 1);
     let opt = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low));
     let budget = 200_000u64; // far above what these solves need
-    let options = |threads: usize| OptimizeOptions {
-        node_limit: Some(budget),
-        threads,
-        ..OptimizeOptions::default()
-    };
+    let options =
+        |threads: usize| OrderingOptions::with_deterministic_budget(budget).solver_threads(threads);
     for (i, query) in queries.iter().enumerate() {
-        let seq = opt.optimize(&catalog, query, &options(1)).unwrap();
+        let seq = opt.optimize(&catalog, query, &options(1), None).unwrap();
         assert_eq!(seq.status, SolveStatus::Optimal, "query={i}: sequential");
         for threads in [2usize, 4] {
             let label = format!("threads={threads} query={i}");
-            let par = opt.optimize(&catalog, query, &options(threads)).unwrap();
+            let par = opt
+                .optimize(&catalog, query, &options(threads), None)
+                .unwrap();
             assert_eq!(par.status, SolveStatus::Optimal, "{label}: status");
             assert!(
                 (par.milp_objective - seq.milp_objective).abs()
@@ -265,11 +262,13 @@ proptest! {
         let (catalog, queries) = mixed_stream(seed, tables, 2, 1);
         let opt = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low));
         for (i, query) in queries.iter().enumerate() {
-            let seq = opt.optimize(&catalog, query, &OptimizeOptions::default()).unwrap();
-            let par = opt.optimize(&catalog, query, &OptimizeOptions {
-                threads,
-                ..OptimizeOptions::default()
-            }).unwrap();
+            let seq = opt.optimize(&catalog, query, &OrderingOptions::default(), None).unwrap();
+            let par = opt.optimize(
+                &catalog,
+                query,
+                &OrderingOptions::default().solver_threads(threads),
+                None,
+            ).unwrap();
             prop_assert_eq!(seq.status, par.status, "query={} status", i);
             if seq.status == SolveStatus::Optimal {
                 prop_assert!(

@@ -7,46 +7,13 @@
 use std::time::Duration;
 
 use milpjoin::{
-    ApproxMode, EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer, OptimizeOptions,
-    OrderingOptions, Precision,
+    ApproxMode, EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer, OrderingOptions,
+    Precision,
 };
 use milpjoin_dp::GreedyOptimizer;
-use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
-use milpjoin_qopt::{Catalog, LeftDeepPlan, Query, TableId};
+use milpjoin_qopt::cost::{plan_cost, CostModelKind};
+use milpjoin_suite::all_plan_costs;
 use milpjoin_workloads::{Topology, WorkloadSpec};
-
-/// Exact C_out costs of *every* left-deep plan of `query` (n! plans; keep
-/// n small).
-fn all_plan_costs(catalog: &Catalog, query: &Query) -> Vec<f64> {
-    fn permutations(items: &[TableId]) -> Vec<Vec<TableId>> {
-        if items.len() <= 1 {
-            return vec![items.to_vec()];
-        }
-        let mut out = Vec::new();
-        for (i, &head) in items.iter().enumerate() {
-            let mut rest = items.to_vec();
-            rest.remove(i);
-            for mut tail in permutations(&rest) {
-                tail.insert(0, head);
-                out.push(tail);
-            }
-        }
-        out
-    }
-    permutations(&query.tables)
-        .into_iter()
-        .map(|order| {
-            plan_cost(
-                catalog,
-                query,
-                &LeftDeepPlan::from_order(order),
-                CostModelKind::Cout,
-                &CostParams::default(),
-            )
-            .total
-        })
-        .collect()
-}
 
 fn matches_some_plan(cost: f64, all: &[f64]) -> bool {
     all.iter()
@@ -64,14 +31,15 @@ fn milp_trace_incumbents_are_exact_plan_costs() {
         (Topology::Cycle, 2),
     ] {
         let (catalog, query) = WorkloadSpec::new(topo, 5).generate(seed);
-        let all = all_plan_costs(&catalog, &query);
+        let all = all_plan_costs(&catalog, &query, CostModelKind::Cout);
         let optimal = all.iter().copied().fold(f64::INFINITY, f64::min);
 
         let out = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Medium))
             .optimize(
                 &catalog,
                 &query,
-                &OptimizeOptions::with_time_limit(Duration::from_secs(30)),
+                &OrderingOptions::with_time_limit(Duration::from_secs(30)),
+                None,
             )
             .unwrap();
 
@@ -184,7 +152,7 @@ fn upper_bound_projection_is_sound_against_exhaustive_optimum() {
         (Topology::Cycle, 5),
     ] {
         let (catalog, query) = WorkloadSpec::new(topo, 5).generate(seed);
-        let all = all_plan_costs(&catalog, &query);
+        let all = all_plan_costs(&catalog, &query, CostModelKind::Cout);
         let optimal = all.iter().copied().fold(f64::INFINITY, f64::min);
 
         let config = EncoderConfig {
@@ -195,7 +163,8 @@ fn upper_bound_projection_is_sound_against_exhaustive_optimum() {
             .optimize(
                 &catalog,
                 &query,
-                &OptimizeOptions::with_time_limit(Duration::from_secs(30)),
+                &OrderingOptions::with_time_limit(Duration::from_secs(30)),
+                None,
             )
             .unwrap();
 

@@ -380,6 +380,8 @@ struct WorkerScratch {
     /// Diagnostics: node LPs the dual simplex brought to primal
     /// feasibility from the parent's basis.
     dual_resolves: u64,
+    /// Diagnostics: LU builds the worker's simplex ran.
+    refactorizations: u64,
     /// Diagnostics: dual re-solves that gave up and ran the primal loop
     /// from the parent's basis.
     dual_fallbacks: u64,
@@ -403,6 +405,7 @@ impl WorkerScratch {
         self.infeasible_nodes += other.infeasible_nodes;
         self.cold_retries += other.cold_retries;
         self.dual_resolves += other.dual_resolves;
+        self.refactorizations += other.refactorizations;
         self.dual_fallbacks += other.dual_fallbacks;
         self.certified_infeasible += other.certified_infeasible;
         self.numerical_failures += other.numerical_failures;
@@ -652,6 +655,7 @@ fn worker<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         pool.release(w);
     }
     scratch.simplex_iterations = sx.iterations_total();
+    scratch.refactorizations = sx.refactorizations();
 }
 
 /// The branch-and-bound search: [`SolverOptions::threads`] workers over one
@@ -715,13 +719,18 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         // the hinted incumbent seeds the shared incumbent, so every worker
         // prunes against it from its very first node and the anytime stream
         // opens with a finite objective at t ≈ 0. Failures are silent: the
-        // search simply starts without an incumbent.
-        let warm_iterations = {
+        // search simply starts without an incumbent. Its simplex work is
+        // counted like a worker's.
+        let warm_start = {
             let mut sx = Simplex::new(lp);
             if let Some(values) = warm_start_candidate(&mut sx, lp, self.opts, pool.deadline()) {
                 offer(lp, &pool, 0, values, None);
             }
-            sx.iterations_total()
+            WorkerScratch {
+                simplex_iterations: sx.iterations_total(),
+                refactorizations: sx.refactorizations(),
+                ..WorkerScratch::default()
+            }
         };
 
         let mut scratches: Vec<WorkerScratch> =
@@ -739,10 +748,7 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         // state to an outcome.
         let out = pool.finalize();
         let nodes = out.nodes;
-        let mut totals = WorkerScratch {
-            simplex_iterations: warm_iterations,
-            ..WorkerScratch::default()
-        };
+        let mut totals = warm_start;
         for s in &scratches {
             totals.absorb(s);
         }
@@ -750,11 +756,12 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         if std::env::var_os("MILP_STATS").is_some() {
             eprintln!(
                 "bb: workers={workers} nodes={nodes} infeasible={} certified_infeasible={} \
-                 dual_resolves={} dual_fallbacks={} cold_retries={} numerical_failures={} \
-                 heap_left={}",
+                 dual_resolves={} refactorizations={} dual_fallbacks={} cold_retries={} \
+                 numerical_failures={} heap_left={}",
                 totals.infeasible_nodes,
                 totals.certified_infeasible,
                 totals.dual_resolves,
+                totals.refactorizations,
                 totals.dual_fallbacks,
                 totals.cold_retries,
                 totals.numerical_failures,

@@ -11,7 +11,10 @@
 //! * a **bounded-variable primal simplex** over a sparse LU-factorized basis
 //!   with product-form updates, plus a bounded **dual simplex** phase that
 //!   re-solves a branch-and-bound node from its parent's optimal basis
-//!   ([`simplex`], [`lu`]);
+//!   ([`simplex`], [`lu`]). The LU factors and the eta file are flat
+//!   vectors that each simplex refills in place, and a basis whose
+//!   installed factors are already a clean build of it is not factorized
+//!   again;
 //! * **branch and bound** with best-first + diving node selection,
 //!   pseudocost branching, bound-tightening presolve, rounding and diving
 //!   primal heuristics, and — crucially for the paper — **anytime behaviour**:

@@ -12,6 +12,7 @@
 //! (structural or logical) is simply a bounded variable; the initial basis of
 //! all logicals is the identity matrix.
 
+use crate::lu::BasisColumn;
 use crate::model::{Model, Sense, VarType};
 use crate::sparse::CscMatrix;
 
@@ -180,12 +181,14 @@ impl LpProblem {
         j >= self.num_structural
     }
 
-    /// Sparse pattern of column `j` (unit vector for logicals).
-    pub fn column_pattern(&self, j: usize) -> Vec<(u32, f64)> {
+    /// Column `j` as the basis factorization reads it: the CSC slices of a
+    /// structural column, the unit column of a logical.
+    pub fn basis_column(&self, j: usize) -> BasisColumn<'_> {
         if j < self.num_structural {
-            self.a.column(j).map(|(r, v)| (r as u32, v)).collect()
+            let (rows, values) = self.a.column_slices(j);
+            BasisColumn::Sparse(rows, values)
         } else {
-            vec![((j - self.num_structural) as u32, 1.0)]
+            BasisColumn::Unit((j - self.num_structural) as u32)
         }
     }
 
@@ -281,12 +284,14 @@ mod tests {
         let lp = LpProblem::from_model(&m);
         assert!(lp.is_logical(1));
         // Logical columns are unit vectors regardless of scaling.
-        assert_eq!(lp.column_pattern(1), vec![(0, 1.0)]);
+        assert!(matches!(lp.basis_column(1), BasisColumn::Unit(0)));
         // The structural coefficient is 3 * row_scale * col_scale (both
         // powers of two), so strictly positive.
-        let pat = lp.column_pattern(0);
-        assert_eq!(pat.len(), 1);
-        assert_eq!(pat[0].0, 0);
-        assert!(pat[0].1 > 0.0);
+        let BasisColumn::Sparse(rows, values) = lp.basis_column(0) else {
+            panic!("structural column read as a unit column");
+        };
+        assert_eq!(rows, [0]);
+        assert_eq!(values.len(), 1);
+        assert!(values[0] > 0.0);
     }
 }

@@ -21,6 +21,16 @@
 //! (primal and dual), relative dual tolerances, a Bland's-rule fallback
 //! under prolonged degeneracy, and a one-shot cost perturbation against
 //! stalling.
+//!
+//! A [`Simplex`] owns one [`LuFactors`] and refills it in place on every
+//! refactorization, and it keeps its loop vectors across solves, so a
+//! re-solve allocates nothing once they have grown. A refactorization is
+//! skipped when the installed factors are a clean build of the current
+//! basis order: no pivot since, and no dependent column replaced by that
+//! build. Building the same columns in the same order gives the same
+//! factors bit for bit, so the skip changes no pivot, only the time. It
+//! fires where a verdict is confirmed on fresh factors that are fresh
+//! already, e.g. when a solve starts on an optimal basis.
 
 use std::time::Instant;
 
@@ -107,6 +117,36 @@ const DEGEN_LIMIT: u64 = 400;
 /// Dual pivots without objective progress before the dual gives up.
 const DUAL_STALL: u64 = 100;
 
+/// How the installed LU factors relate to the current basis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LuState {
+    /// They do not factor it (a basis was installed since): build before
+    /// any solve with them.
+    Stale,
+    /// They factor it through etas, or through a build that replaced
+    /// dependent columns. A refactorization gives other factors.
+    Updated,
+    /// They are a clean build of the current basis order: no eta since,
+    /// no column replaced. A refactorization would reproduce them bit for
+    /// bit, so `factorize` skips it.
+    Fresh,
+}
+
+/// Vectors of the primal and dual loops, kept across solves so that a
+/// re-solve allocates nothing. No value carries over: each loop zeroes
+/// them at entry, and every use overwrites an entry before reading it.
+#[derive(Debug, Default)]
+struct LoopScratch {
+    /// Simplex multipliers (row-indexed after BTRAN).
+    y: Vec<f64>,
+    /// Entering direction (position-indexed after FTRAN).
+    dvec: Vec<f64>,
+    /// Pivot row of the dual (row-indexed after BTRAN).
+    rho: Vec<f64>,
+    /// `(column, dual slack, rate)` candidates of the dual ratio test.
+    eligible: Vec<(usize, f64, f64)>,
+}
+
 fn feas_tol(bound: f64) -> f64 {
     FEAS_TOL * (1.0 + bound.abs())
 }
@@ -121,9 +161,16 @@ pub struct Simplex<'a> {
     /// basis[i] = column occupying basis position i.
     basis: Vec<usize>,
     x: Vec<f64>,
-    lu: Option<LuFactors>,
+    /// LU factors of the basis, refilled in place by every build.
+    lu: LuFactors,
+    lu_state: LuState,
+    /// LU builds run so far; skipped refactorizations do not count.
+    refactorizations: u64,
     /// Work vector of the FTRAN/BTRAN solves, reused across iterations.
     lu_work: Vec<f64>,
+    /// Right-hand side of `compute_basics`, reused across calls.
+    rhs: Vec<f64>,
+    scratch: LoopScratch,
     iterations_total: u64,
     /// Active cost perturbation (anti-cycling), sparse over columns.
     perturbation: Option<Vec<f64>>,
@@ -140,8 +187,12 @@ impl<'a> Simplex<'a> {
             status: vec![VarStatus::AtLower; ncols],
             basis: Vec::with_capacity(m),
             x: vec![0.0; ncols],
-            lu: None,
+            lu: LuFactors::default(),
+            lu_state: LuState::Stale,
+            refactorizations: 0,
             lu_work: Vec::new(),
+            rhs: Vec::new(),
+            scratch: LoopScratch::default(),
             iterations_total: 0,
             perturbation: None,
         };
@@ -161,7 +212,7 @@ impl<'a> Simplex<'a> {
             self.status[n + i] = VarStatus::Basic;
             self.basis.push(n + i);
         }
-        self.lu = None;
+        self.lu_state = LuState::Stale;
     }
 
     fn nonbasic_resting_status(&self, j: usize) -> VarStatus {
@@ -200,7 +251,8 @@ impl<'a> Simplex<'a> {
     /// basic columns, and keeps the current factors if it is the basis
     /// already installed.
     pub fn load_basis(&mut self, snap: &BasisSnapshot) {
-        if self.lu.is_some() && snap.status == self.status && snap.order == self.basis {
+        if self.lu_state != LuState::Stale && snap.status == self.status && snap.order == self.basis
+        {
             // Already installed: keep the factors.
             return;
         }
@@ -234,7 +286,7 @@ impl<'a> Simplex<'a> {
             self.basis
                 .extend((0..status.len()).filter(|&j| status[j] == VarStatus::Basic));
         }
-        self.lu = None;
+        self.lu_state = LuState::Stale;
     }
 
     /// Current column values (structural prefix is the model solution).
@@ -255,6 +307,12 @@ impl<'a> Simplex<'a> {
 
     pub fn iterations_total(&self) -> u64 {
         self.iterations_total
+    }
+
+    /// LU builds run so far (refactorizations skipped because the factors
+    /// were already fresh do not count).
+    pub fn refactorizations(&self) -> u64 {
+        self.refactorizations
     }
 
     /// Objective coefficient of a column including any active anti-cycling
@@ -316,23 +374,26 @@ impl<'a> Simplex<'a> {
     }
 
     /// The current basis factorization. Every caller runs strictly after
-    /// a `factorize()` on the solve path (`lu` is only `None` between
-    /// basis invalidation and the next solve), so the accessor centralizes
-    /// that invariant instead of an `unwrap` per use site.
+    /// a `factorize()` on the solve path (`lu` is only stale between basis
+    /// invalidation and the next solve), so the accessor centralizes that
+    /// invariant instead of a check per use site.
     fn factors(&self) -> &LuFactors {
-        // audit-allow(no-panic): single audited choke point — `lu` is
-        // re-established at solve entry before any read reaches this.
-        self.lu
-            .as_ref()
-            .expect("basis factorized on the solve path")
+        self.assert_factored();
+        &self.lu
     }
 
     /// Mutable form of [`factors`](Self::factors), for eta updates.
     fn factors_mut(&mut self) -> &mut LuFactors {
-        // audit-allow(no-panic): see `factors` — same invariant.
-        self.lu
-            .as_mut()
-            .expect("basis factorized on the solve path")
+        self.assert_factored();
+        &mut self.lu
+    }
+
+    fn assert_factored(&self) {
+        if self.lu_state == LuState::Stale {
+            // audit-allow(no-panic): single audited choke point — the factors
+            // are rebuilt at solve entry before any read reaches this.
+            panic!("basis factorized on the solve path");
+        }
     }
 
     /// FTRAN on the current factors: row-indexed `b` in, position-indexed
@@ -351,15 +412,25 @@ impl<'a> Simplex<'a> {
         self.lu_work = work;
     }
 
+    /// Refactorizes the basis in place, unless the factors are a fresh
+    /// build of it already (see `LuState::Fresh`).
     fn factorize(&mut self) {
+        if self.lu_state == LuState::Fresh {
+            return;
+        }
         let lp = self.lp;
-        let basis = self.basis.clone();
-        let mut getter = |k: usize| lp.column_pattern(basis[k]);
-        let (lu, report) = LuFactors::factorize(lp.num_rows, &mut getter);
-        self.lu = Some(lu);
+        let basis = &self.basis;
+        self.lu
+            .factorize(lp.num_rows, |k| lp.basis_column(basis[k]));
+        self.refactorizations += 1;
+        self.lu_state = if self.lu.replaced().is_empty() {
+            LuState::Fresh
+        } else {
+            LuState::Updated
+        };
         // Defective columns were replaced by logicals; mirror that in the
         // basis bookkeeping.
-        for &(pos, row) in &report.replaced {
+        for &(pos, row) in self.lu.replaced() {
             let kicked = self.basis[pos];
             let logical = self.lp.num_structural + row;
             if kicked == logical {
@@ -377,8 +448,9 @@ impl<'a> Simplex<'a> {
     /// Recomputes basic variable values from the nonbasic assignment.
     fn compute_basics(&mut self) {
         self.snap_nonbasic_values();
-        let m = self.lp.num_rows;
-        let mut rhs = vec![0.0; m];
+        let mut rhs = std::mem::take(&mut self.rhs);
+        rhs.clear();
+        rhs.resize(self.lp.num_rows, 0.0);
         for j in 0..self.lp.num_cols() {
             if self.status[j] != VarStatus::Basic && self.x[j] != 0.0 {
                 self.lp.column_axpy(j, -self.x[j], &mut rhs);
@@ -388,10 +460,19 @@ impl<'a> Simplex<'a> {
         for (i, &col) in self.basis.iter().enumerate() {
             self.x[col] = rhs[i];
         }
+        self.rhs = rhs;
     }
 
     /// Runs the simplex method to completion or a limit.
     pub fn solve(&mut self, limits: &SimplexLimits) -> LpResult {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let res = self.primal(limits, &mut scratch);
+        self.scratch = scratch;
+        res
+    }
+
+    /// The primal loop of [`solve`](Self::solve), on the loop scratch.
+    fn primal(&mut self, limits: &SimplexLimits, scratch: &mut LoopScratch) -> LpResult {
         let m = self.lp.num_rows;
         let ncols = self.lp.num_cols();
         let max_iter = limits
@@ -400,13 +481,12 @@ impl<'a> Simplex<'a> {
 
         // Reuse existing factors when only bounds changed since the last
         // solve (the common warm-start path in branch and bound).
-        if self.lu.is_none() {
+        if self.lu_state == LuState::Stale {
             self.factorize();
         }
         self.compute_basics();
 
         self.perturbation = None;
-        let trace = std::env::var_os("MILP_TRACE").is_some();
         let mut iterations = 0u64;
         let mut degen_streak = 0u64;
         let mut etas_since_refactor = 0usize;
@@ -432,10 +512,13 @@ impl<'a> Simplex<'a> {
         // perturbation: it is deterministic, so a second stall would only
         // re-run the same perturbed walk.
         let mut perturbed_once = false;
-        // Per-iteration vectors, allocated once per solve: the duals `y`
-        // (indexed by row) and the entering direction `dvec` (by position).
-        let mut y = vec![0.0; m];
-        let mut dvec = vec![0.0; m];
+        // Per-iteration vectors: the duals `y` (indexed by row) and the
+        // entering direction `dvec` (by position).
+        let LoopScratch { y, dvec, .. } = scratch;
+        for v in [&mut *y, &mut *dvec] {
+            v.clear();
+            v.resize(m, 0.0);
+        }
 
         loop {
             if iterations >= max_iter {
@@ -529,7 +612,7 @@ impl<'a> Simplex<'a> {
                     self.cost(col)
                 };
             }
-            self.btran(&mut y); // now indexed by row
+            self.btran(y); // now indexed by row
 
             // Pricing: Dantzig rule on scale-normalized reduced costs, or
             // Bland's rule (first eligible index) under prolonged
@@ -547,7 +630,7 @@ impl<'a> Simplex<'a> {
                     continue;
                 }
                 let cj = if phase1 { 0.0 } else { self.cost(j) };
-                let d = cj - self.lp.column_dot(j, &y);
+                let d = cj - self.lp.column_dot(j, y);
                 // The matrix is equilibration-scaled, so an absolute dual
                 // tolerance plus a small noise floor proportional to the
                 // dot-product magnitude is appropriate. Phase 1 uses a much
@@ -567,7 +650,7 @@ impl<'a> Simplex<'a> {
                 if !eligible_sign {
                     continue;
                 }
-                let scale = 1.0 + cj.abs() + self.lp.column_abs_dot(j, &y);
+                let scale = 1.0 + cj.abs() + self.lp.column_abs_dot(j, y);
                 let tol = if phase1 {
                     floor + 1e-13 * scale
                 } else {
@@ -622,20 +705,12 @@ impl<'a> Simplex<'a> {
 
             // Entering direction d = B^-1 a_q.
             dvec.fill(0.0);
-            self.lp.column_axpy(q, 1.0, &mut dvec);
-            self.ftran(&mut dvec);
+            self.lp.column_axpy(q, 1.0, dvec);
+            self.ftran(dvec);
 
             // Ratio test (two-pass Harris style; strict Bland variant under
             // prolonged degeneracy).
-            let (step, leaving) = self.ratio_test(q, dir, &dvec, phase1, use_bland);
-
-            if trace {
-                eprintln!(
-                    "it={iterations} ph={} q={q} dir={dir} step={step:.3e} out={leaving:?} obj={:.9} bland={use_bland}",
-                    if phase1 { 1 } else { 2 },
-                    self.objective()
-                );
-            }
+            let (step, leaving) = self.ratio_test(q, dir, dvec, phase1, use_bland);
 
             match leaving {
                 RatioOutcome::Unbounded => {
@@ -648,7 +723,7 @@ impl<'a> Simplex<'a> {
                 RatioOutcome::BoundFlip => {
                     // Entering moves to its opposite bound; basis unchanged.
                     let t = step;
-                    self.apply_step(q, dir, t, &dvec);
+                    self.apply_step(q, dir, t, dvec);
                     self.status[q] = match self.status[q] {
                         VarStatus::AtLower => VarStatus::AtUpper,
                         VarStatus::AtUpper => VarStatus::AtLower,
@@ -662,7 +737,7 @@ impl<'a> Simplex<'a> {
                 }
                 RatioOutcome::Leaving { row, to_upper } => {
                     let t = step;
-                    self.apply_step(q, dir, t, &dvec);
+                    self.apply_step(q, dir, t, dvec);
                     let out_col = self.basis[row];
                     self.status[out_col] = if to_upper {
                         VarStatus::AtUpper
@@ -676,7 +751,8 @@ impl<'a> Simplex<'a> {
                     };
                     self.status[q] = VarStatus::Basic;
                     self.basis[row] = q;
-                    let ok = self.factors_mut().push_eta(row, &dvec);
+                    let ok = self.factors_mut().push_eta(row, dvec);
+                    self.lu_state = LuState::Updated;
                     if ok {
                         etas_since_refactor += 1;
                     } else {
@@ -848,7 +924,10 @@ impl<'a> Simplex<'a> {
     ///   a passed deadline before its first pivot).
     pub fn solve_dual(&mut self, limits: &SimplexLimits) -> (LpResult, DualPath) {
         let start = self.basis_snapshot();
-        let (mut res, path, pivots) = match self.dual_phase(limits) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let end = self.dual_phase(limits, &mut scratch);
+        self.scratch = scratch;
+        let (mut res, path, pivots) = match end {
             DualEnd::Feasible(pivots) => (self.solve(limits), DualPath::Dual, pivots),
             DualEnd::Infeasible(pivots) => (
                 self.finish(LpStatus::Infeasible, 0),
@@ -868,18 +947,25 @@ impl<'a> Simplex<'a> {
     /// The dual pivots of [`solve_dual`](Self::solve_dual): Dantzig choice
     /// of the leaving row (largest bound violation), Harris two-pass ratio
     /// test over the pivot row.
-    fn dual_phase(&mut self, limits: &SimplexLimits) -> DualEnd {
+    fn dual_phase(&mut self, limits: &SimplexLimits, scratch: &mut LoopScratch) -> DualEnd {
         let m = self.lp.num_rows;
         self.perturbation = None;
-        if self.lu.is_none() {
+        if self.lu_state == LuState::Stale {
             self.factorize();
         }
         self.compute_basics();
-        let mut y = vec![0.0; m];
-        let mut rho = vec![0.0; m];
-        let mut dvec = vec![0.0; m];
-        self.dual_values(&mut y);
-        if !self.dual_feasible(&y) {
+        let LoopScratch {
+            y,
+            dvec,
+            rho,
+            eligible,
+        } = scratch;
+        for v in [&mut *y, &mut *rho, &mut *dvec] {
+            v.clear();
+            v.resize(m, 0.0);
+        }
+        self.dual_values(y);
+        if !self.dual_feasible(y) {
             return DualEnd::Failed(0);
         }
         let cap = 100 + m as u64;
@@ -909,28 +995,28 @@ impl<'a> Simplex<'a> {
             let rise = if self.x[p] < target { 1.0 } else { -1.0 };
             rho.fill(0.0);
             rho[r] = 1.0;
-            self.btran(&mut rho);
+            self.btran(rho);
             if pivots > 0 {
-                self.dual_values(&mut y);
+                self.dual_values(y);
             }
-            let Some(q) = self.dual_ratio_test(&rho, &y, rise) else {
-                return if self.certify_infeasible(p) {
+            let Some(q) = self.dual_ratio_test(rho, y, rise, eligible) else {
+                return if self.certify_infeasible(p, rho) {
                     DualEnd::Infeasible(pivots)
                 } else {
                     DualEnd::Failed(pivots)
                 };
             };
             dvec.fill(0.0);
-            self.lp.column_axpy(q, 1.0, &mut dvec);
-            self.ftran(&mut dvec);
+            self.lp.column_axpy(q, 1.0, dvec);
+            self.ftran(dvec);
             // The pivot element from the column must agree in sign with the
             // one the row priced (x_p moves by -alpha per unit of x_q).
             let alpha = dvec[r];
-            if alpha.abs() <= PIVOT_TOL || alpha * self.lp.column_dot(q, &rho) <= 0.0 {
+            if alpha.abs() <= PIVOT_TOL || alpha * self.lp.column_dot(q, rho) <= 0.0 {
                 return DualEnd::Failed(pivots);
             }
             let step = (self.x[p] - target) / alpha;
-            self.apply_step(q, 1.0, step, &dvec);
+            self.apply_step(q, 1.0, step, dvec);
             self.x[p] = target;
             self.status[p] = if target == self.ub[p] && self.lb[p] != self.ub[p] {
                 VarStatus::AtUpper
@@ -939,7 +1025,9 @@ impl<'a> Simplex<'a> {
             };
             self.status[q] = VarStatus::Basic;
             self.basis[r] = q;
-            if !self.factors_mut().push_eta(r, &dvec) {
+            let ok = self.factors_mut().push_eta(r, dvec);
+            self.lu_state = LuState::Updated;
+            if !ok {
                 self.factorize();
                 self.compute_basics();
             }
@@ -1008,9 +1096,16 @@ impl<'a> Simplex<'a> {
     /// `beta_j = -rise * alpha_j` the rate at which raising `x_j` moves the
     /// leaving variable toward its bound. Returns the entering column, or
     /// `None` when no column can move the leaving variable (a dual ray).
-    fn dual_ratio_test(&self, rho: &[f64], y: &[f64], rise: f64) -> Option<usize> {
+    /// `eligible` is scratch for the candidates.
+    fn dual_ratio_test(
+        &self,
+        rho: &[f64],
+        y: &[f64],
+        rise: f64,
+        eligible: &mut Vec<(usize, f64, f64)>,
+    ) -> Option<usize> {
         // (column, dual slack, rate) of every column that can enter.
-        let mut eligible: Vec<(usize, f64, f64)> = Vec::new();
+        eligible.clear();
         let mut limit = f64::INFINITY;
         for j in 0..self.lp.num_cols() {
             let st = self.status[j];
@@ -1036,7 +1131,7 @@ impl<'a> Simplex<'a> {
         // Pass 2: the largest rate among the columns whose exact ratio fits
         // under the relaxed limit.
         let mut best: Option<(usize, f64)> = None;
-        for &(j, slack, rate) in &eligible {
+        for &(j, slack, rate) in eligible.iter() {
             if slack.max(0.0) / rate <= limit {
                 match best {
                     Some((_, r)) if rate <= r => {}
@@ -1053,8 +1148,9 @@ impl<'a> Simplex<'a> {
     /// sum cannot reach `p`'s violated bound anywhere in the nonbasic box,
     /// the LP is infeasible. Any doubt (the column left the basis on
     /// refactorization, the violation vanished, an unbounded helpful
-    /// column, a margin within noise) refuses the certificate.
-    fn certify_infeasible(&mut self, p: usize) -> bool {
+    /// column, a margin within noise) refuses the certificate. `rho` is
+    /// scratch of length m.
+    fn certify_infeasible(&mut self, p: usize, rho: &mut [f64]) -> bool {
         self.factorize();
         self.compute_basics();
         let Some(r) = self.basis.iter().position(|&c| c == p) else {
@@ -1068,9 +1164,9 @@ impl<'a> Simplex<'a> {
         } else {
             return false;
         };
-        let mut rho = vec![0.0; self.lp.num_rows];
+        rho.fill(0.0);
         rho[r] = 1.0;
-        self.btran(&mut rho);
+        self.btran(rho);
         // Pivot-row entries below this are rounding noise of the BTRAN
         // and the dot product (the matrix is equilibrated, so true entries
         // are commensurate with `rho`); they are dropped even next to an
@@ -1083,7 +1179,7 @@ impl<'a> Simplex<'a> {
             if self.status[j] == VarStatus::Basic {
                 continue;
             }
-            let a = self.lp.column_dot(j, &rho);
+            let a = self.lp.column_dot(j, rho);
             if a.abs() <= noise {
                 continue;
             }
@@ -1359,6 +1455,71 @@ mod tests {
         assert_eq!(path, DualPath::Fallback);
         assert_ne!(res.status, LpStatus::Infeasible);
         assert_eq!(res.status, reference.status);
+    }
+
+    #[test]
+    fn fresh_factors_are_not_rebuilt() {
+        // max x + y s.t. x + 2y <= 4, 3x + y <= 6: the slack basis is not
+        // optimal, so a cold solve pivots and confirms on a second build.
+        let mut m = Model::new("t");
+        let x = m.add_continuous(0.0, f64::INFINITY, "x");
+        let y = m.add_continuous(0.0, f64::INFINITY, "y");
+        m.add_le(x + y * 2.0, 4.0, "c0");
+        m.add_le(x * 3.0 + y, 6.0, "c1");
+        m.set_objective(x + y, Sense::Maximize);
+        let lp = LpProblem::from_model(&m);
+        let mut cold = Simplex::new(&lp);
+        let res = cold.solve(&SimplexLimits::default());
+        assert_eq!(res.status, LpStatus::Optimal);
+        assert_eq!(cold.refactorizations(), 2);
+        // A second solve confirms on the factors the last build left.
+        let res = cold.solve(&SimplexLimits::default());
+        assert_eq!(res.status, LpStatus::Optimal);
+        assert_eq!(cold.refactorizations(), 2);
+
+        // A solve that starts on the optimal basis builds it once, and the
+        // optimality check confirms on those fresh factors.
+        let mut warm = Simplex::new(&lp);
+        warm.load_basis(&cold.basis_snapshot());
+        let again = warm.solve(&SimplexLimits::default());
+        assert_eq!(again.status, LpStatus::Optimal);
+        assert_eq!(warm.refactorizations(), 1);
+        assert_eq!(again.objective.to_bits(), res.objective.to_bits());
+    }
+
+    #[test]
+    fn a_build_that_replaced_a_column_is_built_again() {
+        // x and y have the same scaled column, so a basis holding both is
+        // singular: the build replaces y by the logical of row 1.
+        let mut m = Model::new("t");
+        let x = m.add_continuous(0.0, 10.0, "x");
+        let y = m.add_continuous(0.0, 10.0, "y");
+        m.add_le(x + y, 4.0, "c0");
+        m.add_le(x * 2.0 + y * 2.0, 10.0, "c1");
+        m.set_objective(x + y, Sense::Maximize);
+        let lp = LpProblem::from_model(&m);
+        let mut sx = Simplex::new(&lp);
+        sx.load_basis(&BasisSnapshot {
+            status: vec![
+                VarStatus::Basic,
+                VarStatus::Basic,
+                VarStatus::AtLower,
+                VarStatus::AtLower,
+            ],
+            order: vec![0, 1],
+        });
+        sx.factorize();
+        assert_eq!(sx.lu.replaced(), [(1, 1)]);
+        assert_eq!(sx.basis, [0, 3]);
+        assert_eq!(sx.refactorizations(), 1);
+        // The patched basis is built again: its factors came from another
+        // elimination order.
+        sx.factorize();
+        assert!(sx.lu.replaced().is_empty());
+        assert_eq!(sx.refactorizations(), 2);
+        // That build is clean, so the next one is skipped.
+        sx.factorize();
+        assert_eq!(sx.refactorizations(), 2);
     }
 
     /// Deterministic generator for the differential tests (xorshift64*).

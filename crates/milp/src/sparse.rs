@@ -50,14 +50,17 @@ impl CscMatrix {
         self.values.len()
     }
 
-    /// Iterator over the nonzeros of column `j` as `(row, value)`.
-    pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    /// Row indices and values of column `j`.
+    pub fn column_slices(&self, j: usize) -> (&[u32], &[f64]) {
         let lo = self.col_ptr[j];
         let hi = self.col_ptr[j + 1];
-        self.row_idx[lo..hi]
-            .iter()
-            .zip(&self.values[lo..hi])
-            .map(|(&r, &v)| (r as usize, v))
+        (&self.row_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Iterator over the nonzeros of column `j` as `(row, value)`.
+    pub fn column(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (rows, values) = self.column_slices(j);
+        rows.iter().zip(values).map(|(&r, &v)| (r as usize, v))
     }
 
     /// Number of nonzeros in column `j`.

@@ -40,14 +40,6 @@ pub struct EncoderConfig {
     /// Track columns and byte sizes (§5.2). Supported with `Cout` (cost
     /// unchanged) and `Hash` (byte-based pages).
     pub projection: bool,
-    /// Add `cto_{r+1} <= cto_r` ordering constraints. Not required for
-    /// correctness (the objective already orders thresholds) but strengthens
-    /// the relaxation; the ablation bench measures the effect.
-    pub threshold_ordering: bool,
-    /// Add the operand-overlap constraint `tio + tii <= 1` for every join.
-    /// The paper notes only the last join strictly requires it; the ablation
-    /// bench measures the difference.
-    pub overlap_all_joins: bool,
 }
 
 impl Default for EncoderConfig {
@@ -61,8 +53,6 @@ impl Default for EncoderConfig {
             operator_selection: false,
             interesting_orders: false,
             projection: false,
-            threshold_ordering: true,
-            overlap_all_joins: true,
         }
     }
 }
@@ -149,7 +139,6 @@ mod tests {
     fn defaults() {
         let c = EncoderConfig::default();
         assert_eq!(c.cost_model, CostModelKind::Cout);
-        assert!(c.threshold_ordering);
         assert!(!c.operator_selection);
     }
 

@@ -10,7 +10,11 @@
 //!   (`lco_max - log10 θ_r`).
 //! * `co[j] = Σ_r δ_r · cto[j][r] (+ offset)` recovers the approximate raw
 //!   cardinality.
-//! * optionally `cto[j][r+1] <= cto[j][r]` (ordering strengthening).
+//! * `cto[j][r+1] <= cto[j][r]` orders the flags. The activation rows alone
+//!   force on every flag below `lco` and leave the others free, which the
+//!   objective turns off only at an optimum. The ordering rows make the
+//!   flags a prefix at every integer point, as the warm-start hints set
+//!   them, and let a branch that sets one flag fix every flag below it.
 
 use milpjoin_milp::LinExpr;
 
@@ -105,17 +109,15 @@ pub(crate) fn build(ctx: &mut Ctx<'_>) {
             format!("co_def_{j}"),
         );
 
-        // Optional ordering strengthening.
-        if ctx.config.threshold_ordering {
-            for r in 1..l {
-                let expr = LinExpr::from(ctx.vars.cto[j][r]) - ctx.vars.cto[j][r - 1];
-                ctx.add_le(
-                    ConstrCategory::ThresholdOrdering,
-                    expr,
-                    0.0,
-                    format!("cto_ord_{r}_{j}"),
-                );
-            }
+        // Threshold ordering (see the module docs).
+        for r in 1..l {
+            let expr = LinExpr::from(ctx.vars.cto[j][r]) - ctx.vars.cto[j][r - 1];
+            ctx.add_le(
+                ConstrCategory::ThresholdOrdering,
+                expr,
+                0.0,
+                format!("cto_ord_{r}_{j}"),
+            );
         }
     }
 }

@@ -6,9 +6,13 @@
 //!
 //! 1. exactly one table in the outer operand of the first join and in every
 //!    inner operand;
-//! 2. operands of a join do not overlap (required for the last join; for
-//!    earlier joins it is implied by chaining but optionally added as a
-//!    strengthening — see [`crate::config::EncoderConfig::overlap_all_joins`]);
+//! 2. operands of a join do not overlap. The paper requires this only for
+//!    the last join: for an earlier join `j` it follows from chaining and
+//!    the bound `tio[j+1][t] <= 1`, even in the LP relaxation. The rows are
+//!    emitted for every join all the same, because they are part of the
+//!    model whose sizes (Figure 1) and search results the project records:
+//!    dropping them changes the simplex's pivots, so it is a formulation
+//!    change to be measured on its own;
 //! 3. the result of join `j-1` is the outer operand of join `j`:
 //!    `tio[j][t] = tio[j-1][t] + tii[j-1][t]`.
 
@@ -68,14 +72,8 @@ pub(crate) fn build(ctx: &mut Ctx<'_>) {
         }
     }
 
-    // Overlap exclusion. Required for the last join; optional strengthening
-    // elsewhere (chaining + binary bounds already imply it for j < last).
-    let joins_with_overlap: Vec<usize> = if ctx.config.overlap_all_joins {
-        (0..jn).collect()
-    } else {
-        vec![jn - 1]
-    };
-    for j in joins_with_overlap {
+    // Overlap exclusion, for every join (see the module docs).
+    for j in 0..jn {
         for t in 0..n {
             let expr = ctx.vars.tio[j][t] + ctx.vars.tii[j][t];
             ctx.add_le(

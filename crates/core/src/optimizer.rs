@@ -249,9 +249,14 @@ pub struct OptimizeOutcome {
 }
 
 impl OptimizeOutcome {
-    /// Final guaranteed optimality factor (MILP space).
+    /// Final guaranteed optimality factor `objective / bound` in MILP
+    /// space, at least 1; `None` without a positive bound. A zero objective
+    /// is trivially optimal in the non-negative MILP cost space and yields
+    /// `Some(1.0)`, as [`AnytimeTrace::guaranteed_factor_at`] rules.
     pub fn optimality_factor(&self) -> Option<f64> {
-        if self.milp_bound > 0.0 {
+        if self.milp_objective == 0.0 {
+            Some(1.0)
+        } else if self.milp_bound > 0.0 {
             Some((self.milp_objective / self.milp_bound).max(1.0))
         } else {
             None

@@ -126,7 +126,6 @@ fn optimizer_is_deterministic_for_fixed_seed() {
 fn threshold_flags_form_prefix_under_ordering() {
     let (c, q) = example();
     let config = EncoderConfig::default().precision(Precision::Medium);
-    assert!(config.threshold_ordering);
     let enc = encode(&c, &q, &config).unwrap();
     let result = Solver::new(SolverOptions::default())
         .solve(&enc.model)

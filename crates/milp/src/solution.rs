@@ -48,19 +48,6 @@ pub struct IncumbentEvent {
     pub solution: Solution,
 }
 
-impl IncumbentEvent {
-    /// Guaranteed optimality factor `objective / bound` for minimization
-    /// problems with positive costs (the paper's Figure 2 metric). Returns
-    /// `None` when the bound is non-positive or not yet meaningful.
-    pub fn optimality_factor(&self) -> Option<f64> {
-        if self.bound > 0.0 && self.objective.is_finite() {
-            Some(self.objective / self.bound)
-        } else {
-            None
-        }
-    }
-}
-
 /// Final result of a MILP solve.
 #[derive(Debug, Clone)]
 pub struct MipResult {
@@ -111,20 +98,6 @@ mod tests {
         assert!(!s.is_one(Var::from_index(0)));
         assert!(s.is_one(Var::from_index(1)));
         assert_eq!(s.value(Var::from_index(2)), 2.5);
-    }
-
-    #[test]
-    fn optimality_factor() {
-        let ev = IncumbentEvent {
-            elapsed: Duration::from_secs(1),
-            objective: 10.0,
-            bound: 5.0,
-            nodes: 3,
-            solution: Solution::new(vec![]),
-        };
-        assert_eq!(ev.optimality_factor(), Some(2.0));
-        let ev0 = IncumbentEvent { bound: 0.0, ..ev };
-        assert_eq!(ev0.optimality_factor(), None);
     }
 
     #[test]

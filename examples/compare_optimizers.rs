@@ -18,10 +18,8 @@ use milpjoin_dp::{DpOptimizer, GreedyOptimizer};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let n = milpjoin_suite::table_count_arg(std::env::args().skip(1), 10)
+        .unwrap_or_else(|e| milpjoin_suite::usage_error("compare_optimizers", "[n]", &e));
     let timeout = Duration::from_secs(10);
     let (catalog, query) = WorkloadSpec::new(Topology::Star, n).generate(3);
     let options = OrderingOptions::with_time_limit(timeout);

@@ -3,26 +3,29 @@
 //! precision configurations.
 //!
 //! The paper shows star join graphs (chain/cycle differ only marginally);
-//! this binary prints all three topologies. Usage:
+//! this example prints all three topologies. Usage:
 //!
 //! ```text
-//! cargo run -p milpjoin-bench --release --bin fig1 [--queries K] [--seed S]
+//! cargo run --release --example fig1 -- [--queries K] [--seed S]
 //! ```
 
 use milpjoin::{encode, EncoderConfig};
-use milpjoin_bench::{median, ExperimentArgs, PRECISIONS, TOPOLOGIES};
-use milpjoin_workloads::WorkloadSpec;
+use milpjoin_suite::{median, ExperimentArgs, PRECISIONS};
+use milpjoin_workloads::{Topology, WorkloadSpec};
+
+/// The paper's query sizes (encoding only, so the full grid is cheap).
+const SIZES: [usize; 6] = [10, 20, 30, 40, 50, 60];
 
 fn main() {
-    let args = ExperimentArgs::parse(std::env::args().skip(1));
-    let queries = args.queries.max(1);
+    let args = ExperimentArgs::from_env("fig1");
+    let queries = args.queries;
     println!("# Figure 1: MILP size vs. query size (median over {queries} queries)");
     println!(
         "{:<8} {:>4}  {:>10} {:>12} {:>12}",
         "topology", "n", "precision", "variables", "constraints"
     );
-    for topo in TOPOLOGIES {
-        for n in args.fig1_sizes() {
+    for topo in Topology::PAPER {
+        for n in SIZES {
             for precision in PRECISIONS {
                 let mut vars = Vec::new();
                 let mut cons = Vec::new();

@@ -3,7 +3,7 @@
 //! running example (R ⋈ S ⋈ T) and a 10-table star query.
 //!
 //! ```text
-//! cargo run -p milpjoin-bench --release --bin tables
+//! cargo run --release --example tables
 //! ```
 
 use milpjoin::{encode, EncoderConfig, Precision};

@@ -2,11 +2,11 @@
 //! plans are valid (every table joined exactly once, every predicate
 //! applied by the exact coster) and never cost more than the whole-query
 //! greedy construction across mixed topologies; the orchestration is
-//! bit-identical at any fragment-worker count; and the router's
-//! `very-large-decompose` dispatch is bit-identical to a direct solve and
-//! passes arm errors through verbatim.
+//! bit-identical at any fragment-worker count; a wall-clock budget bounds
+//! the whole solve; and the router's `very-large-decompose` dispatch is
+//! bit-identical to a direct solve and passes arm errors through verbatim.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use milpjoin::{
     partition_join_graph, standard_router, BackendArm, DecomposeOptions, DecomposingOptimizer,
@@ -132,6 +132,31 @@ proptest! {
             );
         }
     }
+}
+
+/// A wall-clock budget bounds the whole solve, not each fragment: the arm
+/// splits it over its fragment solves. Without a budget this star-30 solve
+/// takes tens of seconds, so an arm that ignored the budget fails here.
+#[test]
+fn wall_clock_budget_bounds_the_whole_solve() {
+    let (catalog, query) = WorkloadSpec::new(Topology::Star, 30).generate(7);
+    let budget = Duration::from_secs(1);
+    let start = Instant::now();
+    let outcome = DecomposingOptimizer::new(config())
+        .order(&catalog, &query, &OrderingOptions::with_time_limit(budget))
+        .expect("decompose solves every valid query");
+    // Generous slack: each fragment may overshoot by one node LP, and CI
+    // runs other tests beside this one.
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < budget + Duration::from_secs(10),
+        "decompose took {elapsed:?} under a {budget:?} budget"
+    );
+    outcome
+        .plan
+        .validate(&query)
+        .expect("stitched plan is valid");
+    assert!(outcome.cost <= greedy_cost(&catalog, &query) * (1.0 + 1e-9));
 }
 
 /// The router's `very-large-decompose` dispatch is pure: the routed

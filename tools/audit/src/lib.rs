@@ -52,8 +52,9 @@ pub const RULE_NAMES: &[&str] = &[
 ];
 
 /// Workspace-relative directories the linter walks: every library crate's
-/// sources plus the root facade. `crates/bench` is deliberately absent —
-/// harness binaries may time, print, and panic.
+/// sources plus the root package's shared helpers (`src`). Examples, tests
+/// and `perfbench` are deliberately absent — programs that drive the
+/// library may time, print, and panic.
 pub const SCAN_ROOTS: &[&str] = &[
     "src",
     "crates/core/src",

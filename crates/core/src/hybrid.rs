@@ -10,38 +10,34 @@
 //! waiting for branch and bound to stumble on its first integral solution.
 //! The search also prunes against the greedy bound from the first node.
 //!
-//! The hybrid additionally keeps the greedy plan as a safety net: when the
-//! decoded MILP plan is worse than the greedy one under the *exact* cost
-//! model (possible when the threshold window collapses costs below its
-//! floor into ties), the greedy plan is returned instead. Since the MILP
-//! pipeline itself returns the exact-cost **argmin over every decoded
-//! incumbent** (see `milpjoin::optimizer`) and the accepted warm-start
-//! seed is the root incumbent, the safety net fires only in corner cases
-//! the argmin cannot see — a seed the solver rejected, or an incumbent
-//! whose mid-solve decode failed. And when the warm-started MILP produces
-//! *no* plan at all (`NoPlanFound` — possible only when the solver rejects
-//! the warm start, e.g. numerically, and then exhausts its budget), the
-//! [`JoinOrderer::order`] surface falls back to a greedy-only outcome
+//! The hybrid is a [`JoinOrderer`] only: greedy seed, then
+//! [`MilpOptimizer::optimize`], whose exact-cost argmin has the seed as its
+//! last candidate — so the hybrid never returns a plan costlier than its
+//! greedy plan, and a seed that wins is reported with demoted certificates
+//! like any other argmin swap (see `milpjoin::optimizer`). When the
+//! warm-started MILP produces *no* plan at all within its budget
+//! ([`OrderingError::Timeout`] or [`OrderingError::ResourceLimit`] —
+//! possible only when the solver rejects the warm start, e.g. because its
+//! LP hit the deadline), `order` falls back to a greedy-only outcome
 //! instead of propagating the error: honest `bound: None`,
-//! `proven_optimal: false`, exactly like the greedy backend. A caller with
-//! a feasible seed never sees `NoPlanFound`.
+//! `proven_optimal: false`, exactly like the greedy backend. Every other
+//! error, including an unbounded verdict (a solver or encoder bug),
+//! reaches the caller.
 
 use milpjoin_dp::{greedy_order, DpOptions};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
 use milpjoin_qopt::orderer::{
-    CostTrace, CostTracePoint, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
+    CostTrace, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
 };
 use milpjoin_qopt::{Catalog, LeftDeepPlan, Query};
 
 use crate::config::EncoderConfig;
-use crate::decode::DecodedPlan;
-use crate::optimizer::{MilpOptimizer, OptimizeError, OptimizeOutcome};
+use crate::optimizer::MilpOptimizer;
 
 /// Greedy-seeded MILP optimizer (the recommended entry point).
 ///
 /// ```
-/// use std::time::Duration;
-/// use milpjoin::{EncoderConfig, HybridOptimizer, OrderingOptions};
+/// use milpjoin::{HybridOptimizer, JoinOrderer, OrderingOptions};
 /// use milpjoin_qopt::{Catalog, Predicate, Query};
 ///
 /// let mut catalog = Catalog::new();
@@ -52,7 +48,7 @@ use crate::optimizer::{MilpOptimizer, OptimizeError, OptimizeOutcome};
 /// query.add_predicate(Predicate::binary(r, s, 0.1));
 ///
 /// let outcome = HybridOptimizer::with_defaults()
-///     .optimize(&catalog, &query, &OrderingOptions::default())
+///     .order(&catalog, &query, &OrderingOptions::default())
 ///     .unwrap();
 /// outcome.plan.validate(&query).unwrap();
 /// // The warm start guarantees an incumbent from the very first event.
@@ -60,12 +56,14 @@ use crate::optimizer::{MilpOptimizer, OptimizeError, OptimizeOutcome};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HybridOptimizer {
-    config: EncoderConfig,
+    milp: MilpOptimizer,
 }
 
 impl HybridOptimizer {
     pub fn new(config: EncoderConfig) -> Self {
-        HybridOptimizer { config }
+        HybridOptimizer {
+            milp: MilpOptimizer::new(config),
+        }
     }
 
     pub fn with_defaults() -> Self {
@@ -73,108 +71,20 @@ impl HybridOptimizer {
     }
 
     pub fn config(&self) -> &EncoderConfig {
-        &self.config
+        self.milp.config()
     }
 
     /// The greedy plan this optimizer would seed the MILP with.
     pub fn seed_plan(&self, catalog: &Catalog, query: &Query) -> LeftDeepPlan {
+        let config = self.config();
         let dp_options = DpOptions {
-            cost_model: self.config.cost_model,
-            params: self.config.cost_params,
+            cost_model: config.cost_model,
+            params: config.cost_params,
             ..DpOptions::default()
         };
         greedy_order(catalog, query, &dp_options)
     }
 
-    /// Runs greedy, then the MILP pipeline warm-started with the greedy
-    /// plan ([`Self::seed_plan`]).
-    ///
-    /// Caveat when the safety net fires (the seed beats the decoded MILP
-    /// plan under the exact cost model): `plan` / `decoded` / `true_cost`
-    /// describe the seed, while `status`, `milp_objective`, `milp_bound`
-    /// and the MILP-space `trace` keep describing the MILP *search* — a
-    /// valid record of what was proven in MILP space, but not a
-    /// certificate for the returned plan. The [`JoinOrderer::order`]
-    /// projection reports that case with `proven_optimal: false` but
-    /// *keeps* the cost-space `bound`: the projected bound holds for every
-    /// plan, the seed included, so `guaranteed_factor` stays valid.
-    ///
-    /// This native surface also propagates [`OptimizeError::NoPlanFound`]
-    /// unchanged (an [`OptimizeOutcome`] cannot describe a greedy-only
-    /// result); the [`JoinOrderer::order`] surface falls back to the seed
-    /// instead.
-    pub fn optimize(
-        &self,
-        catalog: &Catalog,
-        query: &Query,
-        options: &OrderingOptions,
-    ) -> Result<OptimizeOutcome, OptimizeError> {
-        let seed = self.validated_seed(catalog, query)?;
-        Ok(self.optimize_tracked(catalog, query, options, seed)?.0)
-    }
-
-    /// Validates the query, then builds the greedy seed. Validation must
-    /// come first: the greedy construction (and the warm-start hint
-    /// builder) index the catalog directly and would panic on a query the
-    /// MILP path rejects with a proper error.
-    fn validated_seed(
-        &self,
-        catalog: &Catalog,
-        query: &Query,
-    ) -> Result<LeftDeepPlan, OptimizeError> {
-        query
-            .validate(catalog)
-            .map_err(|e| OptimizeError::Encode(crate::encode::EncodeError::Query(e)))?;
-        Ok(self.seed_plan(catalog, query))
-    }
-
-    /// Like [`Self::optimize`], additionally reporting whether the seed
-    /// plan replaced the decoded MILP plan (`true` when the safety net
-    /// fired, meaning the MILP certificate does not describe the returned
-    /// plan). The query must already be validated and `seed` built
-    /// ([`Self::validated_seed`]).
-    fn optimize_tracked(
-        &self,
-        catalog: &Catalog,
-        query: &Query,
-        options: &OrderingOptions,
-        seed: LeftDeepPlan,
-    ) -> Result<(OptimizeOutcome, bool), OptimizeError> {
-        let mut outcome = MilpOptimizer::new(self.config.clone()).optimize(
-            catalog,
-            query,
-            options,
-            Some(&seed),
-        )?;
-
-        // Safety net: never return a plan worse than the seed under the
-        // exact cost model. `plan`, `decoded` and `true_cost` then describe
-        // the seed; `status` / `milp_objective` / `milp_bound` keep
-        // describing the MILP-space certificate (still a valid statement
-        // about the MILP search, but no longer about the returned plan).
-        // Skipped under operator selection: the seed carries no per-join
-        // operator choices, so swapping it in would hand back an
-        // operator-less plan from an optimizer configured to choose them
-        // (and its canonical-operator cost is not comparable anyway).
-        let seed_cost = plan_cost(
-            catalog,
-            query,
-            &seed,
-            self.config.cost_model,
-            &self.config.cost_params,
-        )
-        .total;
-        let swapped = !self.config.operator_selection && seed_cost < outcome.true_cost;
-        if swapped {
-            outcome.decoded = DecodedPlan::for_plan(query, seed);
-            outcome.plan = outcome.decoded.plan.clone();
-            outcome.true_cost = seed_cost;
-        }
-        Ok((outcome, swapped))
-    }
-}
-
-impl HybridOptimizer {
     /// The greedy-only outcome returned when the warm-started MILP finds
     /// no plan at all: the seed with honest guarantee-free certificates,
     /// exactly what the greedy backend would report. The trace point is
@@ -189,14 +99,8 @@ impl HybridOptimizer {
         seed_elapsed: std::time::Duration,
         elapsed: std::time::Duration,
     ) -> OrderingOutcome {
-        let seed_cost = plan_cost(
-            catalog,
-            query,
-            &seed,
-            self.config.cost_model,
-            &self.config.cost_params,
-        )
-        .total;
+        let (cost_model, params) = self.cost_model();
+        let seed_cost = plan_cost(catalog, query, &seed, cost_model, &params).total;
         OrderingOutcome {
             plan: seed,
             cost: seed_cost,
@@ -225,7 +129,7 @@ impl JoinOrderer for HybridOptimizer {
     }
 
     fn cost_model(&self) -> (CostModelKind, CostParams) {
-        (self.config.cost_model, self.config.cost_params)
+        self.milp.cost_model()
     }
 
     fn order(
@@ -234,44 +138,23 @@ impl JoinOrderer for HybridOptimizer {
         query: &Query,
         options: &OrderingOptions,
     ) -> Result<OrderingOutcome, OrderingError> {
-        // Build the seed here so it survives a MILP failure (the
-        // greedy-only fallback below needs it).
         let start = milpjoin_shim::time::now();
-        let seed = self
-            .validated_seed(catalog, query)
-            .map_err(crate::optimizer::ordering_error)?;
+        // Validation must come first: the greedy construction (and the
+        // warm-start hint builder) index the catalog directly and would
+        // panic on a query the MILP path rejects with a proper error.
+        query
+            .validate(catalog)
+            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        let seed = self.seed_plan(catalog, query);
         let seed_elapsed = start.elapsed();
-        match self.optimize_tracked(catalog, query, options, seed.clone()) {
-            Ok((outcome, swapped)) => {
-                let mut ordering = outcome.into_ordering_outcome();
-                if swapped {
-                    // The MILP-space certificate belongs to the discarded
-                    // plan: report the seed like the greedy backend would —
-                    // exact cost as the objective, nothing proven about
-                    // *this plan's* optimality. The cost-space bound is
-                    // global (it holds for every plan, the seed included)
-                    // and is kept; a final trace point makes the trace tail
-                    // describe the plan actually returned.
-                    ordering.objective = ordering.cost;
-                    ordering.proven_optimal = false;
-                    ordering.trace.push(CostTracePoint {
-                        elapsed: ordering.elapsed,
-                        incumbent: Some(ordering.cost),
-                        bound: ordering.bound,
-                    });
-                }
-                Ok(ordering)
-            }
-            // Deferred fallback (see the module docs): a feasible seed
-            // exists, so "no plan" must never propagate to the caller.
-            Err(OptimizeError::NoPlanFound { .. }) => Ok(self.greedy_fallback_outcome(
-                catalog,
-                query,
-                seed,
-                seed_elapsed,
-                start.elapsed(),
-            )),
-            Err(e) => Err(crate::optimizer::ordering_error(e)),
+        match self.milp.optimize(catalog, query, options, Some(&seed)) {
+            Ok(outcome) => Ok(outcome.into_ordering_outcome()),
+            // A feasible seed exists, so "no plan within the budget" never
+            // reaches the caller (see the module docs).
+            Err(OrderingError::Timeout | OrderingError::ResourceLimit(_)) => Ok(
+                self.greedy_fallback_outcome(catalog, query, seed, seed_elapsed, start.elapsed())
+            ),
+            Err(e) => Err(e),
         }
     }
 }
@@ -295,18 +178,18 @@ mod tests {
     fn hybrid_solves_the_paper_example() {
         let (c, q) = example();
         let out = HybridOptimizer::with_defaults()
-            .optimize(&c, &q, &OrderingOptions::default())
+            .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         out.plan.validate(&q).unwrap();
         // Greedy alone already reaches 1000 here, so the hybrid must too.
-        assert!(out.true_cost <= 1000.0 + 1e-6, "cost {}", out.true_cost);
+        assert!(out.cost <= 1000.0 + 1e-6, "cost {}", out.cost);
     }
 
     #[test]
     fn trace_opens_with_an_incumbent() {
         let (c, q) = example();
         let out = HybridOptimizer::with_defaults()
-            .optimize(&c, &q, &OrderingOptions::default())
+            .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         let first = out.trace.points().first().expect("non-empty trace");
         assert!(
@@ -321,10 +204,10 @@ mod tests {
         let r = c.add_table("R", 42.0);
         let q = Query::new(vec![r]);
         let out = HybridOptimizer::with_defaults()
-            .optimize(&c, &q, &OrderingOptions::default())
+            .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         assert_eq!(out.plan.order, vec![r]);
-        assert_eq!(out.true_cost, 0.0);
+        assert_eq!(out.cost, 0.0);
     }
 
     #[test]

@@ -65,8 +65,7 @@ pub use decompose::{
 pub use encode::{encode, warm_start_assignment, EncodeError, Encoding, EncodingVars, PhysOp};
 pub use hybrid::HybridOptimizer;
 pub use optimizer::{
-    bound_projection, cost_space_bound, AnytimeTrace, MilpOptimizer, OptimizeError,
-    OptimizeOutcome, TracePoint, MIN_RELATIVE_GAP,
+    bound_projection, cost_space_bound, MilpOptimizer, OptimizeOutcome, MIN_RELATIVE_GAP,
 };
 pub use router::standard_router;
 pub use stats::{ConstrCategory, FormulationStats, VarCategory};

@@ -6,20 +6,18 @@
 //! the paper's Figure 2, where algorithms are compared by the *guaranteed
 //! optimality factor* (incumbent cost / lower bound) they can prove at
 //! each point in time. It takes the [`OrderingOptions`] every
-//! [`JoinOrderer`] takes, plus an optional warm-start plan (the hybrid
-//! passes its greedy plan there).
+//! [`JoinOrderer`] takes, plus an optional seed plan (the hybrid passes its
+//! greedy plan there). It is the one MILP outcome path: the cold backend,
+//! the hybrid and the decompose arm's fragments all end here.
 //!
-//! Two traces are kept per solve:
-//!
-//! * the MILP-native [`AnytimeTrace`] (`trace`): incumbents and dual
-//!   bounds in the MILP's approximate objective space — the raw search
-//!   record;
-//! * the cost-space [`CostTrace`] (`cost_trace`): each MILP incumbent is
-//!   **decoded once at trace-point creation** and projected through
-//!   `plan_cost` (projections cached per decoded plan), and the dual bound
-//!   is projected by [`cost_space_bound`], so incumbents are *exact* plan
-//!   costs and `guaranteed_factor_at` means the same thing as for the DP
-//!   and greedy backends.
+//! The anytime record is the cost-space [`CostTrace`] (`cost_trace`): each
+//! MILP incumbent is **decoded once at trace-point creation** and projected
+//! through `plan_cost` (projections cached per decoded plan), and the dual
+//! bound is projected by [`cost_space_bound`], so incumbents are *exact*
+//! plan costs and `guaranteed_factor_at` means the same thing as for the DP
+//! and greedy backends. The final MILP-space certificate stays on the
+//! outcome (`milp_objective`, `milp_bound`,
+//! [`OptimizeOutcome::optimality_factor`]).
 //!
 //! ## The exact-cost argmin guarantee
 //!
@@ -29,18 +27,23 @@
 //! into ties). Since every incumbent is decoded and exactly costed at
 //! trace-point creation anyway, the pipeline keeps a running **exact-cost
 //! argmin** over all decoded incumbents and returns that plan — the best
-//! plan ever decoded, at zero extra solve cost. Consequences:
+//! plan ever decoded, at zero extra solve cost. The seed, when one is
+//! given, is the argmin's last candidate: it wins only on a strict
+//! improvement (a tie keeps the MILP's plan), and never under operator
+//! selection, since it carries no operators. So **a seeded solve never
+//! returns a plan costlier than its seed**. Consequences:
 //!
 //! * cost-space trace incumbents are the running argmin, so they are
 //!   **monotone non-increasing** — the plan the optimizer would hand back
 //!   if stopped at that moment;
 //! * when the argmin is not the final MILP incumbent
-//!   ([`OptimizeOutcome::argmin_swapped`]), the MILP-space certificates
-//!   (`status` / `milp_objective` / `milp_bound`) keep describing the
-//!   search, not the returned plan: the [`JoinOrderer::order`] projection
-//!   then reports `proven_optimal: false` (exactly like the hybrid's
-//!   seed-swap path) while keeping the cost-space `bound`, which holds for
-//!   every plan — the argmin included.
+//!   ([`OptimizeOutcome::argmin_swapped`]), one trailing trace point at
+//!   the solve time describes the returned plan, and the MILP-space
+//!   certificates (`status` / `milp_objective` / `milp_bound`) keep
+//!   describing the search, not the returned plan: the
+//!   [`JoinOrderer::order`] projection then reports the exact cost as the
+//!   objective and `proven_optimal: false`, while keeping the cost-space
+//!   `bound`, which holds for every plan — the argmin included.
 //!
 //! ## Cost-space bound projection
 //!
@@ -55,11 +58,11 @@
 use std::time::Duration;
 
 use milpjoin_milp::branch_bound::SolverEvent;
-use milpjoin_milp::{SolveStatus, Solver, SolverOptions};
+use milpjoin_milp::{SolveStatus, Solver, SolverOptions, StopReason};
 use milpjoin_qopt::cost::plan_cost;
 use milpjoin_qopt::orderer::{
-    CostTrace, CostTracePoint, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
-    SearchStats,
+    guaranteed_factor, CostTrace, CostTracePoint, JoinOrderer, OrderingError, OrderingOptions,
+    OrderingOutcome, SearchStats,
 };
 use milpjoin_qopt::{Catalog, CostModelKind, CostParams, LeftDeepPlan, Query};
 
@@ -68,10 +71,6 @@ use crate::decode::{decode, DecodedPlan};
 use crate::encode::{encode, warm_start_assignment, EncodeError, Encoding};
 use crate::stats::FormulationStats;
 use crate::thresholds::{ApproxMode, CostSpaceProjection, ThresholdGrid};
-
-// The anytime trace is backend-agnostic and lives with the `JoinOrderer`
-// trait; re-exported here for source compatibility.
-pub use milpjoin_qopt::orderer::{AnytimeTrace, TracePoint};
 
 /// Computes the per-query [`CostSpaceProjection`] that turns a MILP dual
 /// bound into a cost-space lower bound valid for **every** plan, or `None`
@@ -210,7 +209,8 @@ pub fn cost_space_bound(projection: Option<&CostSpaceProjection>, milp_bound: f6
 #[derive(Debug, Clone)]
 pub struct OptimizeOutcome {
     /// The returned plan: the **exact-cost argmin** over every decoded
-    /// incumbent (with operators when operator selection was on).
+    /// incumbent and the seed (with operators when operator selection was
+    /// on).
     pub plan: LeftDeepPlan,
     /// Full decoded information (predicate schedule, ...).
     pub decoded: DecodedPlan,
@@ -226,19 +226,18 @@ pub struct OptimizeOutcome {
     pub cost_bound: Option<f64>,
     /// Exact cost of the returned plan under the configured cost model.
     pub true_cost: f64,
-    /// Whether the returned plan is an *earlier* decoded incumbent whose
-    /// exact cost beats the final MILP incumbent (possible because the
-    /// threshold-window approximation can rank plans differently from the
-    /// exact cost model). When set, `status` / `milp_objective` /
+    /// Whether the returned plan is an *earlier* decoded incumbent or the
+    /// seed, whose exact cost beats the final MILP incumbent (possible
+    /// because the threshold-window approximation can rank plans
+    /// differently from the exact cost model, and because the solver may
+    /// reject the seed). When set, `status` / `milp_objective` /
     /// `milp_bound` keep describing the MILP *search* — still a valid
     /// record of what was proven in MILP space, but not a certificate for
     /// the returned plan; the [`JoinOrderer::order`] projection reports
     /// `proven_optimal: false` accordingly while keeping the global
     /// cost-space `bound`.
     pub argmin_swapped: bool,
-    /// MILP-space search record.
-    pub trace: AnytimeTrace,
-    /// Cost-space trace: exact costs of the decoded incumbents plus the
+    /// The anytime record: exact costs of the running argmin plus the
     /// projected bound (see the module docs).
     pub cost_trace: CostTrace,
     pub stats: FormulationStats,
@@ -249,62 +248,23 @@ pub struct OptimizeOutcome {
 }
 
 impl OptimizeOutcome {
-    /// Final guaranteed optimality factor `objective / bound` in MILP
-    /// space, at least 1; `None` without a positive bound. A zero objective
-    /// is trivially optimal in the non-negative MILP cost space and yields
-    /// `Some(1.0)`, as [`AnytimeTrace::guaranteed_factor_at`] rules.
+    /// Final [`guaranteed_factor`] `objective / bound` in MILP space, at
+    /// least 1; `None` without a positive bound. A zero objective is
+    /// trivially optimal in the non-negative MILP cost space and yields
+    /// `Some(1.0)`.
     pub fn optimality_factor(&self) -> Option<f64> {
-        if self.milp_objective == 0.0 {
-            Some(1.0)
-        } else if self.milp_bound > 0.0 {
-            Some((self.milp_objective / self.milp_bound).max(1.0))
-        } else {
-            None
-        }
+        guaranteed_factor(self.milp_objective, Some(self.milp_bound))
     }
 }
 
-/// Optimization failures.
-#[derive(Debug)]
-pub enum OptimizeError {
-    Encode(EncodeError),
-    /// The solver proved infeasibility — impossible for a well-formed
-    /// encoding and therefore a bug surface, reported loudly.
-    Infeasible,
-    /// No incumbent was found within the limits. `stop` records which
-    /// budget actually cut the search short (solver-reported, not guessed
-    /// from the configured options), so callers can tell a deterministic
-    /// node-budget stop from a wall-clock deadline.
-    NoPlanFound {
-        status: SolveStatus,
-        stop: milpjoin_milp::StopReason,
-    },
-    Solver(String),
-}
-
-impl std::fmt::Display for OptimizeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OptimizeError::Encode(e) => write!(f, "{e}"),
-            OptimizeError::Infeasible => {
-                write!(f, "encoding is infeasible (this indicates a bug)")
-            }
-            OptimizeError::NoPlanFound { status, stop } => {
-                write!(
-                    f,
-                    "no plan found within limits (solver status: {status}; stopped on: {stop})"
-                )
-            }
-            OptimizeError::Solver(e) => write!(f, "solver error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for OptimizeError {}
-
-impl From<EncodeError> for OptimizeError {
+/// Classifies an encoder failure: a bad query or a bad configuration.
+impl From<EncodeError> for OrderingError {
     fn from(e: EncodeError) -> Self {
-        OptimizeError::Encode(e)
+        match e {
+            EncodeError::Query(q) => OrderingError::InvalidQuery(q.to_string()),
+            EncodeError::Config(c) => OrderingError::InvalidConfig(c.to_string()),
+            EncodeError::TooFewTables(_) => OrderingError::InvalidQuery(e.to_string()),
+        }
     }
 }
 
@@ -370,15 +330,26 @@ impl MilpOptimizer {
     /// `seed` is an optional warm start: a feasible plan (typically from a
     /// heuristic) installed as the root incumbent before branch and bound
     /// starts. The anytime trace then opens with it at t ≈ 0, and every
-    /// worker prunes against it from its first node. A seed that is not a
-    /// plan for `query` is a caller bug, reported as an error.
+    /// worker prunes against it from its first node. It is also the last
+    /// candidate of the exact-cost argmin (see the module docs), so
+    /// without operator selection a seeded solve never returns a plan
+    /// costlier than its seed. A seed that is not a plan for `query` is a
+    /// caller bug, reported as [`OrderingError::Backend`].
+    ///
+    /// Failures are classified where they happen: encoder errors as
+    /// [`OrderingError::InvalidQuery`] or [`OrderingError::InvalidConfig`];
+    /// no plan by the deadline as [`OrderingError::Timeout`]; no plan
+    /// within the node budget, or a search left inconclusive by stalled
+    /// subtrees, as [`OrderingError::ResourceLimit`]; an infeasible or
+    /// unbounded verdict (impossible for a well-formed encoding) and solver
+    /// errors as [`OrderingError::Backend`].
     pub fn optimize(
         &self,
         catalog: &Catalog,
         query: &Query,
         options: &OrderingOptions,
         seed: Option<&LeftDeepPlan>,
-    ) -> Result<OptimizeOutcome, OptimizeError> {
+    ) -> Result<OptimizeOutcome, OrderingError> {
         // Single-table queries need no joins and no MILP.
         if query.num_tables() == 1 {
             query.validate(catalog).map_err(EncodeError::Query)?;
@@ -392,7 +363,6 @@ impl MilpOptimizer {
                 cost_bound: Some(0.0),
                 true_cost: 0.0,
                 argmin_swapped: false,
-                trace: AnytimeTrace::default(),
                 cost_trace: CostTrace::default(),
                 stats: FormulationStats::default(),
                 solve_time: Duration::ZERO,
@@ -407,7 +377,7 @@ impl MilpOptimizer {
         let initial_solution = seed
             .map(|plan| {
                 warm_start_assignment(&encoding, catalog, query, plan)
-                    .map_err(|e| OptimizeError::Solver(format!("invalid initial plan: {e}")))
+                    .map_err(|e| OrderingError::Backend(format!("invalid initial plan: {e}")))
             })
             .transpose()?;
 
@@ -423,7 +393,6 @@ impl MilpOptimizer {
         // Per-query dual-bound projection into exact cost space.
         let projection = bound_projection(&self.config, catalog, query, &encoding.grid);
 
-        let mut trace = AnytimeTrace::default();
         let mut cost_trace = CostTrace::default();
         // Exact-cost projections of decoded incumbents, keyed by the
         // decoded plan: each incumbent is decoded once, and a re-visited
@@ -432,18 +401,11 @@ impl MilpOptimizer {
         // running exact-cost argmin — the plan the pipeline will return.
         let mut projections: Vec<(DecodedPlan, f64)> = Vec::new();
         let mut best: Option<usize> = None;
-        let mut last_incumbent: Option<f64> = None;
         let mut last_bound = f64::NEG_INFINITY;
         let result = Solver::new(solver_options)
             .solve_with_callback(&encoding.model, |ev| match ev {
                 SolverEvent::Incumbent(inc) => {
-                    last_incumbent = Some(inc.objective);
                     last_bound = last_bound.max(inc.bound);
-                    trace.push(TracePoint {
-                        elapsed: inc.elapsed,
-                        incumbent: last_incumbent,
-                        bound: last_bound,
-                    });
                     // Cost-space projection: decode the incumbent and cost
                     // it exactly. A decode failure is a solver-bug surface;
                     // the final decode after the solve reports it loudly,
@@ -452,14 +414,7 @@ impl MilpOptimizer {
                         let idx = match projections.iter().position(|(p, _)| p.plan == d.plan) {
                             Some(i) => i,
                             None => {
-                                let c = plan_cost(
-                                    catalog,
-                                    query,
-                                    &d.plan,
-                                    self.config.cost_model,
-                                    &self.config.cost_params,
-                                )
-                                .total;
+                                let c = self.exact_cost(catalog, query, &d.plan);
                                 projections.push((d, c));
                                 projections.len() - 1
                             }
@@ -482,11 +437,6 @@ impl MilpOptimizer {
                 }
                 SolverEvent::BoundImproved { elapsed, bound, .. } => {
                     last_bound = last_bound.max(*bound);
-                    trace.push(TracePoint {
-                        elapsed: *elapsed,
-                        incumbent: last_incumbent,
-                        bound: last_bound,
-                    });
                     cost_trace.push(CostTracePoint {
                         elapsed: *elapsed,
                         incumbent: best.map(|b| projections[b].1),
@@ -494,72 +444,92 @@ impl MilpOptimizer {
                     });
                 }
             })
-            .map_err(|e| OptimizeError::Solver(e.to_string()))?;
+            .map_err(|e| OrderingError::Backend(e.to_string()))?;
 
         match result.status {
-            SolveStatus::Infeasible => return Err(OptimizeError::Infeasible),
-            s if !s.has_solution() => {
-                return Err(OptimizeError::NoPlanFound {
-                    status: s,
-                    stop: result.stop,
+            SolveStatus::Optimal | SolveStatus::Feasible => {}
+            // A correctly-built encoding is feasible and bounded below;
+            // either verdict is a solver/encoder bug, not a budget problem.
+            SolveStatus::Infeasible | SolveStatus::Unbounded => {
+                return Err(OrderingError::Backend(format!(
+                    "solver reported the encoding {} (bug)",
+                    result.status
+                )));
+            }
+            // No plan: the solver-reported stop reason says which budget
+            // cut the search short.
+            SolveStatus::NoSolutionFound => {
+                return Err(match result.stop {
+                    StopReason::TimeLimit => OrderingError::Timeout,
+                    // A node budget (the deterministic stop) or numerically
+                    // parked subtrees. `Finished` never pairs with a
+                    // missing plan, but is named rather than absorbed.
+                    StopReason::NodeLimit | StopReason::Stalled | StopReason::Finished => {
+                        OrderingError::ResourceLimit(format!(
+                            "no plan found within the configured limits (solver status: \
+                             {}; stopped on: {})",
+                            result.status, result.stop
+                        ))
+                    }
                 });
             }
-            _ => {}
         }
 
         // audit-allow(no-panic): the status match above returns early for
         // every status without a solution.
         let solution = result.solution.as_ref().expect("has_solution checked");
         let mut decoded = decode(&encoding, query, solution)
-            .map_err(|e| OptimizeError::Solver(format!("decode failed: {e}")))?;
+            .map_err(|e| OrderingError::Backend(format!("decode failed: {e}")))?;
         // The final solution is the last incumbent: reuse its cached
         // projection instead of re-costing.
         let mut true_cost = match projections.iter().find(|(p, _)| p.plan == decoded.plan) {
             Some(&(_, c)) => c,
-            None => {
-                plan_cost(
-                    catalog,
-                    query,
-                    &decoded.plan,
-                    self.config.cost_model,
-                    &self.config.cost_params,
-                )
-                .total
-            }
+            None => self.exact_cost(catalog, query, &decoded.plan),
         };
 
         // Exact-cost argmin: never return a plan exactly-worse than an
         // incumbent that was already decoded and costed (the MILP-space
         // objective and `plan_cost` can disagree under the threshold-window
-        // approximation). A final trace point makes the trace tail describe
-        // the returned plan at termination time.
-        let final_bound = cost_space_bound(projection.as_ref(), result.bound);
-        let argmin_swapped = match best {
-            Some(b) if projections[b].1 < true_cost => {
-                decoded = projections[b].0.clone();
-                true_cost = projections[b].1;
-                cost_trace.push(CostTracePoint {
-                    elapsed: result.solve_time,
-                    incumbent: Some(true_cost),
-                    bound: final_bound,
-                });
-                true
+        // approximation), nor than the seed. The seed is the last
+        // candidate and carries no operators, so operator selection
+        // excludes it. Strict improvements only: a tie keeps the MILP's
+        // plan.
+        let mut argmin_swapped = false;
+        if let Some(b) = best.filter(|&b| projections[b].1 < true_cost) {
+            decoded = projections[b].0.clone();
+            true_cost = projections[b].1;
+            argmin_swapped = true;
+        }
+        if let Some(seed) = seed.filter(|_| !self.config.operator_selection) {
+            let seed_cost = self.exact_cost(catalog, query, seed);
+            if seed_cost < true_cost {
+                decoded = DecodedPlan::for_plan(query, seed.clone());
+                true_cost = seed_cost;
+                argmin_swapped = true;
             }
-            _ => false,
-        };
+        }
+        // A final trace point makes the trace tail describe the returned
+        // plan at termination time.
+        let final_bound = cost_space_bound(projection.as_ref(), result.bound);
+        if argmin_swapped {
+            cost_trace.push(CostTracePoint {
+                elapsed: result.solve_time,
+                incumbent: Some(true_cost),
+                bound: final_bound,
+            });
+        }
 
         Ok(OptimizeOutcome {
             plan: decoded.plan.clone(),
             decoded,
             status: result.status,
-            // audit-allow(no-panic): guarded by the same has_solution early
-            // return as the solution access above.
+            // audit-allow(no-panic): guarded by the same status match as
+            // the solution access above.
             milp_objective: result.objective.expect("has solution"),
             milp_bound: result.bound,
             cost_bound: final_bound,
             true_cost,
             argmin_swapped,
-            trace,
             cost_trace,
             stats: encoding.stats,
             solve_time: result.solve_time,
@@ -574,6 +544,18 @@ impl MilpOptimizer {
             },
         })
     }
+
+    /// Exact cost of `plan` under the configured cost model.
+    fn exact_cost(&self, catalog: &Catalog, query: &Query, plan: &LeftDeepPlan) -> f64 {
+        plan_cost(
+            catalog,
+            query,
+            plan,
+            self.config.cost_model,
+            &self.config.cost_params,
+        )
+        .total
+    }
 }
 
 impl OptimizeOutcome {
@@ -582,12 +564,12 @@ impl OptimizeOutcome {
     /// bound means the search proved nothing and projects to `None`), and
     /// the cost-space trace.
     ///
-    /// When the exact-cost argmin replaced the final MILP incumbent
-    /// ([`Self::argmin_swapped`]), the MILP-space certificate belongs to
-    /// the discarded plan: the returned plan is reported like the hybrid's
-    /// seed-swap path — exact cost as the objective, `proven_optimal:
-    /// false` — while the cost-space `bound` is kept (it holds for every
-    /// plan, the argmin included).
+    /// When the exact-cost argmin replaced the final MILP incumbent with an
+    /// earlier incumbent or the seed ([`Self::argmin_swapped`]), the
+    /// MILP-space certificate belongs to the discarded plan: the returned
+    /// plan is reported like a heuristic's — exact cost as the objective,
+    /// `proven_optimal: false` — while the cost-space `bound` is kept (it
+    /// holds for every plan, the argmin included).
     pub fn into_ordering_outcome(self) -> OrderingOutcome {
         let objective = if self.argmin_swapped {
             self.true_cost
@@ -608,47 +590,6 @@ impl OptimizeOutcome {
     }
 }
 
-/// Maps MILP failures onto the unified error shape. `NoPlanFound` is
-/// classified by the solver-reported stop reason (no longer guessed from
-/// the configured options): a wall-clock deadline is a [`OrderingError::Timeout`],
-/// a node-budget stop — including the deterministic budget, which rides on
-/// node metering — is a [`OrderingError::ResourceLimit`].
-pub(crate) fn ordering_error(e: OptimizeError) -> OrderingError {
-    use milpjoin_milp::StopReason;
-    match e {
-        OptimizeError::Encode(EncodeError::Query(q)) => OrderingError::InvalidQuery(q.to_string()),
-        OptimizeError::Encode(EncodeError::Config(c)) => {
-            OrderingError::InvalidConfig(c.to_string())
-        }
-        OptimizeError::Encode(e) => OrderingError::InvalidQuery(e.to_string()),
-        OptimizeError::NoPlanFound { status, stop } => match status {
-            // A correctly-built encoding is bounded below; an unbounded
-            // verdict is a solver/encoder bug, not a budget problem.
-            SolveStatus::Unbounded => OrderingError::Backend(format!(
-                "solver reported an unbounded encoding (status: {status})"
-            )),
-            _ => match stop {
-                StopReason::TimeLimit => OrderingError::Timeout,
-                StopReason::NodeLimit => OrderingError::ResourceLimit(
-                    "node budget exhausted before any plan was found (deterministic stop)"
-                        .to_string(),
-                ),
-                // `Finished`/`Stalled` without a solution: numerically
-                // parked subtrees (or a status/stop mismatch) — a neutral
-                // resource-limit report either way.
-                StopReason::Finished | StopReason::Stalled => {
-                    OrderingError::ResourceLimit(format!(
-                        "no plan found within the configured limits (solver status: {status}; \
-                     stopped on: {stop})"
-                    ))
-                }
-            },
-        },
-        OptimizeError::Infeasible => OrderingError::Backend("encoding is infeasible (bug)".into()),
-        OptimizeError::Solver(m) => OrderingError::Backend(m),
-    }
-}
-
 // Concurrency audit: the optimizer is an immutable configuration; all
 // per-solve scratch (encoding, traces, the incumbent projection cache, the
 // branch-and-bound search) lives on the `optimize` call stack. One instance
@@ -659,7 +600,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MilpOptimizer>();
     assert_send_sync::<OptimizeOutcome>();
-    assert_send_sync::<OptimizeError>();
 };
 
 impl JoinOrderer for MilpOptimizer {
@@ -677,10 +617,9 @@ impl JoinOrderer for MilpOptimizer {
         query: &Query,
         options: &OrderingOptions,
     ) -> Result<OrderingOutcome, OrderingError> {
-        let outcome = self
-            .optimize(catalog, query, options, None)
-            .map_err(ordering_error)?;
-        Ok(outcome.into_ordering_outcome())
+        Ok(self
+            .optimize(catalog, query, options, None)?
+            .into_ordering_outcome())
     }
 }
 
@@ -703,11 +642,16 @@ mod tests {
         assert_eq!(out.milp_objective, 0.0);
         assert_eq!(out.search.nodes_expanded, 0);
         assert_eq!(out.search.total_lp_iterations, 0);
-        assert!(out.trace.is_empty());
+        assert!(out.cost_trace.is_empty());
         assert_eq!(out.stats.num_vars(), 0);
         // The empty trace has no state to report, at any time.
-        assert!(out.trace.state_at(Duration::from_secs(3600)).is_none());
-        assert!(out.trace.guaranteed_factor_at(Duration::ZERO).is_none());
+        assert!(out.cost_trace.state_at(Duration::from_secs(3600)).is_none());
+        assert!(out
+            .cost_trace
+            .guaranteed_factor_at(Duration::ZERO)
+            .is_none());
+        // The MILP-space certificate of the zero-cost plan is a proof.
+        assert_eq!(out.optimality_factor(), Some(1.0));
     }
 
     #[test]
@@ -719,7 +663,7 @@ mod tests {
         let err = MilpOptimizer::with_defaults()
             .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap_err();
-        assert!(matches!(err, OptimizeError::Encode(_)));
+        assert!(matches!(err, OrderingError::InvalidQuery(_)), "{err:?}");
     }
 
     fn paper_example() -> (Catalog, Query) {
@@ -842,8 +786,8 @@ mod tests {
     #[test]
     fn argmin_swap_demotes_certificates_but_keeps_the_bound() {
         // Synthetic outcome: the search proved MILP-optimality for a plan
-        // that an earlier incumbent beats in exact cost. The projection
-        // must report the argmin like the hybrid's seed-swap path does.
+        // that an earlier incumbent (or the seed) beats in exact cost. The
+        // projection must report the argmin like a heuristic's plan.
         let (catalog, query) = paper_example();
         let out = MilpOptimizer::with_defaults()
             .optimize(&catalog, &query, &OrderingOptions::default(), None)

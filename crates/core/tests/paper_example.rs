@@ -134,14 +134,17 @@ fn anytime_trace_is_monotone() {
         .unwrap();
     let mut last_inc = f64::INFINITY;
     let mut last_bound = f64::NEG_INFINITY;
-    for p in out.trace.points() {
+    for p in out.cost_trace.points() {
         if let Some(inc) = p.incumbent {
             assert!(inc <= last_inc + 1e-9, "incumbent went up");
             last_inc = inc;
         }
-        assert!(p.bound >= last_bound - 1e-9, "bound went down");
-        last_bound = p.bound;
+        // Once proven, a cost-space bound never falls or disappears.
+        let bound = p.bound.unwrap_or(f64::NEG_INFINITY);
+        assert!(bound >= last_bound - 1e-9, "bound went down");
+        last_bound = bound;
     }
+    assert_eq!(last_inc, out.true_cost);
 }
 
 #[test]

@@ -46,8 +46,8 @@ pub use cost::{CostModelKind, CostParams, JoinContext, PlanCost};
 pub use fingerprint::{Fingerprint, FingerprintOptions, FingerprintedQuery};
 pub use graph::{GraphShape, JoinGraph};
 pub use orderer::{
-    AnytimeTrace, BuildWith, CostTrace, CostTracePoint, JoinOrderer, OrdererFactory, OrderingError,
-    OrderingOptions, OrderingOutcome, SearchStats, TracePoint,
+    CostTrace, CostTracePoint, JoinOrderer, OrdererFactory, OrderingError, OrderingOptions,
+    OrderingOutcome, SearchStats,
 };
 pub use persist::{SnapshotConfig, SnapshotLoadStats, SnapshotWriteStats};
 pub use plan::{eager_evaluation_joins, JoinOp, LeftDeepPlan, PlanError};

@@ -23,10 +23,10 @@
 //! greedy, MILP, and hybrid — the paper's Figure 2 metric is directly
 //! comparable across backends.
 //!
-//! Backends that search in a different objective space may additionally
-//! keep a native-space [`AnytimeTrace`] (the MILP pipeline's
-//! `OptimizeOutcome` does); that record is a property of the backend, not
-//! of this interface.
+//! The cost trace is the pipeline's only anytime record. A MILP-based
+//! backend still reports its final MILP-space certificate (objective and
+//! bound) on its native outcome, and every factor — cost-space or
+//! MILP-space — follows the one rule of [`guaranteed_factor`].
 
 use std::time::Duration;
 
@@ -35,64 +35,23 @@ use crate::cost::{CostModelKind, CostParams};
 use crate::plan::LeftDeepPlan;
 use crate::query::Query;
 
-/// One sample of a backend-native anytime state (objective space of the
-/// backend that produced it; see [`CostTracePoint`] for the cross-backend
-/// cost-space form).
-#[derive(Debug, Clone, Copy)]
-pub struct TracePoint {
-    pub elapsed: Duration,
-    /// Best incumbent objective so far (backend objective space), if any.
-    pub incumbent: Option<f64>,
-    /// Global lower bound (backend objective space).
-    pub bound: f64,
-}
-
-/// The incumbent/bound history of one optimization run in the backend's
-/// *native* objective space. Kept by backends whose search space is not the
-/// exact cost space (the MILP pipeline); the cross-backend record is
-/// [`CostTrace`].
-#[derive(Debug, Clone, Default)]
-pub struct AnytimeTrace {
-    points: Vec<TracePoint>,
-}
-
-impl AnytimeTrace {
-    pub fn push(&mut self, p: TracePoint) {
-        self.points.push(p);
+/// The guaranteed optimality factor `incumbent / bound`, at least 1, in a
+/// non-negative objective space — the one rule behind
+/// [`CostTrace::guaranteed_factor_at`],
+/// [`OrderingOutcome::guaranteed_factor`] and the MILP-space factor of
+/// `milpjoin::OptimizeOutcome`.
+///
+/// A **zero incumbent** is trivially optimal (no objective value lies
+/// below zero) and yields `Some(1.0)` whatever the bound: the naive
+/// `0 / bound` would demand a positive bound that cannot exist below zero.
+/// Otherwise the factor needs a positive bound and is `None` without one.
+pub fn guaranteed_factor(incumbent: f64, bound: Option<f64>) -> Option<f64> {
+    if incumbent == 0.0 {
+        return Some(1.0);
     }
-
-    pub fn points(&self) -> &[TracePoint] {
-        &self.points
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The anytime state at `elapsed`: the last point at or before it.
-    pub fn state_at(&self, elapsed: Duration) -> Option<TracePoint> {
-        self.points
-            .iter()
-            .take_while(|p| p.elapsed <= elapsed)
-            .last()
-            .copied()
-    }
-
-    /// The guaranteed optimality factor (incumbent / lower bound) provable
-    /// at `elapsed`; `None` while no incumbent exists or the bound is not
-    /// yet positive. A zero-objective incumbent is trivially optimal in a
-    /// non-negative objective space and yields `Some(1.0)`.
-    pub fn guaranteed_factor_at(&self, elapsed: Duration) -> Option<f64> {
-        let state = self.state_at(elapsed)?;
-        let inc = state.incumbent?;
-        if inc == 0.0 {
-            return Some(1.0);
-        }
-        if state.bound > 0.0 {
-            Some((inc / state.bound).max(1.0))
-        } else {
-            None
-        }
+    match bound {
+        Some(b) if b > 0.0 => Some((incumbent / b).max(1.0)),
+        _ => None,
     }
 }
 
@@ -158,24 +117,12 @@ impl CostTrace {
             .copied()
     }
 
-    /// The guaranteed optimality factor (exact incumbent cost / cost-space
-    /// lower bound) provable at `elapsed`; `None` while no incumbent exists
-    /// or no positive bound is proven.
-    ///
-    /// A **zero-cost incumbent** is trivially optimal — exact costs are
-    /// non-negative, so cost `0.0` is the global minimum — and yields
-    /// `Some(1.0)` regardless of the bound (the naive `0 / bound` would
-    /// require a positive bound that can never exist below cost zero).
+    /// The [`guaranteed_factor`] (exact incumbent cost / cost-space lower
+    /// bound) provable at `elapsed`; `None` while no incumbent exists or,
+    /// for a non-zero incumbent, no positive bound is proven.
     pub fn guaranteed_factor_at(&self, elapsed: Duration) -> Option<f64> {
         let state = self.state_at(elapsed)?;
-        let inc = state.incumbent?;
-        if inc == 0.0 {
-            return Some(1.0);
-        }
-        match state.bound {
-            Some(b) if b > 0.0 => Some((inc / b).max(1.0)),
-            _ => None,
-        }
+        guaranteed_factor(state.incumbent?, state.bound)
     }
 }
 
@@ -291,8 +238,8 @@ pub struct OrderingOutcome {
     /// the backend proves nothing (greedy). MILP-based backends project
     /// their MILP-space dual bound into cost space (see
     /// `milpjoin::optimizer`), so `cost / bound` is a valid guarantee even
-    /// when the returned plan did not come out of the MILP search (the
-    /// hybrid's safety net).
+    /// when the returned plan did not come out of the MILP search (a seed
+    /// plan that won the exact-cost argmin).
     pub bound: Option<f64>,
     /// Whether the backend proved `plan` optimal in its own objective
     /// space. Note for approximating backends this does *not* mean
@@ -313,23 +260,12 @@ pub struct OrderingOutcome {
 }
 
 impl OrderingOutcome {
-    /// Final guaranteed optimality factor `cost / bound` in exact cost
-    /// space; `None` without a positive bound.
-    ///
-    /// A **zero-cost plan** is trivially optimal (exact costs are
-    /// non-negative) and yields `Some(1.0)` regardless of the bound: the
-    /// naive `0 / bound` would demand a positive bound that cannot exist
-    /// below cost zero, losing the guarantee exactly where it is
-    /// strongest (cross-product-free single-join queries under C_out have
-    /// no intermediate results and cost `0.0`).
+    /// Final [`guaranteed_factor`] `cost / bound` in exact cost space;
+    /// `None` without a positive bound. A zero-cost plan yields `Some(1.0)`
+    /// (cross-product-free single-join queries under C_out have no
+    /// intermediate results and cost `0.0`).
     pub fn guaranteed_factor(&self) -> Option<f64> {
-        if self.cost == 0.0 {
-            return Some(1.0);
-        }
-        match self.bound {
-            Some(b) if b > 0.0 => Some((self.cost / b).max(1.0)),
-            _ => None,
-        }
+        guaranteed_factor(self.cost, self.bound)
     }
 }
 
@@ -402,9 +338,7 @@ pub trait JoinOrderer: Send + Sync {
 /// Every `Clone` backend is a factory of itself (the blanket impl below):
 /// `MilpOptimizer`, `HybridOptimizer`, and the DP/greedy wrappers all
 /// qualify, so a configured optimizer value can be handed directly to
-/// [`crate::service::QueryService::new`]. Backends that are not `Clone`
-/// (or whose construction is more involved) can use [`BuildWith`] around a
-/// closure.
+/// [`crate::service::QueryService::new`].
 pub trait OrdererFactory: Send + Sync {
     /// Builds one backend instance. Instances built from one factory must
     /// be *identically configured* (same cost model, same options): the
@@ -416,19 +350,6 @@ pub trait OrdererFactory: Send + Sync {
 impl<T: JoinOrderer + Clone + 'static> OrdererFactory for T {
     fn build(&self) -> Box<dyn JoinOrderer> {
         Box::new(self.clone())
-    }
-}
-
-/// Adapts a closure into an [`OrdererFactory`] (for backends that are not
-/// `Clone`).
-pub struct BuildWith<F>(pub F);
-
-impl<F> OrdererFactory for BuildWith<F>
-where
-    F: Fn() -> Box<dyn JoinOrderer> + Send + Sync,
-{
-    fn build(&self) -> Box<dyn JoinOrderer> {
-        (self.0)()
     }
 }
 
@@ -446,7 +367,6 @@ const _: () = {
     assert_send_sync::<OrderingOptions>();
     assert_send_sync::<OrderingOutcome>();
     assert_send_sync::<OrderingError>();
-    assert_send_sync::<AnytimeTrace>();
     assert_send_sync::<CostTrace>();
     assert_send_sync::<Box<dyn JoinOrderer>>();
     assert_send_sync::<Box<dyn OrdererFactory>>();
@@ -457,19 +377,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn native_state_at_before_first_point_is_none() {
-        let mut trace = AnytimeTrace::default();
-        assert!(trace.state_at(Duration::from_secs(10)).is_none());
-        trace.push(TracePoint {
-            elapsed: Duration::from_millis(500),
-            incumbent: Some(10.0),
-            bound: 2.0,
-        });
-        assert!(trace.state_at(Duration::from_millis(499)).is_none());
-        assert!(trace.state_at(Duration::from_millis(500)).is_some());
-    }
 
     #[test]
     fn cost_state_at_before_first_point_is_none() {
@@ -536,14 +443,11 @@ mod tests {
             route: None,
         };
         assert_eq!(outcome.guaranteed_factor(), Some(1.0));
-        // MILP-space trace: same convention.
-        let mut native = AnytimeTrace::default();
-        native.push(TracePoint {
-            elapsed: Duration::ZERO,
-            incumbent: Some(0.0),
-            bound: 0.0,
-        });
-        assert_eq!(native.guaranteed_factor_at(Duration::ZERO), Some(1.0));
+        // The shared rule, as the MILP-space factor applies it.
+        for bound in [None, Some(0.0), Some(f64::NEG_INFINITY)] {
+            assert_eq!(guaranteed_factor(0.0, bound), Some(1.0));
+        }
+        assert_eq!(guaranteed_factor(3.0, Some(f64::NEG_INFINITY)), None);
     }
 
     #[test]

@@ -370,17 +370,6 @@ impl RouterOptimizer {
     /// [`JoinOrderer::order`] call reports as
     /// [`OrderingError::InvalidConfig`].
     pub fn with_arm(mut self, arm: BackendArm, backend: impl JoinOrderer + 'static) -> Self {
-        self.install(arm, Arc::new(backend));
-        self
-    }
-
-    /// As [`Self::with_arm`], for an already-shared backend.
-    pub fn with_shared_arm(mut self, arm: BackendArm, backend: Arc<dyn JoinOrderer>) -> Self {
-        self.install(arm, backend);
-        self
-    }
-
-    fn install(&mut self, arm: BackendArm, backend: Arc<dyn JoinOrderer>) {
         let (model, params) = backend.cost_model();
         match self.model {
             None => self.model = Some((model, params)),
@@ -401,7 +390,8 @@ impl RouterOptimizer {
                 }
             }
         }
-        self.arms[arm.index()] = Some(backend);
+        self.arms[arm.index()] = Some(Arc::new(backend));
+        self
     }
 
     /// The routing thresholds this router was built with.

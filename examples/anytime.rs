@@ -2,15 +2,16 @@
 //! off the guaranteed optimality factor at any point in time — the paper's
 //! headline feature over classical dynamic programming.
 //!
-//! Since the cost-space trace redesign, each MILP incumbent is decoded and
-//! projected through the exact cost model at trace-point creation, so the
-//! factors printed here are *cost-space* guarantees — directly comparable
-//! with any other backend's trace.
+//! Each MILP incumbent is decoded and projected through the exact cost
+//! model at trace-point creation, so the factors printed here are
+//! *cost-space* guarantees — directly comparable with any other backend's
+//! trace.
 //!
 //! Run with: `cargo run --release --example anytime`
 
 use std::time::Duration;
 
+use milpjoin::qopt::orderer::guaranteed_factor;
 use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
@@ -47,10 +48,10 @@ fn main() {
         outcome.cost_trace.points().len()
     );
     for p in outcome.cost_trace.points() {
-        let factor = match (p.incumbent, p.bound) {
-            (Some(inc), Some(b)) if b > 0.0 => format!("{:.2}", (inc / b).max(1.0)),
-            _ => "-".into(),
-        };
+        let factor = p
+            .incumbent
+            .and_then(|inc| guaranteed_factor(inc, p.bound))
+            .map_or("-".into(), |f| format!("{f:.2}"));
         println!(
             "  t={:>9.3}ms  exact cost={:<14} bound={:<14} guaranteed factor={}",
             p.elapsed.as_secs_f64() * 1e3,

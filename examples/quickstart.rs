@@ -1,5 +1,5 @@
 //! Quickstart: optimize the paper's running example R ⋈ S ⋈ T and print
-//! the chosen plan, its cost, and the anytime trace.
+//! the chosen plan, its cost, and the anytime trace in exact cost space.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -43,13 +43,13 @@ fn main() {
         outcome.stats.num_constraints()
     );
     println!();
-    println!("anytime trace (incumbent / bound over time):");
-    for p in outcome.trace.points() {
+    println!("anytime trace (exact incumbent cost / cost-space bound over time):");
+    for p in outcome.cost_trace.points() {
         println!(
-            "  t={:>8.3}ms  incumbent={:<12}  bound={:.1}",
+            "  t={:>8.3}ms  incumbent={:<12}  bound={}",
             p.elapsed.as_secs_f64() * 1e3,
             p.incumbent.map_or("-".into(), |v| format!("{v:.1}")),
-            p.bound
+            p.bound.map_or("-".into(), |v| format!("{v:.1}"))
         );
     }
 }

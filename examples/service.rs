@@ -36,48 +36,8 @@ use milpjoin::{
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer, GreedyOptimizer};
 use milpjoin_qopt::{OrdererFactory, Query, SessionOutcome};
+use milpjoin_suite::{ServeArgs, ServeExample};
 use milpjoin_workloads::{size_swept_stream, Topology, WorkloadSpec};
-
-/// Parses `--flag N` out of the argument list, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str, default: usize) -> usize {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            let n = args
-                .get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} requires a positive integer"));
-            args.drain(i..=i + 1);
-            n
-        }
-        None => default,
-    }
-}
-
-/// Parses `--snapshot PATH` out of the argument list, removing both tokens.
-fn take_snapshot(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--snapshot")?;
-    let path = args
-        .get(i + 1)
-        .cloned()
-        .expect("--snapshot requires a file path");
-    args.drain(i..=i + 1);
-    Some(path)
-}
-
-/// Parses `--backend NAME` out of the argument list, removing both tokens.
-fn take_backend(args: &mut Vec<String>) -> String {
-    match args.iter().position(|a| a == "--backend") {
-        Some(i) => {
-            let name = args
-                .get(i + 1)
-                .cloned()
-                .expect("--backend requires a backend name");
-            args.drain(i..=i + 1);
-            name
-        }
-        None => "hybrid".to_string(),
-    }
-}
 
 /// Races `submitters` threads, each feeding an interleaved slice of the
 /// stream into the service, then waits on every ticket. Returns the
@@ -329,17 +289,15 @@ fn drive_snapshot(
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let submitters = take_flag(&mut args, "--submitters", 4).max(1);
-    let workers = take_flag(&mut args, "--workers", 2).max(1);
-    let snapshot = take_snapshot(&mut args);
-    let backend = take_backend(&mut args);
-    let copies: usize = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-        .max(1);
-    let tables: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8).max(2);
+    let ServeArgs {
+        copies,
+        tables,
+        backend,
+        workers,
+        submitters,
+        snapshot,
+        ..
+    } = ServeArgs::from_env(ServeExample::Service);
 
     let config = EncoderConfig::default().precision(Precision::Low);
     if let Some(path) = snapshot {
@@ -407,8 +365,6 @@ fn main() {
             workers,
         ),
         "router" => drive_router(config, copies, submitters, workers),
-        other => panic!(
-            "unknown backend {other:?} (expected greedy|dp|dpconv|milp|hybrid|decomp|router)"
-        ),
+        other => unreachable!("ServeArgs::parse rejects backend {other:?}"),
     }
 }

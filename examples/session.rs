@@ -31,43 +31,14 @@
 use std::time::{Duration, Instant};
 
 use milpjoin::{
-    standard_router, ApproxMode, DecomposingOptimizer, EncoderConfig, HybridOptimizer, JoinOrderer,
+    standard_router, DecomposingOptimizer, EncoderConfig, HybridOptimizer, JoinOrderer,
     MilpOptimizer, OrderingError, OrderingOptions, PlanSession, PlanTicket, Precision,
     QueryService, RouterOptions, SessionOutcome, SessionStats,
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer, GreedyOptimizer};
 use milpjoin_qopt::{Catalog, Query};
+use milpjoin_suite::{ServeArgs, ServeExample};
 use milpjoin_workloads::{size_swept_stream, Topology, WorkloadSpec};
-
-/// Parses `--flag N` out of the argument list, removing both tokens.
-fn take_flag(args: &mut Vec<String>, flag: &str, default: usize) -> usize {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            let n = args
-                .get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} requires a positive integer"));
-            args.drain(i..=i + 1);
-            n
-        }
-        None => default,
-    }
-}
-
-/// Parses `--backend NAME` out of the argument list, removing both tokens.
-fn take_backend(args: &mut Vec<String>) -> String {
-    match args.iter().position(|a| a == "--backend") {
-        Some(i) => {
-            let name = args
-                .get(i + 1)
-                .cloned()
-                .expect("--backend requires a backend name");
-            args.drain(i..=i + 1);
-            name
-        }
-        None => "hybrid".to_string(),
-    }
-}
 
 /// Runs one stream through the sequential session, or through a
 /// `workers`-thread query service with every ticket read in submission
@@ -99,20 +70,12 @@ fn run_stream<B: JoinOrderer + Clone + 'static>(
     }
 }
 
-struct Cli {
-    copies: usize,
-    tables: usize,
-    approx_mode: ApproxMode,
-    workers: usize,
-    solver_threads: usize,
-}
-
 /// The fixed-backend path: one tiny workload per paper topology, each
 /// structure repeated `copies` times.
 fn drive_fixed<B: JoinOrderer + Clone + 'static>(
     name: &str,
     backend: B,
-    cli: &Cli,
+    cli: &ServeArgs,
     is_search_backend: bool,
 ) {
     for topology in [Topology::Chain, Topology::Cycle, Topology::Star] {
@@ -214,7 +177,7 @@ fn drive_fixed<B: JoinOrderer + Clone + 'static>(
 /// 3/6/10/14 tables plus a 20-table tail over a shared catalog), so the
 /// policy's exact fast path, its search tail, and the very-large
 /// decompose rule all fire in a single batch.
-fn drive_router(config: EncoderConfig, cli: &Cli) {
+fn drive_router(config: EncoderConfig, cli: &ServeArgs) {
     // SWEEP_SIZES plus one cell at the decompose threshold.
     const ROUTER_SIZES: [usize; 5] = [3, 6, 10, 14, 20];
     let router = standard_router(config, RouterOptions::default());
@@ -291,43 +254,18 @@ fn drive_router(config: EncoderConfig, cli: &Cli) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--workers N` anywhere in the argument list selects an N-worker
-    // query service; the remaining positional arguments keep their
-    // meaning.
-    let workers = take_flag(&mut args, "--workers", 1).max(1);
-    // `--solver-threads T` sets the intra-solve branch-and-bound worker
-    // count (independent of `--workers`, which parallelizes across
-    // queries).
-    let solver_threads = take_flag(&mut args, "--solver-threads", 1).max(1);
-    let backend = take_backend(&mut args);
-    let copies: usize = args
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-        .max(1);
-    let tables: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8).max(2);
-    // Fail loudly on a typo: the CI smoke relies on `upper` actually
-    // exercising the UpperBound projection path.
-    let approx_mode = match args.get(2).map(String::as_str) {
-        Some("upper") => ApproxMode::UpperBound,
-        Some("lower") | None => ApproxMode::LowerBound,
-        Some(other) => panic!("unknown approximation mode {other:?} (expected upper|lower)"),
-    };
-    let cli = Cli {
-        copies,
-        tables,
-        approx_mode,
-        workers,
-        solver_threads,
-    };
-
+    // `--workers N` selects an N-worker query service; `--solver-threads T`
+    // sets the intra-solve branch-and-bound worker count (independent of
+    // `--workers`, which parallelizes across queries). A typo fails with a
+    // usage error: the CI smoke relies on `upper` actually exercising the
+    // UpperBound projection path.
+    let cli = ServeArgs::from_env(ServeExample::Session);
     let config = EncoderConfig {
-        approx_mode,
+        approx_mode: cli.approx_mode,
         ..EncoderConfig::default().precision(Precision::Low)
     };
     let (model, params) = (config.cost_model, config.cost_params);
-    match backend.as_str() {
+    match cli.backend.as_str() {
         "greedy" => drive_fixed(
             "greedy",
             GreedyOptimizer {
@@ -363,8 +301,6 @@ fn main() {
         // search-backend smoke assertions apply to it unchanged.
         "decomp" => drive_fixed("decomp", DecomposingOptimizer::new(config), &cli, true),
         "router" => drive_router(config, &cli),
-        other => panic!(
-            "unknown backend {other:?} (expected greedy|dp|dpconv|milp|hybrid|decomp|router)"
-        ),
+        other => unreachable!("ServeArgs::parse rejects backend {other:?}"),
     }
 }

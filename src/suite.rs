@@ -3,7 +3,7 @@
 use std::str::FromStr;
 use std::time::Duration;
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OptimizeOutcome, OrderingOptions, Precision};
+use milpjoin::{ApproxMode, Precision};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
 use milpjoin_qopt::{Catalog, LeftDeepPlan, Query, TableId};
 use milpjoin_workloads::{Topology, WorkloadSpec};
@@ -11,22 +11,6 @@ use milpjoin_workloads::{Topology, WorkloadSpec};
 /// Generates a seeded random workload (re-exported convenience).
 pub fn workload(topology: Topology, num_tables: usize, seed: u64) -> (Catalog, Query) {
     WorkloadSpec::new(topology, num_tables).generate(seed)
-}
-
-/// Runs the MILP optimizer with a precision and time limit.
-pub fn optimize_with(
-    catalog: &Catalog,
-    query: &Query,
-    precision: Precision,
-    time_limit: Duration,
-) -> Result<OptimizeOutcome, milpjoin::OptimizeError> {
-    let optimizer = MilpOptimizer::new(EncoderConfig::default().precision(precision));
-    optimizer.optimize(
-        catalog,
-        query,
-        &OrderingOptions::with_time_limit(time_limit),
-        None,
-    )
 }
 
 /// `plan_cost` of every left-deep plan of `query` under `model` and the
@@ -111,10 +95,162 @@ impl ExperimentArgs {
 }
 
 fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("`{flag}` needs a value"))?;
+    let value = flag_text(flag, value)?;
     value
         .parse()
         .map_err(|_| format!("`{flag}` takes a non-negative integer, not `{value}`"))
+}
+
+/// The serving examples, which share one argument parser ([`ServeArgs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeExample {
+    /// `examples/session.rs`: also takes the approximation mode and
+    /// `--solver-threads`.
+    Session,
+    /// `examples/service.rs`: also takes `--submitters` and `--snapshot`.
+    Service,
+}
+
+impl ServeExample {
+    fn name(self) -> &'static str {
+        match self {
+            ServeExample::Session => "session",
+            ServeExample::Service => "service",
+        }
+    }
+
+    fn usage(self) -> &'static str {
+        match self {
+            ServeExample::Session => {
+                "[copies] [tables] [lower|upper] [--backend B] [--workers N] [--solver-threads T]"
+            }
+            ServeExample::Service => {
+                "[copies] [tables] [--backend B] [--submitters N] [--workers N] [--snapshot PATH]"
+            }
+        }
+    }
+}
+
+/// The backends the serving examples drive (`--backend`).
+const SERVE_BACKENDS: [&str; 7] = [
+    "greedy", "dp", "dpconv", "milp", "hybrid", "decomp", "router",
+];
+
+/// Command-line arguments of the serving examples, parsed strictly: an
+/// unknown flag, a flag the example does not take, a missing or unparsable
+/// value, an unknown backend or mode and a surplus argument are errors, so
+/// a mistyped command never runs a different experiment. Flags may come
+/// in any order around the positional arguments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServeArgs {
+    /// Copies of each structure in the stream (default 8, at least 1).
+    pub copies: usize,
+    /// Tables per query (default 8, at least 2).
+    pub tables: usize,
+    /// The third positional argument of `session`, `lower` (the default) or
+    /// `upper`.
+    pub approx_mode: ApproxMode,
+    /// `greedy`, `dp`, `dpconv`, `milp`, `hybrid` (the default), `decomp`
+    /// or `router`.
+    pub backend: String,
+    /// Service workers (default 1 for `session`, 2 for `service`; at
+    /// least 1).
+    pub workers: usize,
+    /// Branch-and-bound workers per solve, `session` only (default 1, at
+    /// least 1).
+    pub solver_threads: usize,
+    /// Submitter threads, `service` only (default 4, at least 1).
+    pub submitters: usize,
+    /// Snapshot file, `service` only.
+    pub snapshot: Option<String>,
+}
+
+impl ServeArgs {
+    /// Parses the arguments of `example` (see [`ServeExample`]).
+    pub fn parse(
+        example: ServeExample,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
+        let session = example == ServeExample::Session;
+        let mut out = ServeArgs {
+            copies: 8,
+            tables: 8,
+            approx_mode: ApproxMode::LowerBound,
+            backend: "hybrid".into(),
+            workers: if session { 1 } else { 2 },
+            solver_threads: 1,
+            submitters: 4,
+            snapshot: None,
+        };
+        let mut positional = 0;
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--backend" => {
+                    let name = flag_text(&arg, args.next())?;
+                    if !SERVE_BACKENDS.contains(&name.as_str()) {
+                        return Err(format!(
+                            "unknown backend `{name}` (expected one of {})",
+                            SERVE_BACKENDS.join("|")
+                        ));
+                    }
+                    out.backend = name;
+                }
+                "--workers" => out.workers = flag_value(&arg, args.next())?,
+                "--solver-threads" if session => {
+                    out.solver_threads = flag_value(&arg, args.next())?;
+                }
+                "--submitters" if !session => out.submitters = flag_value(&arg, args.next())?,
+                "--snapshot" if !session => out.snapshot = Some(flag_text(&arg, args.next())?),
+                flag if flag.starts_with("--") => {
+                    return Err(format!("unknown flag `{flag}`"));
+                }
+                value => {
+                    match positional {
+                        0 => out.copies = positional_count("copies", value)?,
+                        1 => out.tables = positional_count("tables", value)?,
+                        2 if session => {
+                            out.approx_mode = match value {
+                                "lower" => ApproxMode::LowerBound,
+                                "upper" => ApproxMode::UpperBound,
+                                _ => {
+                                    return Err(format!(
+                                        "unknown approximation mode `{value}` (expected \
+                                         lower|upper)"
+                                    ))
+                                }
+                            };
+                        }
+                        _ => return Err(format!("unexpected argument `{value}`")),
+                    }
+                    positional += 1;
+                }
+            }
+        }
+        out.copies = out.copies.max(1);
+        out.tables = out.tables.max(2);
+        out.workers = out.workers.max(1);
+        out.solver_threads = out.solver_threads.max(1);
+        out.submitters = out.submitters.max(1);
+        Ok(out)
+    }
+
+    /// [`Self::parse`] over the process arguments; on an error, prints it
+    /// with the usage line of `example` and exits with status 2.
+    pub fn from_env(example: ServeExample) -> Self {
+        Self::parse(example, std::env::args().skip(1))
+            .unwrap_or_else(|e| usage_error(example.name(), example.usage(), &e))
+    }
+}
+
+fn flag_text(flag: &str, value: Option<String>) -> Result<String, String> {
+    value.ok_or_else(|| format!("`{flag}` needs a value"))
+}
+
+fn positional_count(name: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{value}` is not a count of {name}"))
 }
 
 /// The optional table-count argument of `compare_optimizers`: `default`
@@ -165,8 +301,8 @@ mod tests {
     #[test]
     fn helpers_work() {
         let (c, q) = workload(Topology::Chain, 4, 0);
-        let out = optimize_with(&c, &q, Precision::Low, Duration::from_secs(10)).unwrap();
-        out.plan.validate(&q).unwrap();
+        q.validate(&c).unwrap();
+        assert_eq!(q.num_tables(), 4);
         assert_eq!(secs(Duration::from_millis(1500)), "1.50s");
     }
 
@@ -208,6 +344,68 @@ mod tests {
         assert_eq!(table_count_arg(strings(&["8"]), 10), Ok(8));
         assert!(table_count_arg(strings(&["eight"]), 10).is_err());
         assert!(table_count_arg(strings(&["8", "9"]), 10).is_err());
+    }
+
+    #[test]
+    fn serve_args_accept_the_smoke_commands() {
+        use ServeExample::{Service, Session};
+        let session = |a: &[&str]| ServeArgs::parse(Session, strings(a)).unwrap();
+        let service = |a: &[&str]| ServeArgs::parse(Service, strings(a)).unwrap();
+        let defaults = session(&[]);
+        assert_eq!((defaults.copies, defaults.tables), (8, 8));
+        assert_eq!(defaults.approx_mode, ApproxMode::LowerBound);
+        assert_eq!((defaults.backend.as_str(), defaults.workers), ("hybrid", 1));
+        assert_eq!(service(&[]).workers, 2);
+
+        let a = session(&["3", "6", "upper"]);
+        assert_eq!((a.copies, a.tables), (3, 6));
+        assert_eq!(a.approx_mode, ApproxMode::UpperBound);
+        assert_eq!(session(&["3", "6", "lower", "--workers", "4"]).workers, 4);
+        let a = session(&["--solver-threads", "4", "3", "6", "lower"]);
+        assert_eq!((a.solver_threads, a.copies), (4, 3));
+        assert_eq!(
+            session(&["3", "30", "--backend", "decomp"]).backend,
+            "decomp"
+        );
+
+        let a = service(&["3", "6", "--submitters", "4", "--workers", "2"]);
+        assert_eq!((a.copies, a.tables, a.submitters, a.workers), (3, 6, 4, 2));
+        let a = service(&["3", "6", "--snapshot", "target/warmboot.snap"]);
+        assert_eq!(a.snapshot.as_deref(), Some("target/warmboot.snap"));
+        assert_eq!(
+            service(&["3", "6", "--backend", "router"]).backend,
+            "router"
+        );
+        // Zero counts keep their old clamp.
+        let a = session(&["0", "0", "--workers", "0"]);
+        assert_eq!((a.copies, a.tables, a.workers), (1, 2, 1));
+    }
+
+    #[test]
+    fn serve_args_reject_mistyped_commands() {
+        use ServeExample::{Service, Session};
+        for (example, bad) in [
+            (Session, &["three", "6"][..]),
+            (Session, &["3", "6", "lower", "--wrokers", "4"]),
+            (Session, &["3", "6", "lower", "extra"]),
+            (Session, &["3", "6", "middle"]),
+            (Session, &["3", "-6"]),
+            (Session, &["3", "6", "--workers"]),
+            (Session, &["3", "6", "--workers", "four"]),
+            (Session, &["3", "6", "--backend", "gredy"]),
+            (Session, &["3", "6", "--backend"]),
+            (Session, &["3", "6", "--submitters", "4"]),
+            (Session, &["3", "6", "--snapshot", "x.snap"]),
+            (Service, &["3", "6", "--submiters", "4"]),
+            (Service, &["3", "6", "upper"]),
+            (Service, &["3", "6", "--solver-threads", "2"]),
+            (Service, &["3", "6", "--snapshot"]),
+        ] {
+            assert!(
+                ServeArgs::parse(example, strings(bad)).is_err(),
+                "{example:?} {bad:?} accepted"
+            );
+        }
     }
 
     #[test]

@@ -4,39 +4,61 @@
 
 use std::time::{Duration, Instant};
 
-use milpjoin::{EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
+use milpjoin::{encode, EncoderConfig, MilpOptimizer, OrderingOptions, Precision};
 use milpjoin_dp::{greedy_order, DpOptions};
-use milpjoin_milp::SolveStatus;
+use milpjoin_milp::branch_bound::SolverEvent;
+use milpjoin_milp::{SolveStatus, Solver, SolverOptions};
 use milpjoin_qopt::{Catalog, Predicate, Query};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
+/// The MILP-space search record is the solver's own event stream: on a
+/// real encoding, timestamps never go back, incumbent objectives never
+/// rise, announced bounds never fall and never pass the incumbent of their
+/// event, and the stream ends on the returned objective.
 #[test]
 fn trace_monotonicity() {
     let (catalog, query) = WorkloadSpec::new(Topology::Star, 6).generate(2);
-    let out = MilpOptimizer::new(EncoderConfig::default().precision(Precision::Low))
-        .optimize(
-            &catalog,
-            &query,
-            &OrderingOptions::with_time_limit(Duration::from_secs(20)),
-            None,
-        )
+    let encoding = encode(
+        &catalog,
+        &query,
+        &EncoderConfig::default().precision(Precision::Low),
+    )
+    .unwrap();
+    let mut events = Vec::new();
+    let result = Solver::new(SolverOptions::with_time_limit(Duration::from_secs(20)))
+        .solve_with_callback(&encoding.model, |ev| {
+            events.push(match ev {
+                SolverEvent::Incumbent(inc) => (inc.elapsed, Some(inc.objective), inc.bound),
+                SolverEvent::BoundImproved { elapsed, bound, .. } => (*elapsed, None, *bound),
+            });
+        })
         .unwrap();
     let mut last_inc = f64::INFINITY;
     let mut last_bound = f64::NEG_INFINITY;
     let mut last_t = Duration::ZERO;
-    for p in out.trace.points() {
-        assert!(p.elapsed >= last_t, "time went backwards");
-        last_t = p.elapsed;
-        if let Some(inc) = p.incumbent {
-            assert!(inc <= last_inc * (1.0 + 1e-9), "incumbent worsened");
-            last_inc = inc;
+    for &(elapsed, incumbent, bound) in &events {
+        assert!(elapsed >= last_t, "time went backwards");
+        last_t = elapsed;
+        match incumbent {
+            Some(inc) => {
+                assert!(inc <= last_inc * (1.0 + 1e-9), "incumbent worsened");
+                assert!(
+                    bound <= inc + 1e-9 * (1.0 + inc.abs()),
+                    "bound above incumbent"
+                );
+                last_inc = inc;
+            }
+            None => {
+                assert!(
+                    bound >= last_bound - 1e-9 * (1.0 + last_bound.abs()),
+                    "bound dropped"
+                );
+                last_bound = bound;
+            }
         }
-        assert!(
-            p.bound >= last_bound - 1e-9 * (1.0 + last_bound.abs()),
-            "bound dropped"
-        );
-        last_bound = p.bound;
     }
+    assert!(last_inc.is_finite(), "no incumbent event");
+    assert_eq!(Some(last_inc), result.objective);
 }
 
 #[test]
@@ -52,7 +74,10 @@ fn guaranteed_factor_is_nonincreasing_over_time() {
         .unwrap();
     let mut last = f64::INFINITY;
     for ms in [50u64, 200, 1000, 5000, 20000] {
-        if let Some(f) = out.trace.guaranteed_factor_at(Duration::from_millis(ms)) {
+        if let Some(f) = out
+            .cost_trace
+            .guaranteed_factor_at(Duration::from_millis(ms))
+        {
             assert!(
                 f <= last * (1.0 + 1e-9),
                 "factor rose from {last} to {f} at {ms}ms"
@@ -77,6 +102,9 @@ fn time_limit_respected() {
     assert!(start.elapsed() < limit + Duration::from_secs(10));
 }
 
+/// The cost-space certificate of the outcome is the trace's last word, up
+/// to the bound tightening a solve may make at termination without
+/// another event.
 #[test]
 fn final_factor_matches_trace_tail() {
     let (catalog, query) = WorkloadSpec::new(Topology::Star, 4).generate(3);
@@ -88,10 +116,12 @@ fn final_factor_matches_trace_tail() {
             None,
         )
         .unwrap();
-    if let (Some(final_factor), Some(tail)) = (
-        out.optimality_factor(),
-        out.trace.guaranteed_factor_at(Duration::from_secs(3600)),
-    ) {
+    let tail = out
+        .cost_trace
+        .guaranteed_factor_at(Duration::from_secs(3600));
+    if let (Some(final_factor), Some(tail)) =
+        (out.into_ordering_outcome().guaranteed_factor(), tail)
+    {
         assert!((final_factor - tail).abs() <= 0.5 + 0.1 * final_factor.abs());
     }
 }
@@ -175,7 +205,6 @@ fn proven_zero_objective_has_factor_one() {
     assert_eq!((out.milp_objective, out.milp_bound), (0.0, 0.0));
     assert_eq!(out.optimality_factor(), Some(1.0));
     let end = Duration::from_secs(3600);
-    assert_eq!(out.trace.guaranteed_factor_at(end), Some(1.0));
     assert_eq!(out.cost_trace.guaranteed_factor_at(end), Some(1.0));
     assert_eq!(out.into_ordering_outcome().guaranteed_factor(), Some(1.0));
 }

@@ -18,7 +18,8 @@ use milpjoin::{
     OrderingOutcome, Precision,
 };
 use milpjoin_dp::DpOptimizer;
-use milpjoin_qopt::{Catalog, Query};
+use milpjoin_qopt::cost::plan_cost;
+use milpjoin_qopt::{Catalog, LeftDeepPlan, Query};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -162,5 +163,50 @@ proptest! {
         let topo = [Topology::Chain, Topology::Star, Topology::Cycle][topo_ix];
         let (catalog, query) = WorkloadSpec::new(topo, tables).generate(seed);
         check_query(&format!("{}/{tables}t/{seed}", topo.name()), &catalog, &query);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The seeded contract: under any node budget, a seeded solve never
+    /// returns a plan costlier than its seed — the greedy plan or an
+    /// arbitrary rotation of the query's tables — and the argmin contract
+    /// holds for it.
+    #[test]
+    fn seeded_solves_never_lose_to_their_seed(
+        (topo_ix, tables, seed, budget_ix, rotation) in
+            (0usize..4, 4usize..=7, 0u64..1000, 0usize..4, 0usize..8)
+    ) {
+        let topo = [Topology::Chain, Topology::Star, Topology::Cycle, Topology::Clique][topo_ix];
+        let budget = [0u64, 1, 5, 20][budget_ix];
+        let (catalog, query) = WorkloadSpec::new(topo, tables).generate(seed);
+        let config = EncoderConfig::default();
+        let mut rotated = query.tables.clone();
+        rotated.rotate_left(rotation % tables);
+        let seeds = [
+            HybridOptimizer::new(config.clone()).seed_plan(&catalog, &query),
+            LeftDeepPlan::from_order(rotated),
+        ];
+        for (name, start) in ["greedy", "rotated"].into_iter().zip(&seeds) {
+            let label = format!("{}/{tables}t/{seed}/budget {budget}/{name}", topo.name());
+            let seed_cost =
+                plan_cost(&catalog, &query, start, config.cost_model, &config.cost_params).total;
+            let out = MilpOptimizer::new(config.clone())
+                .optimize(
+                    &catalog,
+                    &query,
+                    &OrderingOptions::with_deterministic_budget(budget),
+                    Some(start),
+                )
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            out.plan.validate(&query).unwrap();
+            assert!(
+                out.true_cost <= seed_cost,
+                "{label}: returned cost {:.6e} above the seed's {seed_cost:.6e}",
+                out.true_cost
+            );
+            assert_argmin(&label, &out.into_ordering_outcome());
+        }
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use milpjoin::{
     warm_start_assignment, EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer,
-    OrderingOptions, Precision,
+    OrderingError, OrderingOptions, Precision,
 };
 use milpjoin_dp::GreedyOptimizer;
 use milpjoin_workloads::{Topology, WorkloadSpec};
@@ -103,6 +103,43 @@ fn warm_start_assignment_is_always_feasible() {
     }
 }
 
+/// A zero wall-clock budget stops the warm-start LP at its deadline, so
+/// the solver rejects the seed and finds no plan: the cold MILP reports a
+/// timeout, and the hybrid falls back to its greedy plan with honest,
+/// guarantee-free certificates instead of propagating the error.
+#[test]
+fn zero_time_budget_falls_back_to_the_greedy_plan() {
+    let options = OrderingOptions::with_time_limit(Duration::ZERO);
+    let config = EncoderConfig::default();
+    for (topology, tables) in [
+        (Topology::Chain, 5),
+        (Topology::Star, 6),
+        (Topology::Cycle, 8),
+    ] {
+        let case = format!("{}-{tables}", topology.name());
+        let (catalog, query) = WorkloadSpec::new(topology, tables).generate(1);
+        let greedy = GreedyOptimizer::new(config.cost_model)
+            .order(&catalog, &query, &options)
+            .unwrap();
+        let out = HybridOptimizer::new(config.clone())
+            .order(&catalog, &query, &options)
+            .unwrap();
+        assert_eq!(out.plan, greedy.plan, "{case}: plan");
+        assert_eq!(out.cost.to_bits(), greedy.cost.to_bits(), "{case}: cost");
+        assert_eq!(out.objective.to_bits(), out.cost.to_bits(), "{case}");
+        assert_eq!(out.bound, None, "{case}: bound");
+        assert!(!out.proven_optimal, "{case}: proven_optimal");
+        let points = out.trace.points();
+        assert_eq!(points.len(), 1, "{case}: trace");
+        assert_eq!(points[0].incumbent, Some(out.cost), "{case}: trace");
+        assert_eq!(points[0].bound, None, "{case}: trace");
+        assert_eq!(out.search.nodes_expanded, 0, "{case}: nodes");
+
+        let cold = MilpOptimizer::new(config.clone()).order(&catalog, &query, &options);
+        assert_eq!(cold.unwrap_err(), OrderingError::Timeout, "{case}: cold");
+    }
+}
+
 /// An invalid initial plan is a caller bug and must be reported, not
 /// silently ignored.
 #[test]
@@ -128,7 +165,7 @@ fn node_budget_exhaustion_is_not_a_timeout() {
         )
         .unwrap_err();
     assert!(
-        matches!(err, milpjoin::OrderingError::ResourceLimit(_)),
+        matches!(err, OrderingError::ResourceLimit(_)),
         "expected ResourceLimit, got {err:?}"
     );
 }
@@ -147,7 +184,7 @@ fn config_errors_are_not_query_errors() {
         .order(&catalog, &query, &OrderingOptions::default())
         .unwrap_err();
     assert!(
-        matches!(err, milpjoin::OrderingError::InvalidConfig(_)),
+        matches!(err, OrderingError::InvalidConfig(_)),
         "expected InvalidConfig, got {err:?}"
     );
 }
@@ -165,13 +202,14 @@ fn hybrid_rejects_invalid_queries_without_panicking() {
         .order(&catalog, &query, &OrderingOptions::default())
         .unwrap_err();
     assert!(
-        matches!(err, milpjoin::OrderingError::InvalidQuery(_)),
+        matches!(err, OrderingError::InvalidQuery(_)),
         "expected InvalidQuery, got {err:?}"
     );
 }
 
 /// The hybrid's guaranteed contract, across seeds: its exact cost never
-/// exceeds its greedy seed's (the safety net), and the trace always opens
+/// exceeds its greedy seed's (the seed is an argmin candidate), and the
+/// trace always opens
 /// with an incumbent. (No bound against a *cold* MILP run is asserted —
 /// MILP-space ties can legitimately decode differently between two
 /// searches, so that property is not guaranteed.)

@@ -2,7 +2,7 @@
 //! plan costs (each MILP incumbent decoded and projected through
 //! `plan_cost` at trace-point creation), the projected bound is a valid
 //! cost-space lower bound, and a hybrid trace always ends describing the
-//! plan that is actually returned — including after a safety-net swap.
+//! plan that is actually returned — including after an argmin swap.
 
 use std::time::Duration;
 
@@ -74,9 +74,9 @@ fn milp_trace_incumbents_are_exact_plan_costs() {
 }
 
 /// The hybrid's cost trace opens with the exact greedy seed cost, ends
-/// with the exact cost of the returned plan (also when the safety-net swap
-/// fired — the swap appends a final point describing the seed), and its
-/// bound is valid for the returned plan even after a swap.
+/// with the exact cost of the returned plan (also when the greedy seed won
+/// the exact-cost argmin — the swap appends a final point describing the
+/// seed), and its bound is valid for the returned plan even after a swap.
 #[test]
 fn hybrid_trace_describes_the_returned_plan() {
     for seed in 0..6u64 {

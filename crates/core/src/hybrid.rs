@@ -147,7 +147,10 @@ impl JoinOrderer for HybridOptimizer {
             .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
         let seed = self.seed_plan(catalog, query);
         let seed_elapsed = start.elapsed();
-        match self.milp.optimize(catalog, query, options, Some(&seed)) {
+        match self
+            .milp
+            .optimize_since(start, catalog, query, options, Some(&seed))
+        {
             Ok(outcome) => Ok(outcome.into_ordering_outcome()),
             // A feasible seed exists, so "no plan within the budget" never
             // reaches the caller (see the module docs).

@@ -17,7 +17,10 @@
 //! plan costs and `guaranteed_factor_at` means the same thing as for the DP
 //! and greedy backends. The final MILP-space certificate stays on the
 //! outcome (`milp_objective`, `milp_bound`,
-//! [`OptimizeOutcome::optimality_factor`]).
+//! [`OptimizeOutcome::optimality_factor`]). Trace timestamps and
+//! [`OptimizeOutcome::elapsed`] are measured from the start of the backend
+//! call, so they count validation, encoding, hints, decoding and re-costing
+//! as well as the solver's own `solve_time`.
 //!
 //! ## The exact-cost argmin guarantee
 //!
@@ -55,7 +58,7 @@
 //! subtracting the **window-floor inflation** (see the function docs for
 //! the derivation).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use milpjoin_milp::branch_bound::SolverEvent;
 use milpjoin_milp::{SolveStatus, Solver, SolverOptions, StopReason};
@@ -65,6 +68,7 @@ use milpjoin_qopt::orderer::{
     OrderingOutcome, SearchStats,
 };
 use milpjoin_qopt::{Catalog, CostModelKind, CostParams, LeftDeepPlan, Query};
+use milpjoin_shim::time as shim_time;
 
 use crate::config::EncoderConfig;
 use crate::decode::{decode, DecodedPlan};
@@ -238,10 +242,16 @@ pub struct OptimizeOutcome {
     /// cost-space `bound`.
     pub argmin_swapped: bool,
     /// The anytime record: exact costs of the running argmin plus the
-    /// projected bound (see the module docs).
+    /// projected bound (see the module docs). Its timestamps are measured
+    /// from the start of the backend call, as `elapsed` is.
     pub cost_trace: CostTrace,
     pub stats: FormulationStats,
+    /// The solver's own clock: presolve and branch and bound.
     pub solve_time: Duration,
+    /// Wall-clock span of the whole backend call: validation, the seed,
+    /// encoding, warm-start hints, the solve, decoding and re-costing. No
+    /// cost-trace point lies after it.
+    pub elapsed: Duration,
     /// Search counters (nodes expanded, LP iterations, workers used,
     /// speculative work), mapped from the solver's own record.
     pub search: SearchStats,
@@ -350,6 +360,22 @@ impl MilpOptimizer {
         options: &OrderingOptions,
         seed: Option<&LeftDeepPlan>,
     ) -> Result<OptimizeOutcome, OrderingError> {
+        self.optimize_since(shim_time::now(), catalog, query, options, seed)
+    }
+
+    /// [`optimize`](Self::optimize) for a backend call that began at
+    /// `start`: `elapsed` and the cost-trace timestamps are measured from
+    /// it, so they include whatever the caller did first (the hybrid's
+    /// validation and greedy seed).
+    pub(crate) fn optimize_since(
+        &self,
+        start: Instant,
+        catalog: &Catalog,
+        query: &Query,
+        options: &OrderingOptions,
+        seed: Option<&LeftDeepPlan>,
+    ) -> Result<OptimizeOutcome, OrderingError> {
+        let since_start = || shim_time::now().saturating_duration_since(start);
         // Single-table queries need no joins and no MILP.
         if query.num_tables() == 1 {
             query.validate(catalog).map_err(EncodeError::Query)?;
@@ -366,6 +392,7 @@ impl MilpOptimizer {
                 cost_trace: CostTrace::default(),
                 stats: FormulationStats::default(),
                 solve_time: Duration::ZERO,
+                elapsed: since_start(),
                 search: SearchStats::default(),
             });
         }
@@ -429,16 +456,16 @@ impl MilpOptimizer {
                         // the solve stopped here — monotone by
                         // construction.
                         cost_trace.push(CostTracePoint {
-                            elapsed: inc.elapsed,
+                            elapsed: since_start(),
                             incumbent: best.map(|b| projections[b].1),
                             bound: cost_space_bound(projection.as_ref(), last_bound),
                         });
                     }
                 }
-                SolverEvent::BoundImproved { elapsed, bound, .. } => {
+                SolverEvent::BoundImproved { bound, .. } => {
                     last_bound = last_bound.max(*bound);
                     cost_trace.push(CostTracePoint {
-                        elapsed: *elapsed,
+                        elapsed: since_start(),
                         incumbent: best.map(|b| projections[b].1),
                         bound: cost_space_bound(projection.as_ref(), last_bound),
                     });
@@ -513,7 +540,7 @@ impl MilpOptimizer {
         let final_bound = cost_space_bound(projection.as_ref(), result.bound);
         if argmin_swapped {
             cost_trace.push(CostTracePoint {
-                elapsed: result.solve_time,
+                elapsed: since_start(),
                 incumbent: Some(true_cost),
                 bound: final_bound,
             });
@@ -533,6 +560,7 @@ impl MilpOptimizer {
             cost_trace,
             stats: encoding.stats,
             solve_time: result.solve_time,
+            elapsed: since_start(),
             // Map the solver-native stats struct onto the backend-agnostic
             // one (qopt cannot depend on the milp crate).
             search: SearchStats {
@@ -561,8 +589,9 @@ impl MilpOptimizer {
 impl OptimizeOutcome {
     /// Projects the MILP-specific outcome onto the backend-agnostic shape:
     /// exact cost, cost-space bound ([`cost_space_bound`]; a -inf MILP
-    /// bound means the search proved nothing and projects to `None`), and
-    /// the cost-space trace.
+    /// bound means the search proved nothing and projects to `None`), the
+    /// cost-space trace, and the span of the whole backend call as
+    /// `elapsed` (not the solver's `solve_time`).
     ///
     /// When the exact-cost argmin replaced the final MILP incumbent with an
     /// earlier incumbent or the seed ([`Self::argmin_swapped`]), the
@@ -583,7 +612,7 @@ impl OptimizeOutcome {
             bound: self.cost_bound,
             proven_optimal: self.status == SolveStatus::Optimal && !self.argmin_swapped,
             trace: self.cost_trace,
-            elapsed: self.solve_time,
+            elapsed: self.elapsed,
             search: self.search,
             route: None,
         }

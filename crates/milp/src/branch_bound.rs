@@ -64,7 +64,7 @@ use crate::heuristics::{diving_heuristic, rounding_heuristic};
 use crate::lp::LpProblem;
 use crate::options::SolverOptions;
 use crate::pool::{Open, Pool, PoolEvent, PoolLimits};
-use crate::simplex::{BasisSnapshot, DualPath, LpStatus, Simplex, SimplexLimits};
+use crate::simplex::{BasisSnapshot, DualPath, LpStatus, Simplex, SimplexLimits, StallCounts};
 use crate::solution::{IncumbentEvent, Solution};
 use crate::status::{SearchStats, SolveStatus, StopReason};
 
@@ -382,6 +382,8 @@ struct WorkerScratch {
     dual_resolves: u64,
     /// Diagnostics: LU builds the worker's simplex ran.
     refactorizations: u64,
+    /// Diagnostics: what the stall guards of the worker's simplex did.
+    stalls: StallCounts,
     /// Diagnostics: dual re-solves that gave up and ran the primal loop
     /// from the parent's basis.
     dual_fallbacks: u64,
@@ -406,6 +408,7 @@ impl WorkerScratch {
         self.cold_retries += other.cold_retries;
         self.dual_resolves += other.dual_resolves;
         self.refactorizations += other.refactorizations;
+        self.stalls += other.stalls;
         self.dual_fallbacks += other.dual_fallbacks;
         self.certified_infeasible += other.certified_infeasible;
         self.numerical_failures += other.numerical_failures;
@@ -420,6 +423,15 @@ impl WorkerScratch {
 /// certified infeasibility is re-solved cold. The root, and nodes whose
 /// parent only stalled, are solved cold: the primal loop from the slack
 /// basis.
+///
+/// Every LP runs under the simplex's stall guards (see
+/// [`crate::simplex`]): Bland's rule after 200 primal pivots without
+/// progress or 400 degenerate ones; the cost perturbation after 400
+/// phase-2 pivots without progress; `IterationLimit` after 400 more once
+/// perturbed, or after 5,000 + 4m in phase 1; and the dual's give-up after
+/// 100, which falls back to the primal loop. A node LP that ends on
+/// `IterationLimit` at a primal feasible point is still branched on, under
+/// its parent's bound; at an infeasible point its node is parked.
 fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
     lp: &LpProblem,
     pool: &SearchPool<F>,
@@ -656,6 +668,7 @@ fn worker<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
     }
     scratch.simplex_iterations = sx.iterations_total();
     scratch.refactorizations = sx.refactorizations();
+    scratch.stalls = sx.stall_counts();
 }
 
 /// The branch-and-bound search: [`SolverOptions::threads`] workers over one
@@ -729,6 +742,7 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
             WorkerScratch {
                 simplex_iterations: sx.iterations_total(),
                 refactorizations: sx.refactorizations(),
+                stalls: sx.stall_counts(),
                 ..WorkerScratch::default()
             }
         };
@@ -756,12 +770,17 @@ impl<'a, F: FnMut(&SolverEvent) + Send> BranchBound<'a, F> {
         if std::env::var_os("MILP_STATS").is_some() {
             eprintln!(
                 "bb: workers={workers} nodes={nodes} infeasible={} certified_infeasible={} \
-                 dual_resolves={} refactorizations={} dual_fallbacks={} cold_retries={} \
+                 dual_resolves={} refactorizations={} bland_pivots={} perturbations={} \
+                 stall_exits={} dual_stalls={} dual_fallbacks={} cold_retries={} \
                  numerical_failures={} heap_left={}",
                 totals.infeasible_nodes,
                 totals.certified_infeasible,
                 totals.dual_resolves,
                 totals.refactorizations,
+                totals.stalls.bland_pivots,
+                totals.stalls.perturbations,
+                totals.stalls.stall_exits,
+                totals.stalls.dual_stalls,
                 totals.dual_fallbacks,
                 totals.cold_retries,
                 totals.numerical_failures,

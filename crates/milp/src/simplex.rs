@@ -18,9 +18,37 @@
 //!
 //! Numerical safeguards: sparse LU with partial pivoting, product-form
 //! updates with periodic refactorization, Harris-style two-pass ratio tests
-//! (primal and dual), relative dual tolerances, a Bland's-rule fallback
-//! under prolonged degeneracy, and a one-shot cost perturbation against
-//! stalling.
+//! (primal and dual), relative dual tolerances, and the stall guards below.
+//!
+//! ## Stall guards
+//!
+//! Each loop measures progress on the objective it drives: the primal loop
+//! on the sum of infeasibilities in phase 1 and on the working (possibly
+//! perturbed) objective in phase 2, the dual on the objective of the basic
+//! point. A pivot makes progress when it improves the best value since the
+//! last reset by a relative 1e-13. The first value after a reset always
+//! does; a reset is the start of a solve, a phase change, and the
+//! perturbation starting or stopping. A stalling primal solve meets these
+//! stages, in this order:
+//!
+//! 1. **Bland's rule** prices each pivot that follows more than
+//!    `STALL_BLAND` (200) pivots in a row without progress, or more than
+//!    `DEGEN_LIMIT` (400) in a row that stepped at most 1e-10.
+//! 2. **The cost perturbation** engages after `STALL_PERTURB` (400) phase-2
+//!    pivots without progress, at most once per solve: a deterministic
+//!    relative 1e-7 on every cost. At its optimum it is dropped, and the
+//!    true costs are re-optimized from that basis.
+//! 3. **A stall exit** ends the solve with [`LpStatus::IterationLimit`].
+//!    Once the perturbation has engaged, `STALL_PERTURB` more phase-2
+//!    pivots without progress end it, whether the perturbation is still
+//!    active (a perturbed stall) or was dropped (a second stall, where
+//!    engaging it again would replay the same walk). Phase 1 never
+//!    perturbs; there `stall_abort` (5,000 + 4m) pivots without progress
+//!    end the solve.
+//!
+//! The dual phase gives up after `DUAL_STALL` (100) pivots without
+//! progress, and the re-solve falls back to the primal loop.
+//! [`Simplex::stall_counts`] counts each stage.
 //!
 //! A [`Simplex`] owns one [`LuFactors`] and refills it in place on every
 //! refactorization, and it keeps its loop vectors across solves, so a
@@ -114,8 +142,182 @@ const PIVOT_TOL: f64 = 1e-8;
 const REFACTOR_INTERVAL: usize = 100;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_LIMIT: u64 = 400;
+/// Primal pivots without progress before switching to Bland's rule.
+const STALL_BLAND: u64 = 200;
+/// Phase-2 pivots without progress before the cost perturbation engages;
+/// once it has, before the solve ends.
+const STALL_PERTURB: u64 = 400;
 /// Dual pivots without objective progress before the dual gives up.
 const DUAL_STALL: u64 = 100;
+
+/// What the stall guards of one [`Simplex`] did, summed over its solves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StallCounts {
+    /// Primal pivots priced by Bland's rule.
+    pub bland_pivots: u64,
+    /// Primal solves that engaged the cost perturbation.
+    pub perturbations: u64,
+    /// Primal solves a stall ended with [`LpStatus::IterationLimit`]: a
+    /// second stall after the perturbation was dropped, a stall under the
+    /// perturbation, or the last-resort abort.
+    pub stall_exits: u64,
+    /// Dual phases that gave up after `DUAL_STALL` pivots without
+    /// progress.
+    pub dual_stalls: u64,
+}
+
+impl std::ops::AddAssign for StallCounts {
+    fn add_assign(&mut self, other: StallCounts) {
+        self.bland_pivots += other.bland_pivots;
+        self.perturbations += other.perturbations;
+        self.stall_exits += other.stall_exits;
+        self.dual_stalls += other.dual_stalls;
+    }
+}
+
+/// The best value so far of a quantity a loop drives down, and the pivots
+/// since it last fell.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    /// `+∞` until the first value after a reset.
+    best: f64,
+    stalled: u64,
+}
+
+impl Progress {
+    const RESET: Progress = Progress {
+        best: f64::INFINITY,
+        stalled: 0,
+    };
+
+    /// Records the value after a pivot and returns the pivots since the
+    /// last progress. The first value after a reset is progress, and so is
+    /// one below the best by a relative 1e-13. The first case is tested on
+    /// its own: at an infinite best the margin is `∞ − ∞`, a NaN that every
+    /// comparison fails.
+    fn record(&mut self, value: f64) -> u64 {
+        if self.best.is_infinite() || value < self.best - 1e-13 * (1.0 + self.best.abs()) {
+            self.best = value;
+            self.stalled = 0;
+        } else {
+            self.stalled += 1;
+        }
+        self.stalled
+    }
+}
+
+/// The cost perturbation over one primal solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Perturbation {
+    Never,
+    Active,
+    /// Engaged, then dropped at its optimum to re-optimize the true costs.
+    Dropped,
+}
+
+/// What the primal loop does after [`StallGuard::observe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StallStep {
+    Pivot,
+    /// Engage the cost perturbation, then pivot.
+    Perturb,
+    /// End the solve with [`LpStatus::IterationLimit`].
+    Exit(StallExit),
+}
+
+/// Which stall ended a primal solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StallExit {
+    /// The perturbed optimum did not hold on the true costs and the walk
+    /// stalled again. The perturbation is deterministic, so engaging it
+    /// again would replay the same walk.
+    SecondStall,
+    /// The walk stalled under the perturbation.
+    PerturbedStall,
+    /// `stall_abort` pivots without progress. Phase 2 reaches a
+    /// perturbation rule first, so only phase 1 gets here.
+    Abort,
+}
+
+/// The stall guard of one primal solve: it tracks the phase objective
+/// (the sum of infeasibilities in phase 1, the working objective in phase
+/// 2) and the step lengths, and decides when Bland's rule prices, when the
+/// cost perturbation engages and when a stall ends the solve (see the
+/// module docs for the stages).
+#[derive(Debug, Clone)]
+struct StallGuard {
+    phase1: bool,
+    /// Reset on a phase change and whenever the perturbation starts or
+    /// stops: each changes the objective being measured.
+    progress: Progress,
+    /// Consecutive pivots with a step of at most 1e-10.
+    degenerate: u64,
+    perturbation: Perturbation,
+    /// Pivots without progress that end the solve in any phase. Scaled to
+    /// the problem size: large degenerate LPs crawl through long zero-step
+    /// stretches between improvements.
+    abort: u64,
+}
+
+impl StallGuard {
+    fn new(rows: usize) -> Self {
+        StallGuard {
+            phase1: false,
+            progress: Progress::RESET,
+            degenerate: 0,
+            perturbation: Perturbation::Never,
+            abort: 5_000 + 4 * rows as u64,
+        }
+    }
+
+    /// Records the phase objective at the start of an iteration and says
+    /// what the loop does next.
+    fn observe(&mut self, phase1: bool, objective: f64) -> StallStep {
+        if phase1 != self.phase1 {
+            self.phase1 = phase1;
+            self.progress = Progress::RESET;
+        }
+        let stalled = self.progress.record(objective);
+        if stalled >= self.abort {
+            return StallStep::Exit(StallExit::Abort);
+        }
+        if phase1 || stalled < STALL_PERTURB {
+            return StallStep::Pivot;
+        }
+        match self.perturbation {
+            Perturbation::Never => {
+                self.perturbation = Perturbation::Active;
+                self.progress = Progress::RESET;
+                StallStep::Perturb
+            }
+            Perturbation::Active => StallStep::Exit(StallExit::PerturbedStall),
+            Perturbation::Dropped => StallStep::Exit(StallExit::SecondStall),
+        }
+    }
+
+    /// Whether Bland's rule prices the next pivot: after [`DEGEN_LIMIT`]
+    /// consecutive degenerate pivots or [`STALL_BLAND`] pivots without
+    /// progress (micro-steps of the Harris ratio test evade the first).
+    fn bland(&self) -> bool {
+        self.degenerate > DEGEN_LIMIT || self.progress.stalled > STALL_BLAND
+    }
+
+    /// Records the step length of a pivot.
+    fn pivoted(&mut self, step: f64) {
+        if step > 1e-10 {
+            self.degenerate = 0;
+        } else {
+            self.degenerate += 1;
+        }
+    }
+
+    /// The loop dropped the perturbation at its optimum.
+    fn perturbation_dropped(&mut self) {
+        self.perturbation = Perturbation::Dropped;
+        self.progress = Progress::RESET;
+        self.degenerate = 0;
+    }
+}
 
 /// How the installed LU factors relate to the current basis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,6 +368,8 @@ pub struct Simplex<'a> {
     lu_state: LuState,
     /// LU builds run so far; skipped refactorizations do not count.
     refactorizations: u64,
+    /// What the stall guards did so far.
+    stalls: StallCounts,
     /// Work vector of the FTRAN/BTRAN solves, reused across iterations.
     lu_work: Vec<f64>,
     /// Right-hand side of `compute_basics`, reused across calls.
@@ -190,6 +394,7 @@ impl<'a> Simplex<'a> {
             lu: LuFactors::default(),
             lu_state: LuState::Stale,
             refactorizations: 0,
+            stalls: StallCounts::default(),
             lu_work: Vec::new(),
             rhs: Vec::new(),
             scratch: LoopScratch::default(),
@@ -313,6 +518,11 @@ impl<'a> Simplex<'a> {
     /// were already fresh do not count).
     pub fn refactorizations(&self) -> u64 {
         self.refactorizations
+    }
+
+    /// What the stall guards did so far.
+    pub fn stall_counts(&self) -> StallCounts {
+        self.stalls
     }
 
     /// Objective coefficient of a column including any active anti-cycling
@@ -488,30 +698,12 @@ impl<'a> Simplex<'a> {
 
         self.perturbation = None;
         let mut iterations = 0u64;
-        let mut degen_streak = 0u64;
         let mut etas_since_refactor = 0usize;
         // Incremental value updates drift numerically; every termination
         // verdict is confirmed against freshly refactorized basic values
         // before it is returned.
         let mut confirmed = false;
-        // Stall detection on actual progress (micro-steps from the Harris
-        // relaxation evade the pure step-length degeneracy counter): switch
-        // to Bland's rule after STALL_BLAND non-improving iterations and
-        // give up (IterationLimit) after STALL_ABORT.
-        const STALL_BLAND: u64 = 200;
-        /// Non-improving iterations before cost perturbation engages.
-        const STALL_PERTURB: u64 = 400;
-        // Last-resort abort: scaled to the problem size, since large
-        // degenerate LPs legitimately crawl through long zero-step
-        // stretches between improvements.
-        let stall_abort: u64 = 5_000 + 4 * m as u64;
-        let mut stall_counter = 0u64;
-        let mut best_progress = f64::INFINITY; // phase1: violation; phase2: objective
-        let mut last_phase1 = false;
-        // Whether this solve already engaged (and later dropped) the
-        // perturbation: it is deterministic, so a second stall would only
-        // re-run the same perturbed walk.
-        let mut perturbed_once = false;
+        let mut guard = StallGuard::new(m);
         // Per-iteration vectors: the duals `y` (indexed by row) and the
         // entering direction `dvec` (by position).
         let LoopScratch { y, dvec, .. } = scratch;
@@ -550,51 +742,30 @@ impl<'a> Simplex<'a> {
                 }
             }
             let phase1 = total_violation > 1e-6;
-
-            // Progress accounting for stall detection (scales differ per
-            // phase, so reset on phase changes).
-            if phase1 != last_phase1 {
-                best_progress = f64::INFINITY;
-                last_phase1 = phase1;
-            }
-            let progress = if phase1 {
+            let objective = if phase1 {
                 total_violation
             } else {
                 self.working_objective()
             };
-            if progress < best_progress - 1e-13 * (1.0 + best_progress.abs()) {
-                best_progress = progress;
-                stall_counter = 0;
-            } else {
-                stall_counter += 1;
-            }
-            if stall_counter >= stall_abort {
-                return self.finish(LpStatus::IterationLimit, iterations);
-            }
-            let engage_perturbation =
-                stall_counter >= STALL_PERTURB && self.perturbation.is_none() && !phase1;
-            if engage_perturbation && perturbed_once {
-                // The perturbed optimum did not hold on the true costs and
-                // the walk stalled again. Re-engaging the identical
-                // perturbation cycles until `max_iter` or `stall_abort`;
-                // give the same verdict now.
-                return self.finish(LpStatus::IterationLimit, iterations);
-            }
-            if engage_perturbation {
-                perturbed_once = true;
-                // Deterministic tiny cost perturbation: breaks the exact
-                // dual ties that tolerance-based Bland's rule cannot.
-                let pert: Vec<f64> = (0..ncols)
-                    .map(|j| {
-                        let h = (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
-                        1e-7 * (1.0 + self.lp.obj[j].abs()) * (0.5 + u)
-                    })
-                    .collect();
-                self.perturbation = Some(pert);
-                // Progress is now measured against the perturbed objective.
-                best_progress = f64::INFINITY;
-                stall_counter = 0;
+            match guard.observe(phase1, objective) {
+                StallStep::Pivot => {}
+                StallStep::Perturb => {
+                    self.stalls.perturbations += 1;
+                    // Deterministic tiny cost perturbation: breaks the exact
+                    // dual ties that tolerance-based Bland's rule cannot.
+                    let pert: Vec<f64> = (0..ncols)
+                        .map(|j| {
+                            let h = (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+                            1e-7 * (1.0 + self.lp.obj[j].abs()) * (0.5 + u)
+                        })
+                        .collect();
+                    self.perturbation = Some(pert);
+                }
+                StallStep::Exit(_) => {
+                    self.stalls.stall_exits += 1;
+                    return self.finish(LpStatus::IterationLimit, iterations);
+                }
             }
 
             // Dual values for the phase objective.
@@ -617,7 +788,7 @@ impl<'a> Simplex<'a> {
             // Pricing: Dantzig rule on scale-normalized reduced costs, or
             // Bland's rule (first eligible index) under prolonged
             // degeneracy.
-            let use_bland = degen_streak > DEGEN_LIMIT || stall_counter > STALL_BLAND;
+            let use_bland = guard.bland();
             let mut entering: Option<(usize, f64, f64)> = None; // (col, score, direction)
             for j in 0..ncols {
                 let st = self.status[j];
@@ -678,9 +849,7 @@ impl<'a> Simplex<'a> {
                 // optimal) basis.
                 if !phase1 && self.perturbation.is_some() {
                     self.perturbation = None;
-                    best_progress = f64::INFINITY;
-                    stall_counter = 0;
-                    degen_streak = 0;
+                    guard.perturbation_dropped();
                     confirmed = false;
                     iterations += 1;
                     continue;
@@ -702,6 +871,9 @@ impl<'a> Simplex<'a> {
                 return self.finish(LpStatus::Optimal, iterations);
             };
             confirmed = false;
+            if use_bland {
+                self.stalls.bland_pivots += 1;
+            }
 
             // Entering direction d = B^-1 a_q.
             dvec.fill(0.0);
@@ -763,11 +935,7 @@ impl<'a> Simplex<'a> {
                 }
             }
 
-            if step > 1e-10 {
-                degen_streak = 0;
-            } else {
-                degen_streak += 1;
-            }
+            guard.pivoted(step);
             iterations += 1;
         }
     }
@@ -970,10 +1138,15 @@ impl<'a> Simplex<'a> {
         }
         let cap = 100 + m as u64;
         let mut pivots = 0u64;
-        let mut best = f64::NEG_INFINITY;
-        let mut stall = 0u64;
+        // The dual objective (the objective of the basic point) never
+        // falls: track its negation, which must.
+        let mut progress = Progress::RESET;
         loop {
-            if pivots >= cap || stall >= DUAL_STALL {
+            if progress.stalled >= DUAL_STALL {
+                self.stalls.dual_stalls += 1;
+                return DualEnd::Failed(pivots);
+            }
+            if pivots >= cap {
                 return DualEnd::Failed(pivots);
             }
             if pivots.is_multiple_of(16) {
@@ -1032,15 +1205,7 @@ impl<'a> Simplex<'a> {
                 self.compute_basics();
             }
             pivots += 1;
-            // The dual objective (the objective of the basic point) never
-            // falls; count pivots that do not raise it.
-            let obj = self.objective();
-            if obj > best + 1e-13 * (1.0 + best.abs()) {
-                best = obj;
-                stall = 0;
-            } else {
-                stall += 1;
-            }
+            progress.record(-self.objective());
         }
     }
 
@@ -1629,6 +1794,222 @@ mod tests {
         assert!(
             certified >= 25,
             "{certified} of 200 re-solves certified infeasible"
+        );
+    }
+
+    /// `max Σ_j (1 + j/n) x_j` subject to one row `x_j <= 1` per column:
+    /// from the slack basis, every primal pivot brings one `x_j` in at a
+    /// step of 1 and raises the objective, so the walk never stalls.
+    fn diagonal_lp(n: usize, weighted: bool) -> Model {
+        let mut m = Model::new("diagonal");
+        let mut obj = crate::expr::LinExpr::new();
+        for j in 0..n {
+            let x = m.add_continuous(0.0, f64::INFINITY, format!("x{j}"));
+            m.add_le(x.into(), 1.0, format!("r{j}"));
+            if weighted {
+                obj += x * (1.0 + j as f64 / n as f64);
+            }
+        }
+        m.set_objective(obj, Sense::Maximize);
+        m
+    }
+
+    /// Stage pinned: none. A primal walk that improves at every pivot, for
+    /// longer than `STALL_BLAND` and `STALL_PERTURB` pivots, is priced by
+    /// Dantzig's rule throughout and never perturbed.
+    #[test]
+    fn an_improving_walk_never_engages_a_stall_stage() {
+        let n = 2 * STALL_PERTURB as usize;
+        let lp = LpProblem::from_model(&diagonal_lp(n, true));
+        let mut sx = Simplex::new(&lp);
+        let res = sx.solve(&SimplexLimits::default());
+        assert_eq!(res.status, LpStatus::Optimal);
+        assert!(res.iterations >= n as u64, "{} pivots", res.iterations);
+        assert_eq!(sx.stall_counts(), StallCounts::default());
+    }
+
+    /// Stage pinned: none. A dual re-solve whose every pivot raises the
+    /// objective runs past `DUAL_STALL` pivots and ends in the dual.
+    #[test]
+    fn an_improving_dual_runs_past_the_dual_stall_limit() {
+        let n = 2 * DUAL_STALL as usize;
+        let lp = LpProblem::from_model(&diagonal_lp(n, true));
+        let mut sx = Simplex::new(&lp);
+        assert_eq!(
+            sx.solve(&SimplexLimits::default()).status,
+            LpStatus::Optimal
+        );
+        // Every x_j sits at 1 in the optimal basis; capping each at a half
+        // leaves n basic columns over their bounds, and each dual pivot
+        // repairs one and lowers the objective by a half of its weight.
+        for j in 0..n {
+            sx.set_bounds(j, lp.lb[j], 0.5 / lp.col_scale[j]);
+        }
+        let (res, path) = sx.solve_dual(&SimplexLimits::default());
+        assert_eq!(path, DualPath::Dual);
+        assert_eq!(res.status, LpStatus::Optimal);
+        assert!(res.iterations >= n as u64, "{} pivots", res.iterations);
+        assert_eq!(sx.stall_counts(), StallCounts::default());
+    }
+
+    /// Stage pinned: the dual give-up. With a zero objective no dual pivot
+    /// makes progress, so the dual gives up `DUAL_STALL` pivots after its
+    /// first, restores the starting basis and hands it to the primal loop.
+    #[test]
+    fn a_dual_without_progress_gives_up_after_dual_stall_pivots() {
+        let n = 2 * DUAL_STALL as usize;
+        let lp = LpProblem::from_model(&diagonal_lp(n, false));
+        let mut sx = Simplex::new(&lp);
+        // Every x_j basic at 1, every row tight: dual feasible under a zero
+        // objective, and primal feasible until the caps below.
+        let mut status = vec![VarStatus::Basic; n];
+        status.extend((0..n).map(|i| sx.nonbasic_resting_status(n + i)));
+        sx.load_basis(&BasisSnapshot {
+            status,
+            order: Vec::new(),
+        });
+        for j in 0..n {
+            sx.set_bounds(j, lp.lb[j], 0.5 / lp.col_scale[j]);
+        }
+        let (res, path) = sx.solve_dual(&SimplexLimits::default());
+        assert_eq!(path, DualPath::Fallback);
+        assert_eq!(res.status, LpStatus::Optimal);
+        assert_eq!(sx.stall_counts().dual_stalls, 1);
+    }
+
+    /// Stage pinned: the last-resort abort, `stall_abort` phase-1 pivots
+    /// without progress. One row `Σ x_j >= 1e15` over 5,100 columns boxed
+    /// in `[0, 0.01]`: each phase-1 iteration flips one column to its upper
+    /// bound, and all of them together cut the violation by 51, below the
+    /// relative 1e-13 (about 100) that counts as progress. No test solve
+    /// of an encoding reaches this stage.
+    #[test]
+    fn a_phase_one_stall_ends_at_stall_abort() {
+        let n = 5_100;
+        let mut m = Model::new("out of reach");
+        let mut row = crate::expr::LinExpr::new();
+        for j in 0..n {
+            row += m.add_continuous(0.0, 0.01, format!("x{j}"));
+        }
+        m.add_ge(row, 1e15, "r");
+        let lp = LpProblem::from_model(&m);
+        let mut sx = Simplex::new(&lp);
+        let res = sx.solve(&SimplexLimits::default());
+        assert_eq!(res.status, LpStatus::IterationLimit);
+        // The first value counts as progress; the abort fires on the
+        // observation after `stall_abort` more.
+        assert_eq!(res.iterations, StallGuard::new(1).abort);
+        let counts = sx.stall_counts();
+        assert_eq!(counts.stall_exits, 1);
+        assert_eq!(counts.perturbations, 0);
+    }
+
+    /// Feeds `count` copies of `objective` to the guard and returns the
+    /// first step other than a plain pivot, with its observation number.
+    fn observe_flat(
+        guard: &mut StallGuard,
+        phase1: bool,
+        objective: f64,
+        count: u64,
+    ) -> Option<(u64, StallStep)> {
+        (1..=count).find_map(|k| match guard.observe(phase1, objective) {
+            StallStep::Pivot => None,
+            step => Some((k, step)),
+        })
+    }
+
+    /// Stages pinned: none engage while every observation improves, however
+    /// long the walk, in either phase.
+    #[test]
+    fn guard_counts_the_first_value_after_each_reset_as_progress() {
+        let mut guard = StallGuard::new(10);
+        for phase1 in [true, false, true] {
+            for k in 0..2 * STALL_PERTURB {
+                let step = guard.observe(phase1, 1e6 - k as f64);
+                assert_eq!(step, StallStep::Pivot, "phase1 {phase1}, pivot {k}");
+                assert!(!guard.bland(), "phase1 {phase1}, pivot {k}");
+                guard.pivoted(1.0);
+            }
+        }
+    }
+
+    /// Stage pinned: Bland's rule, after `STALL_BLAND` pivots without
+    /// progress and after `DEGEN_LIMIT` degenerate pivots.
+    #[test]
+    fn guard_switches_to_bland_on_a_stall_or_a_degenerate_streak() {
+        let mut guard = StallGuard::new(10);
+        assert_eq!(observe_flat(&mut guard, false, 5.0, STALL_BLAND + 1), None);
+        assert!(!guard.bland());
+        guard.observe(false, 5.0);
+        assert!(guard.bland());
+        // Progress ends the stall.
+        guard.observe(false, 4.0);
+        assert!(!guard.bland());
+
+        let mut guard = StallGuard::new(10);
+        for k in 0..=DEGEN_LIMIT {
+            guard.observe(false, -(k as f64));
+            guard.pivoted(0.0);
+        }
+        assert!(guard.bland());
+        guard.pivoted(1.0);
+        assert!(!guard.bland());
+    }
+
+    /// Stages pinned: the perturbation engages after `STALL_PERTURB`
+    /// phase-2 pivots without progress, and a stall under it ends the
+    /// solve within `STALL_PERTURB` more pivots, long before `stall_abort`.
+    #[test]
+    fn guard_ends_a_perturbed_stall_within_stall_perturb_pivots() {
+        let mut guard = StallGuard::new(10);
+        assert_eq!(
+            observe_flat(&mut guard, false, 5.0, 2 * STALL_PERTURB),
+            Some((STALL_PERTURB + 1, StallStep::Perturb))
+        );
+        assert!(!guard.bland(), "the perturbation resets the stall count");
+        assert_eq!(
+            observe_flat(&mut guard, false, 7.0, 2 * STALL_PERTURB),
+            Some((
+                STALL_PERTURB + 1,
+                StallStep::Exit(StallExit::PerturbedStall)
+            ))
+        );
+        assert!(2 * STALL_PERTURB + 2 < guard.abort);
+    }
+
+    /// Stage pinned: the second stall, a stall after the perturbation was
+    /// dropped at its optimum.
+    #[test]
+    fn guard_ends_a_second_stall_after_the_perturbation_was_dropped() {
+        let mut guard = StallGuard::new(10);
+        let engaged = observe_flat(&mut guard, false, 5.0, 2 * STALL_PERTURB);
+        assert_eq!(engaged, Some((STALL_PERTURB + 1, StallStep::Perturb)));
+        observe_flat(&mut guard, false, 6.0, 10);
+        guard.perturbation_dropped();
+        assert_eq!(
+            observe_flat(&mut guard, false, 5.0, 2 * STALL_PERTURB),
+            Some((STALL_PERTURB + 1, StallStep::Exit(StallExit::SecondStall)))
+        );
+    }
+
+    /// Stage pinned: the last-resort abort. Phase 1 never perturbs, so only
+    /// `stall_abort` pivots without progress end a phase-1 stall.
+    #[test]
+    fn guard_aborts_a_phase_one_stall_at_stall_abort() {
+        let mut guard = StallGuard::new(10);
+        let abort = guard.abort;
+        assert_eq!(abort, 5_040);
+        assert_eq!(
+            observe_flat(&mut guard, true, 3.0, 2 * abort),
+            Some((abort + 1, StallStep::Exit(StallExit::Abort)))
+        );
+        // A phase change resets the count: the phase-2 objective is on
+        // another scale.
+        let mut guard = StallGuard::new(10);
+        observe_flat(&mut guard, true, 3.0, STALL_PERTURB);
+        assert_eq!(
+            observe_flat(&mut guard, false, 3.0, 2 * STALL_PERTURB),
+            Some((STALL_PERTURB + 1, StallStep::Perturb))
         );
     }
 

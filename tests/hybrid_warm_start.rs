@@ -4,7 +4,7 @@
 //! bound-only events, even on queries where cold MILP needs seconds to find
 //! its first feasible plan.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use milpjoin::{
     warm_start_assignment, EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer,
@@ -244,7 +244,11 @@ fn hybrid_contract_across_seeds() {
 /// true costs gives up at that second stall. Re-engaging the deterministic
 /// cost perturbation would replay the same walk until the iteration limit:
 /// this 5-table cycle spent 20,309 LP iterations in that loop under a
-/// 20-node budget, and about 3,600 without it.
+/// 20-node budget, and about 3,600 without it. It now takes 788: two of
+/// its LPs stall long enough for Bland's rule (117 pivots in all), and
+/// none reaches the perturbation. The simplex unit tests pin each stall stage on
+/// synthetic LPs and on the guard itself; `hybrid_contract_across_seeds`
+/// reaches the perturbation and both stall exits on real encodings.
 #[test]
 fn perturbed_stall_does_not_cycle() {
     let (catalog, query) =
@@ -262,4 +266,70 @@ fn perturbed_stall_does_not_cycle() {
         iterations <= 6_000,
         "{iterations} LP iterations: a perturbed stall cycled"
     );
+}
+
+/// `elapsed` is the span of the whole backend call, not the solver's own
+/// clock: it exceeds `solve_time` by the encoding, hints, decoding and
+/// re-costing around the solve, and every cost-trace point lies on the
+/// same origin, never after it. The hybrid's span also covers its
+/// validation and greedy seed.
+#[test]
+fn elapsed_spans_the_whole_backend_call() {
+    for (topology, tables) in [(Topology::Chain, 6), (Topology::Star, 8)] {
+        let case = format!("{}-{tables}", topology.name());
+        let (catalog, query) = WorkloadSpec::new(topology, tables).generate(3);
+        let options = OrderingOptions::with_deterministic_budget(20);
+        let hybrid = HybridOptimizer::new(EncoderConfig::default());
+        let seed = hybrid.seed_plan(&catalog, &query);
+        let out = MilpOptimizer::new(EncoderConfig::default())
+            .optimize(&catalog, &query, &options, Some(&seed))
+            .unwrap();
+        assert!(
+            out.elapsed > out.solve_time,
+            "{case}: elapsed {:?}, solve_time {:?}",
+            out.elapsed,
+            out.solve_time
+        );
+        let last = out.cost_trace.points().last().expect("non-empty trace");
+        assert!(last.elapsed <= out.elapsed, "{case}: trace after elapsed");
+        let elapsed = out.elapsed;
+        assert_eq!(out.into_ordering_outcome().elapsed, elapsed, "{case}");
+
+        let before = Instant::now();
+        let out = hybrid.order(&catalog, &query, &options).unwrap();
+        let wall = before.elapsed();
+        let last = out.trace.points().last().expect("non-empty trace");
+        assert!(
+            last.elapsed <= out.elapsed,
+            "{case}: hybrid trace after elapsed"
+        );
+        assert!(out.elapsed <= wall, "{case}: hybrid elapsed past the call");
+    }
+}
+
+/// The chain-6 query whose root LP used to crawl under Bland's rule: the
+/// stall guard compared every pivot against an infinite best, so every
+/// pivot counted as a stall and this root LP took 6,159 iterations, the
+/// last 5,758 of them under the cost perturbation until `stall_abort`
+/// (13,455 over the whole solve). Counting progress, it takes 1,206
+/// (2,822 in all). With the infinite best and the perturbed-stall exit,
+/// the root LP would stop short at 878, but the solve would take 5,719.
+#[test]
+fn chain_six_root_lp_does_not_crawl() {
+    let (catalog, query) =
+        WorkloadSpec::new(Topology::Chain, 6).generate(4_741_404_531_979_287_686);
+    let out = HybridOptimizer::new(EncoderConfig::default())
+        .order(
+            &catalog,
+            &query,
+            &OrderingOptions::with_deterministic_budget(20),
+        )
+        .unwrap();
+    out.plan.validate(&query).unwrap();
+    let (root, total) = (
+        out.search.root_lp_iterations,
+        out.search.total_lp_iterations,
+    );
+    assert!(root <= 2_000, "{root} root LP iterations");
+    assert!(total <= 4_000, "{total} LP iterations");
 }

@@ -7,7 +7,7 @@
 //! violated tolerance) is reported, never silently accepted.
 
 use milpjoin_milp::Solution;
-use milpjoin_qopt::{eager_evaluation_joins, JoinOp, LeftDeepPlan, Query};
+use milpjoin_qopt::{eager_evaluation_joins, LeftDeepPlan, Query};
 
 use crate::encode::Encoding;
 
@@ -173,11 +173,6 @@ pub fn decode(
         plan,
         predicate_schedule: schedule,
     })
-}
-
-/// Like a [`JoinOp`] list, but also usable when operator selection was off.
-pub fn effective_operator(decoded: &DecodedPlan, j: usize) -> JoinOp {
-    decoded.plan.operator(j)
 }
 
 #[cfg(test)]

@@ -14,12 +14,11 @@
 //!    edge merging would strand every leaf outside the first wedge.
 //! 2. **Solve** each multi-table fragment with the greedy-seeded
 //!    [`HybridOptimizer`] — concurrently, on scoped worker threads that
-//!    build their backend through the [`OrdererFactory`] seam. Each
-//!    fragment solve runs one search worker (`solver_threads: 1`) and
-//!    fragments are collected by index, so the stitched result is
-//!    **bit-identical at any fragment-worker count**. A
-//!    [`OrderingOptions::deterministic_budget`] is split evenly across the
-//!    fragment solves.
+//!    all borrow one hybrid instance. Each fragment solve runs one search
+//!    worker (`solver_threads: 1`) and fragments are collected by index,
+//!    so the stitched result is **bit-identical at any fragment-worker
+//!    count**. A [`OrderingOptions::deterministic_budget`] is split evenly
+//!    across the fragment solves.
 //! 3. **Stitch**: each fragment becomes a pseudo-table of a quotient
 //!    catalog whose cardinality is the estimator's *exact* fragment output
 //!    cardinality; cross-fragment predicates become quotient predicates.
@@ -40,8 +39,7 @@ use milpjoin_dp::{greedy_order, DpOptions};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
 use milpjoin_qopt::graph::{GraphShape, JoinGraph};
 use milpjoin_qopt::orderer::{
-    CostTrace, JoinOrderer, OrdererFactory, OrderingError, OrderingOptions, OrderingOutcome,
-    SearchStats,
+    CostTrace, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome, SearchStats,
 };
 use milpjoin_qopt::{Catalog, Estimator, LeftDeepPlan, Predicate, PredicateId, Query, TableSet};
 
@@ -334,7 +332,7 @@ impl DecomposingOptimizer {
                 .map(|b| (b / u64::from(solves)).max(1)),
             solver_threads: 1,
         };
-        let factory = HybridOptimizer::new(self.config.clone());
+        let hybrid = HybridOptimizer::new(self.config.clone());
         let workers = options.solver_threads.max(1).min(jobs.len());
         let next = AtomicUsize::new(0);
         let mut results: Vec<Option<Result<OrderingOutcome, OrderingError>>> =
@@ -343,19 +341,18 @@ impl DecomposingOptimizer {
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let factory: &dyn OrdererFactory = &factory;
+                    let hybrid = &hybrid;
                     let next = &next;
                     let jobs = &jobs;
                     let frag_options = &frag_options;
                     s.spawn(move || {
-                        let backend = factory.build();
                         let mut out = Vec::new();
                         loop {
                             let k = next.fetch_add(1, Ordering::Relaxed);
                             let Some((frag_idx, fq)) = jobs.get(k) else {
                                 break;
                             };
-                            out.push((*frag_idx, backend.order(catalog, fq, frag_options)));
+                            out.push((*frag_idx, hybrid.order(catalog, fq, frag_options)));
                         }
                         out
                     })
@@ -427,8 +424,8 @@ impl DecomposingOptimizer {
 }
 
 // Concurrency audit: configuration-only like the hybrid it wraps (fragment
-// scratch is per-call), so one instance is shareable across worker threads
-// and `Clone` makes it an `OrdererFactory`.
+// scratch is per-call), so one instance serves every worker thread of a
+// `QueryService`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<DecomposingOptimizer>();

@@ -116,8 +116,9 @@ impl HybridOptimizer {
 }
 
 // Concurrency audit: like `MilpOptimizer`, the hybrid is configuration-only
-// (greedy seed + MILP scratch are per-call), so one instance is shareable
-// across worker threads and `Clone` makes it an `OrdererFactory`.
+// (greedy seed + MILP scratch are per-call), so one instance serves every
+// worker thread of a `QueryService` and every fragment thread of the
+// decompose arm.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<HybridOptimizer>();

@@ -78,7 +78,6 @@ pub use thresholds::{
 // (defined in `milpjoin_qopt`), re-exported so downstream users need only
 // one dependency.
 pub use milpjoin_qopt::cache::ShardedPlanCache;
-pub use milpjoin_qopt::orderer::OrdererFactory;
 pub use milpjoin_qopt::orderer::{
     CostTrace, CostTracePoint, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
 };

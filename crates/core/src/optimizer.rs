@@ -505,36 +505,21 @@ impl MilpOptimizer {
         // audit-allow(no-panic): the status match above returns early for
         // every status without a solution.
         let solution = result.solution.as_ref().expect("has_solution checked");
-        let mut decoded = decode(&encoding, query, solution)
+        let decoded = decode(&encoding, query, solution)
             .map_err(|e| OrderingError::Backend(format!("decode failed: {e}")))?;
         // The final solution is the last incumbent: reuse its cached
         // projection instead of re-costing.
-        let mut true_cost = match projections.iter().find(|(p, _)| p.plan == decoded.plan) {
+        let true_cost = match projections.iter().find(|(p, _)| p.plan == decoded.plan) {
             Some(&(_, c)) => c,
             None => self.exact_cost(catalog, query, &decoded.plan),
         };
-
-        // Exact-cost argmin: never return a plan exactly-worse than an
-        // incumbent that was already decoded and costed (the MILP-space
-        // objective and `plan_cost` can disagree under the threshold-window
-        // approximation), nor than the seed. The seed is the last
-        // candidate and carries no operators, so operator selection
-        // excludes it. Strict improvements only: a tie keeps the MILP's
-        // plan.
-        let mut argmin_swapped = false;
-        if let Some(b) = best.filter(|&b| projections[b].1 < true_cost) {
-            decoded = projections[b].0.clone();
-            true_cost = projections[b].1;
-            argmin_swapped = true;
-        }
-        if let Some(seed) = seed.filter(|_| !self.config.operator_selection) {
-            let seed_cost = self.exact_cost(catalog, query, seed);
-            if seed_cost < true_cost {
-                decoded = DecodedPlan::for_plan(query, seed.clone());
-                true_cost = seed_cost;
-                argmin_swapped = true;
-            }
-        }
+        let (decoded, true_cost, argmin_swapped) = self.select_returned_plan(
+            catalog,
+            query,
+            (decoded, true_cost),
+            best.map(|b| &projections[b]),
+            seed,
+        );
         // A final trace point makes the trace tail describe the returned
         // plan at termination time.
         let final_bound = cost_space_bound(projection.as_ref(), result.bound);
@@ -571,6 +556,41 @@ impl MilpOptimizer {
                 total_lp_iterations: result.search.total_lp_iterations,
             },
         })
+    }
+
+    /// The exact-cost argmin's final pick: `last`, the MILP's final
+    /// incumbent with its exact cost, unless `best` (the running argmin of
+    /// the decoded incumbents) or the seed is strictly cheaper. The MILP
+    /// objective and `plan_cost` can disagree under the threshold-window
+    /// approximation, so this never returns a plan exactly-worse than one
+    /// already decoded and costed, nor than the seed. The seed is the last
+    /// candidate and carries no operators, so operator selection excludes
+    /// it. Strict improvements only: a tie keeps the MILP's plan. Returns
+    /// the pick, its exact cost and whether it replaced `last`.
+    fn select_returned_plan(
+        &self,
+        catalog: &Catalog,
+        query: &Query,
+        last: (DecodedPlan, f64),
+        best: Option<&(DecodedPlan, f64)>,
+        seed: Option<&LeftDeepPlan>,
+    ) -> (DecodedPlan, f64, bool) {
+        let (mut decoded, mut true_cost) = last;
+        let mut argmin_swapped = false;
+        if let Some((plan, cost)) = best.filter(|(_, cost)| *cost < true_cost) {
+            decoded = plan.clone();
+            true_cost = *cost;
+            argmin_swapped = true;
+        }
+        if let Some(seed) = seed.filter(|_| !self.config.operator_selection) {
+            let seed_cost = self.exact_cost(catalog, query, seed);
+            if seed_cost < true_cost {
+                decoded = DecodedPlan::for_plan(query, seed.clone());
+                true_cost = seed_cost;
+                argmin_swapped = true;
+            }
+        }
+        (decoded, true_cost, argmin_swapped)
     }
 
     /// Exact cost of `plan` under the configured cost model.
@@ -622,9 +642,7 @@ impl OptimizeOutcome {
 // Concurrency audit: the optimizer is an immutable configuration; all
 // per-solve scratch (encoding, traces, the incumbent projection cache, the
 // branch-and-bound search) lives on the `optimize` call stack. One instance
-// may therefore serve many worker threads, and the `OrdererFactory`
-// blanket impl (`Clone` backends) that `QueryService` builds workers from
-// applies.
+// may therefore serve every worker thread of a `QueryService`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MilpOptimizer>();
@@ -703,6 +721,95 @@ mod tests {
         let mut query = Query::new(vec![r, s, t]);
         query.add_predicate(milpjoin_qopt::Predicate::binary(r, s, 0.1));
         (catalog, query)
+    }
+
+    /// The paper example's plans in join order R S T (C_out 1,000: only
+    /// R ⋈ S is an intermediate result) and T S R (100,000), each with its
+    /// exact cost under `optimizer`'s configuration.
+    fn cheap_and_dear(
+        optimizer: &MilpOptimizer,
+        catalog: &Catalog,
+        query: &Query,
+    ) -> ((DecodedPlan, f64), (DecodedPlan, f64)) {
+        let [r, s, t] = [query.tables[0], query.tables[1], query.tables[2]];
+        let costed = |order| {
+            let plan = LeftDeepPlan::from_order(order);
+            let cost = optimizer.exact_cost(catalog, query, &plan);
+            (DecodedPlan::for_plan(query, plan), cost)
+        };
+        let (cheap, dear) = (costed(vec![r, s, t]), costed(vec![t, s, r]));
+        assert!(cheap.1 < dear.1, "{} vs {}", cheap.1, dear.1);
+        (cheap, dear)
+    }
+
+    #[test]
+    fn strictly_cheaper_seed_wins_the_argmin() {
+        let (catalog, query) = paper_example();
+        let optimizer = MilpOptimizer::with_defaults();
+        let (cheap, dear) = cheap_and_dear(&optimizer, &catalog, &query);
+        let (picked, cost, swapped) = optimizer.select_returned_plan(
+            &catalog,
+            &query,
+            dear.clone(),
+            Some(&dear),
+            Some(&cheap.0.plan),
+        );
+        assert_eq!(picked.plan, cheap.0.plan);
+        assert_eq!(cost, cheap.1);
+        assert!(swapped);
+        // A cheaper earlier incumbent wins the same way, and the seed
+        // then has to beat it, not the last incumbent.
+        let (picked, cost, swapped) = optimizer.select_returned_plan(
+            &catalog,
+            &query,
+            dear.clone(),
+            Some(&cheap),
+            Some(&dear.0.plan),
+        );
+        assert_eq!(picked.plan, cheap.0.plan);
+        assert_eq!(cost, cheap.1);
+        assert!(swapped);
+    }
+
+    #[test]
+    fn tied_seed_keeps_the_milp_plan() {
+        let (catalog, query) = paper_example();
+        let optimizer = MilpOptimizer::with_defaults();
+        let (cheap, _) = cheap_and_dear(&optimizer, &catalog, &query);
+        // The seed R S T ties the MILP's R S T; so does the join order
+        // S R T, a different plan at the same exact cost.
+        let [r, s, t] = [query.tables[0], query.tables[1], query.tables[2]];
+        let twin = LeftDeepPlan::from_order(vec![s, r, t]);
+        assert_eq!(optimizer.exact_cost(&catalog, &query, &twin), cheap.1);
+        for seed in [&cheap.0.plan, &twin] {
+            let (picked, cost, swapped) = optimizer.select_returned_plan(
+                &catalog,
+                &query,
+                cheap.clone(),
+                Some(&cheap),
+                Some(seed),
+            );
+            assert_eq!(picked.plan, cheap.0.plan);
+            assert_eq!(cost, cheap.1);
+            assert!(!swapped);
+        }
+    }
+
+    #[test]
+    fn operator_selection_never_picks_the_seed() {
+        let (catalog, query) = paper_example();
+        let optimizer = MilpOptimizer::new(EncoderConfig::default().operator_selection(true));
+        let (cheap, dear) = cheap_and_dear(&optimizer, &catalog, &query);
+        let (picked, cost, swapped) = optimizer.select_returned_plan(
+            &catalog,
+            &query,
+            dear.clone(),
+            Some(&dear),
+            Some(&cheap.0.plan),
+        );
+        assert_eq!(picked.plan, dear.0.plan);
+        assert_eq!(cost, dear.1);
+        assert!(!swapped);
     }
 
     #[test]

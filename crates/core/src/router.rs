@@ -6,9 +6,8 @@
 //! greedy, DP, DPconv, hybrid and decompose at once and therefore owns the
 //! standard assembly. [`standard_router`] derives every arm from a single
 //! [`EncoderConfig`], so all arms provably share one cost model — the
-//! router's consistency requirement — and the result is `Clone`, making
-//! it an `OrdererFactory` that drops into `PlanSession` and `QueryService`
-//! like any single backend.
+//! router's consistency requirement — and the result drops into
+//! `PlanSession` and `QueryService` like any single backend.
 
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer, GreedyOptimizer};
 use milpjoin_qopt::cost::CostModelKind;

@@ -228,14 +228,6 @@ impl FormulationStats {
             .find(|(c, _)| *c == cat)
             .map_or(0, |(_, n)| *n)
     }
-
-    pub fn var_breakdown(&self) -> &[(VarCategory, usize)] {
-        &self.vars
-    }
-
-    pub fn constr_breakdown(&self) -> &[(ConstrCategory, usize)] {
-        &self.constrs
-    }
 }
 
 impl fmt::Display for FormulationStats {

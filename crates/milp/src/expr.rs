@@ -49,23 +49,6 @@ impl LinExpr {
         }
     }
 
-    /// Adds `coeff * var` to the expression.
-    pub fn add_term(&mut self, var: Var, coeff: f64) -> &mut Self {
-        self.terms.push((var, coeff));
-        self
-    }
-
-    /// Adds a constant to the expression.
-    pub fn add_constant(&mut self, value: f64) -> &mut Self {
-        self.constant += value;
-        self
-    }
-
-    /// The constant offset.
-    pub fn constant_part(&self) -> f64 {
-        self.constant
-    }
-
     /// The raw (possibly duplicated) terms.
     pub fn terms(&self) -> &[(Var, f64)] {
         &self.terms

@@ -190,11 +190,6 @@ impl Model {
             .count()
     }
 
-    /// Total number of nonzero constraint coefficients.
-    pub fn num_nonzeros(&self) -> usize {
-        self.constrs.iter().map(|c| c.terms.len()).sum()
-    }
-
     pub fn var_data(&self, v: Var) -> &VarData {
         &self.vars[v.index()]
     }

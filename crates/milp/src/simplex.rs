@@ -1373,17 +1373,6 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Columns violating their bounds, with violation amounts (diagnostics).
-    pub fn infeasible_columns(&self) -> Vec<(usize, f64)> {
-        (0..self.lp.num_cols())
-            .filter_map(|j| {
-                let v = self.x[j];
-                let viol = (self.lb[j] - v).max(0.0) + (v - self.ub[j]).max(0.0);
-                (viol > 0.0).then_some((j, viol))
-            })
-            .collect()
-    }
-
     /// Primal infeasibility of the current point (for diagnostics).
     pub fn primal_infeasibility(&self) -> f64 {
         let mut total = 0.0;

@@ -728,9 +728,9 @@ mod interleave_tests {
     use milpjoin_shim::explore::{Explorer, Trial};
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    /// The session-loop shape from `PlanSession::process_fingerprinted`:
-    /// claim until a record is obtained, solving (and counting the solve)
-    /// when leadership lands here, re-entering when a leader abandons.
+    /// The engine-loop shape of `session::process_query`: claim until a
+    /// record is obtained, solving (and counting the solve) when
+    /// leadership lands here, re-entering when a leader abandons.
     fn drive(cache: &ShardedPlanCache, fp: &Fingerprint, solves: &AtomicU32) {
         loop {
             match cache.claim(fp) {

@@ -169,11 +169,6 @@ impl Catalog {
             .ceil()
             .max(1.0)
     }
-
-    /// Pages for an intermediate result under the fixed-width simplification.
-    pub fn pages_for_default_width(&self, cardinality: f64) -> f64 {
-        self.pages_for(cardinality, self.default_tuple_bytes)
-    }
 }
 
 #[cfg(test)]

@@ -46,15 +46,6 @@ impl Default for CostParams {
 }
 
 impl CostParams {
-    /// Derives parameters from a catalog's global settings.
-    pub fn from_catalog(catalog: &Catalog) -> Self {
-        CostParams {
-            tuple_bytes: catalog.default_tuple_bytes,
-            page_bytes: catalog.page_size_bytes,
-            buffer_pages: 64.0,
-        }
-    }
-
     /// Disk pages for `card` tuples.
     pub fn pages(&self, card: f64) -> f64 {
         (card * self.tuple_bytes / self.page_bytes).ceil().max(1.0)

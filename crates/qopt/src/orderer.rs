@@ -307,9 +307,10 @@ impl std::error::Error for OrderingError {}
 /// immutable configuration whose per-solve scratch lives on the call stack
 /// (`order` takes `&self`), so one backend may be shared across threads and
 /// `Box<dyn JoinOrderer>` values may move between them. The service's
-/// worker pool ([`crate::service::QueryService`]) relies on this; a
-/// backend needing per-solve mutable state must keep it in a per-call
-/// context, not in `self`.
+/// worker pool ([`crate::service::QueryService`]) relies on this: every
+/// worker answers through one shared instance. A backend needing
+/// per-solve mutable state must keep it in a per-call context, not in
+/// `self`.
 pub trait JoinOrderer: Send + Sync {
     /// Short human-readable backend name (`"milp"`, `"dp"`, `"greedy"`,
     /// `"hybrid"`, ...).
@@ -331,31 +332,9 @@ pub trait JoinOrderer: Send + Sync {
     ) -> Result<OrderingOutcome, OrderingError>;
 }
 
-/// Builds fresh, identically-configured backend instances — one per worker
-/// thread of a [`crate::service::QueryService`], so each worker owns its
-/// solver rather than contending on a shared one.
-///
-/// Every `Clone` backend is a factory of itself (the blanket impl below):
-/// `MilpOptimizer`, `HybridOptimizer`, and the DP/greedy wrappers all
-/// qualify, so a configured optimizer value can be handed directly to
-/// [`crate::service::QueryService::new`].
-pub trait OrdererFactory: Send + Sync {
-    /// Builds one backend instance. Instances built from one factory must
-    /// be *identically configured* (same cost model, same options): the
-    /// service's result-identity guarantee assumes any two of them produce
-    /// the same outcome for the same input.
-    fn build(&self) -> Box<dyn JoinOrderer>;
-}
-
-impl<T: JoinOrderer + Clone + 'static> OrdererFactory for T {
-    fn build(&self) -> Box<dyn JoinOrderer> {
-        Box::new(self.clone())
-    }
-}
-
 // Compile-time audit of the concurrency story: everything a worker thread
 // touches — the shared catalog, per-query outcomes (plans, traces), options,
-// errors, and boxed backends/factories — is `Send + Sync`. A regression
+// errors, and boxed backends — is `Send + Sync`. A regression
 // (say, an `Rc` slipping into a trace) fails compilation here, not at a
 // distant service call site.
 const _: () = {
@@ -369,7 +348,6 @@ const _: () = {
     assert_send_sync::<OrderingError>();
     assert_send_sync::<CostTrace>();
     assert_send_sync::<Box<dyn JoinOrderer>>();
-    assert_send_sync::<Box<dyn OrdererFactory>>();
     assert_send_sync::<crate::router::RouteDecision>();
     assert_send_sync::<crate::router::RouterOptimizer>();
 };

@@ -15,10 +15,9 @@
 //!
 //! The router is itself a [`JoinOrderer`], so both serving surfaces —
 //! [`crate::session::PlanSession`] and [`crate::service::QueryService`] —
-//! adopt it with zero API change; it is `Clone` (arms are shared
-//! [`Arc`]s), so the blanket [`crate::orderer::OrdererFactory`] impl
-//! applies and worker pools build router instances like any other
-//! backend.
+//! adopt it with zero API change, and like any other backend one router
+//! instance serves every service worker. It is also cheap to `Clone`: the
+//! arms are shared [`Arc`]s.
 //!
 //! ## Contract
 //!

@@ -7,7 +7,8 @@
 //! first place (and the argument the hybrid-MILP follow-up, Schönberger &
 //! Trummer 2025, makes explicitly): a long-running process accepts queries
 //! **from any thread at any time**, solves them on a pool of worker
-//! threads, and resolves each submission through a [`PlanTicket`]:
+//! threads that all answer through one shared backend instance, and
+//! resolves each submission through a [`PlanTicket`]:
 //!
 //! * [`QueryService::submit`] enqueues one query and returns immediately;
 //!   [`QueryService::submit_many`] enqueues a stream;
@@ -31,7 +32,7 @@
 //! record.
 //! Concurrent identical submissions therefore trigger **exactly one
 //! backend solve**, and every follower's outcome goes through the same
-//! `instantiate_cached` path a sequential cache hit uses. *Which*
+//! `answer_hit` path a sequential cache hit uses. *Which*
 //! concurrent duplicate carries the miss (`cache_hit: false`) is decided
 //! by the claim race, not by submission order — exactly one per
 //! structure, but scheduling-dependent. If a leader fails, followers wake
@@ -74,7 +75,6 @@
 //! use milpjoin_qopt::{Catalog, LeftDeepPlan, Predicate, Query};
 //! use std::time::Duration;
 //!
-//! #[derive(Clone)]
 //! struct Sorter;
 //! impl JoinOrderer for Sorter {
 //!     fn name(&self) -> &'static str { "sorter" }
@@ -123,7 +123,7 @@ use std::thread::JoinHandle;
 use crate::cache::ShardedPlanCache;
 use crate::catalog::Catalog;
 use crate::fingerprint::FingerprintOptions;
-use crate::orderer::{JoinOrderer, OrdererFactory, OrderingError, OrderingOptions};
+use crate::orderer::{JoinOrderer, OrderingError, OrderingOptions};
 use crate::persist::{SnapshotConfig, SnapshotWriteStats};
 use crate::query::Query;
 use crate::session::{
@@ -221,18 +221,15 @@ struct ServiceState {
 /// Everything the worker threads share.
 struct ServiceShared {
     catalog: Arc<Catalog>,
-    factory: Arc<dyn OrdererFactory>,
+    /// The one backend instance every worker answers through (backends are
+    /// immutable configurations; see [`JoinOrderer`]).
+    backend: Box<dyn JoinOrderer>,
     options: OrderingOptions,
     fingerprint_options: FingerprintOptions,
-    caching: bool,
     cache: Arc<ShardedPlanCache>,
     /// Worker-pool size (applied when the pool lazily spawns on first
     /// submit).
     workers: usize,
-    /// Bound on unresolved submissions (queued + in flight); `0` means
-    /// unbounded. Past it, `submit` rejects with a `ResourceLimit` error
-    /// instead of growing the queue without limit.
-    max_pending: usize,
     /// Snapshot file armed by `with_snapshot`: loaded at build time and
     /// re-exported once at shutdown (first closer wins, Drop included).
     snapshot_path: Option<PathBuf>,
@@ -265,35 +262,30 @@ fn mark_resolved(shared: &ServiceShared) {
 ///
 /// Configuration is builder-style and must complete **before the first
 /// submission** (builders panic afterwards): one config surface — options,
-/// fingerprinting, caching, cache handle, worker count — mirroring
-/// [`crate::session::PlanSession`].
+/// fingerprinting, cache capacity or handle, snapshot, worker count —
+/// mirroring [`crate::session::PlanSession`].
 pub struct QueryService {
     shared: Arc<ServiceShared>,
-    /// One probe instance for metadata queries (`backend_name`).
-    probe: Box<dyn JoinOrderer>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl QueryService {
-    /// A service over `catalog` with worker backends built by `factory`
-    /// (any `Clone` backend is its own factory). Defaults: worker count =
-    /// available parallelism, a [`DEFAULT_CACHE_SHARDS`]-way shared cache
-    /// of [`DEFAULT_CACHE_CAPACITY`] structures, default options.
-    pub fn new(catalog: Catalog, factory: impl OrdererFactory + 'static) -> Self {
-        let probe = factory.build();
+    /// A service over `catalog` whose workers all answer through
+    /// `backend`, one shared instance. Defaults: worker count = available
+    /// parallelism, a [`DEFAULT_CACHE_SHARDS`]-way shared cache of
+    /// [`DEFAULT_CACHE_CAPACITY`] structures, default options.
+    pub fn new(catalog: Catalog, backend: impl JoinOrderer + 'static) -> Self {
         QueryService {
             shared: Arc::new(ServiceShared {
                 catalog: Arc::new(catalog),
-                factory: Arc::new(factory),
+                backend: Box::new(backend),
                 options: OrderingOptions::default(),
                 fingerprint_options: FingerprintOptions::default(),
-                caching: true,
                 cache: Arc::new(ShardedPlanCache::new(
                     DEFAULT_CACHE_CAPACITY,
                     DEFAULT_CACHE_SHARDS,
                 )),
                 workers: default_workers(),
-                max_pending: 0,
                 snapshot_path: None,
                 snapshot_written: AtomicBool::new(false),
                 recency_base: AtomicU64::new(u64::MAX),
@@ -307,7 +299,6 @@ impl QueryService {
                 idle_cv: Condvar::new(),
                 stats: Mutex::new(SessionStats::default()),
             }),
-            probe,
             handles: Mutex::new(Vec::new()),
         }
     }
@@ -344,14 +335,6 @@ impl QueryService {
         self
     }
 
-    /// Disables (or re-enables) the plan cache — which also disables
-    /// in-flight dedup: every submission then runs its own backend solve,
-    /// matching the sequential session with caching off.
-    pub fn with_caching(mut self, on: bool) -> Self {
-        self.config_mut().caching = on;
-        self
-    }
-
     /// Builder-style setter for the total plan-cache capacity (split
     /// across the shards).
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
@@ -359,31 +342,13 @@ impl QueryService {
         self
     }
 
-    /// Builder-style setter for the cache shard count. **Rebuilds the
-    /// cache**: cached structures are dropped.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        let capacity = self.shared.cache.capacity();
-        self.config_mut().cache = Arc::new(ShardedPlanCache::new(capacity, shards));
-        self
-    }
-
     /// Builder-style setter replacing the cache with an existing shared
     /// one — sessions and services sharing a handle share solved
-    /// structures *and* the in-flight table (cross-session dedup).
+    /// structures *and* the in-flight table (cross-session dedup) — or
+    /// with a fresh cache of another shape
+    /// (`ShardedPlanCache::new(capacity, shards)`).
     pub fn with_shared_cache(mut self, cache: Arc<ShardedPlanCache>) -> Self {
         self.config_mut().cache = cache;
-        self
-    }
-
-    /// Builder-style setter bounding the submission backlog: once
-    /// `max_pending` submissions are unresolved (queued or in flight),
-    /// further submissions resolve immediately with an honest
-    /// [`OrderingError::ResourceLimit`] instead of growing the queue
-    /// without bound. `0` (the default) is unbounded. Rejected
-    /// submissions are not counted in `queries`/`backend_solves` — they
-    /// never entered the pipeline.
-    pub fn with_max_pending(mut self, max_pending: usize) -> Self {
-        self.config_mut().max_pending = max_pending;
         self
     }
 
@@ -426,7 +391,7 @@ impl QueryService {
     /// [`crate::persist`]): fingerprint quantization plus the backend's
     /// cost model and parameters.
     pub fn snapshot_config(&self) -> SnapshotConfig {
-        let (cost_model, cost_params) = self.probe.cost_model();
+        let (cost_model, cost_params) = self.shared.backend.cost_model();
         SnapshotConfig {
             fingerprint_options: self.shared.fingerprint_options,
             cost_model,
@@ -445,7 +410,7 @@ impl QueryService {
 
     /// The underlying backend's name (`"milp"`, `"hybrid"`, ...).
     pub fn backend_name(&self) -> &'static str {
-        self.probe.name()
+        self.shared.backend.name()
     }
 
     /// Configured worker-pool size.
@@ -487,24 +452,10 @@ impl QueryService {
         // outside the state lock (lazily, once — losers of the race adopt
         // the winner's value).
         let recency_base = self.recency_base();
-        let rejection = {
+        let accepted = {
             let mut state = self.shared.state.lock();
-            let pending = state.submitted - state.resolved;
-            if state.shutdown {
-                Some(OrderingError::InvalidConfig(
-                    "query service is shut down".into(),
-                ))
-            } else if self.shared.max_pending > 0 && pending >= self.shared.max_pending as u64 {
-                // Honest backpressure: the queue is full, and pretending
-                // otherwise just moves the overload somewhere less
-                // observable. Rejected submissions never enter the
-                // pipeline (no counters, no queue slot).
-                Some(OrderingError::ResourceLimit(format!(
-                    "query service backlog is full ({pending} unresolved submissions >= \
-                     max_pending {}); resubmit after the backlog drains",
-                    self.shared.max_pending
-                )))
-            } else {
+            let accepted = !state.shutdown;
+            if accepted {
                 state.submitted += 1;
                 let recency = recency_base + state.submitted;
                 state.queue.push_back(Job {
@@ -513,12 +464,14 @@ impl QueryService {
                     recency,
                 });
                 self.shared.work_cv.notify_one();
-                None
             }
+            accepted
         };
-        match rejection {
-            None => self.ensure_workers(),
-            Some(error) => resolve_ticket(&ticket, Err(error)),
+        if accepted {
+            self.ensure_workers();
+        } else {
+            let error = OrderingError::InvalidConfig("query service is shut down".into());
+            resolve_ticket(&ticket, Err(error));
         }
         PlanTicket { shared: ticket }
     }
@@ -633,9 +586,6 @@ fn default_workers() -> usize {
 }
 
 fn worker_loop(shared: Arc<ServiceShared>) {
-    // Each worker owns its backend instance: solves never contend on
-    // shared solver state, only on the cache's shard locks.
-    let backend = shared.factory.build();
     loop {
         let job = {
             let mut state = shared.state.lock();
@@ -667,12 +617,14 @@ fn worker_loop(shared: Arc<ServiceShared>) {
         // `AssertUnwindSafe` is sound because `local` is only read after
         // the catch and the shared cache guards itself with locks.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Every worker answers through the one shared backend: its
+            // per-solve scratch lives on this call stack, so solves
+            // contend only on the cache's shard locks.
             let ctx = EngineCtx {
                 catalog: &shared.catalog,
-                backend: &*backend,
+                backend: &*shared.backend,
                 options: &shared.options,
                 fingerprint_options: &shared.fingerprint_options,
-                caching: shared.caching,
                 cache: &shared.cache,
                 recency: Some(recency),
             };
@@ -823,31 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn caching_disabled_solves_every_submission() {
-        let mut catalog = Catalog::new();
-        let a = chain(&mut catalog, 10.0);
-        let b = chain(&mut catalog, 100000.0);
-        let backend = CountingBackend::new();
-        let counter = backend.clone();
-        let service = QueryService::new(catalog, backend)
-            .with_workers(4)
-            .with_caching(false);
-        // Three copies each of two structures: with caching off neither
-        // the cache nor the in-flight table may collapse any of them.
-        let tickets = service.submit_many([&a, &b, &a, &b, &a, &b].map(Query::clone));
-        for t in &tickets {
-            assert!(!t.wait().unwrap().cache_hit);
-        }
-        service.drain();
-        assert_eq!(service.cache_len(), 0);
-        let stats = service.shutdown();
-        assert_eq!(counter.calls(), 6);
-        assert_eq!(stats.backend_solves, 6);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.inflight_leaders, 0);
-    }
-
-    #[test]
     fn tickets_resolve_out_of_submission_order() {
         let mut catalog = Catalog::new();
         let slow_query = chain(&mut catalog, 10.0);
@@ -985,38 +912,6 @@ mod tests {
         assert_eq!(stats.queries, 2);
     }
 
-    #[test]
-    fn full_backlog_rejects_with_resource_limit_and_recovers() {
-        let mut catalog = Catalog::new();
-        let slow_query = chain(&mut catalog, 10.0);
-        let extra = chain(&mut catalog, 1000.0);
-        let late = chain(&mut catalog, 100000.0);
-        let backend = CountingBackend::slow(Duration::from_millis(60));
-        let counter = backend.clone();
-        let service = QueryService::new(catalog, backend)
-            .with_workers(1)
-            .with_max_pending(1);
-        // The first submission fills the backlog (it stays *unresolved*
-        // while the worker sleeps, even once dequeued), so an immediate
-        // second submission must bounce without blocking.
-        let accepted = service.submit(slow_query);
-        let rejected = service.submit(extra);
-        assert!(rejected.is_done(), "rejection resolves synchronously");
-        assert!(matches!(
-            rejected.wait(),
-            Err(OrderingError::ResourceLimit(_))
-        ));
-        assert!(accepted.wait().is_ok());
-        // Rejected submissions never entered the engine: once the backlog
-        // drains, capacity is available again.
-        service.drain();
-        assert!(service.submit(late).wait().is_ok());
-        let stats = service.shutdown();
-        assert_eq!(stats.queries, 2, "rejections are not counted as queries");
-        assert_eq!(counter.calls(), 2);
-        assert_eq!(stats.backend_solves, 2);
-    }
-
     /// Delays only the queries whose smallest table is below a threshold,
     /// so one submission can be made to finish *after* later ones.
     #[derive(Clone)]
@@ -1067,8 +962,7 @@ mod tests {
         let counter = backend.inner.clone();
         let service = QueryService::new(catalog, backend)
             .with_workers(2)
-            .with_cache_shards(1)
-            .with_cache_capacity(2);
+            .with_shared_cache(Arc::new(ShardedPlanCache::new(2, 1)));
         // A is submitted first but publishes its plan last (B and C both
         // complete while A's backend sleeps). Submission-index stamping
         // makes A the LRU victim anyway; completion-order stamping would
@@ -1095,6 +989,62 @@ mod tests {
         // A's publish, A's re-insert, and B's re-insert each displaced the
         // then-oldest submission from the two-slot cache.
         assert_eq!(stats.evictions, 3);
+    }
+
+    #[test]
+    fn one_backend_instance_serves_every_worker() {
+        /// Deliberately not `Clone`: the service cannot make a copy per
+        /// worker. The first two solves meet at a barrier, so two workers
+        /// must be inside this one instance at the same time.
+        struct Solo {
+            calls: Arc<AtomicU64>,
+            rendezvous: std::sync::Barrier,
+            params: CostParams,
+        }
+        impl JoinOrderer for Solo {
+            fn name(&self) -> &'static str {
+                "solo"
+            }
+            fn cost_model(&self) -> (CostModelKind, CostParams) {
+                (CostModelKind::Cout, self.params)
+            }
+            fn order(
+                &self,
+                c: &Catalog,
+                q: &Query,
+                o: &OrderingOptions,
+            ) -> Result<OrderingOutcome, OrderingError> {
+                if self.calls.fetch_add(1, Ordering::SeqCst) < 2 {
+                    self.rendezvous.wait();
+                }
+                CountingBackend::new().order(c, q, o)
+            }
+        }
+        let mut catalog = Catalog::new();
+        let queries: Vec<Query> = (0..8)
+            .map(|i| chain(&mut catalog, 10.0 * 3f64.powi(i)))
+            .collect();
+        let calls = Arc::new(AtomicU64::new(0));
+        let service = QueryService::new(
+            catalog,
+            Solo {
+                calls: Arc::clone(&calls),
+                rendezvous: std::sync::Barrier::new(2),
+                params: CostParams {
+                    buffer_pages: 17.0,
+                    ..CostParams::default()
+                },
+            },
+        )
+        .with_workers(4);
+        assert_eq!(service.backend_name(), "solo");
+        assert_eq!(service.snapshot_config().cost_params.buffer_pages, 17.0);
+        for t in service.submit_many(queries) {
+            assert!(t.wait().is_ok());
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.backend_solves, 8);
+        assert_eq!(calls.load(Ordering::SeqCst), 8);
     }
 
     #[test]

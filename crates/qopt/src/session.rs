@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use crate::cache::{CachedPlan, InFlightClaim, ShardedPlanCache};
 use crate::catalog::Catalog;
-use crate::cost::{plan_cost, CostModelKind, CostParams};
+use crate::cost::plan_cost;
 use crate::fingerprint::{FingerprintOptions, FingerprintedQuery};
 use crate::orderer::{
     CostTrace, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome, SearchStats,
@@ -73,8 +73,7 @@ pub struct SessionStats {
     /// Cache hits whose unquantized statistics matched exactly, so the
     /// original solve's certificates were carried over.
     pub exact_hits: u64,
-    /// Queries handed to the backend (cache misses, or every valid query
-    /// when caching is disabled).
+    /// Queries handed to the backend (cache misses).
     pub backend_solves: u64,
     /// Backend solves that returned an error.
     pub backend_errors: u64,
@@ -88,8 +87,7 @@ pub struct SessionStats {
     /// permuted listings).
     pub fingerprint_fallbacks: u64,
     /// Cache misses that registered as the in-flight **leader** of their
-    /// fingerprint and ran the backend solve. Caching-disabled solves are
-    /// not counted here.
+    /// fingerprint and ran the backend solve.
     pub inflight_leaders: u64,
     /// Submissions that found their fingerprint already being solved and
     /// **blocked** on the leader's in-flight slot instead of solving
@@ -206,70 +204,6 @@ pub struct SessionOutcome {
 /// ([`PlanSession::with_cache_capacity`] overrides it).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// Instantiates a cached structure over `query`'s concrete tables: maps the
-/// canonical join order through the query's fingerprint relabeling,
-/// re-costs the plan exactly under `(model, params)`, and carries the
-/// original solve's certificates only when the unquantized statistics match
-/// exactly. Returns `None` when the cached plan does not validate against
-/// the query — a canonicalization bug surface, treated as a miss, never as
-/// a wrong answer.
-///
-/// Every hit — a sequential lookup or a service follower woken by its
-/// leader — goes through this one function, which is what makes their
-/// outcomes bit-identical.
-fn instantiate_cached(
-    catalog: &Catalog,
-    query: &Query,
-    fp: &FingerprintedQuery,
-    cached: &CachedPlan,
-    model: CostModelKind,
-    params: &CostParams,
-    start: Instant,
-) -> Option<SessionOutcome> {
-    let order: Vec<_> = cached
-        .canonical_order
-        .iter()
-        .map(|&c| query.tables[fp.from_canonical[c]])
-        .collect();
-    let plan = if cached.operators.is_empty() {
-        LeftDeepPlan::from_order(order)
-    } else {
-        LeftDeepPlan::with_operators(order, cached.operators.clone())
-    };
-    let exact = fp.exact == cached.exact;
-    let (bound, proven_optimal) = if exact {
-        (cached.bound, cached.proven_optimal)
-    } else {
-        (None, false)
-    };
-    // A fingerprint hit guarantees a structurally compatible plan; a
-    // validation failure would be a canonicalization bug — treated as
-    // a miss, never as a wrong answer.
-    if plan.validate(query).is_err() {
-        debug_assert!(false, "cached plan does not fit a fingerprint-equal query");
-        return None;
-    }
-    let cost = plan_cost(catalog, query, &plan, model, params).total;
-    let elapsed = start.elapsed();
-    Some(SessionOutcome {
-        outcome: OrderingOutcome {
-            plan,
-            cost,
-            objective: cost,
-            bound,
-            proven_optimal,
-            trace: CostTrace::single(elapsed, cost, bound),
-            elapsed,
-            // A cache hit expands no search nodes and makes no routing
-            // decision.
-            search: SearchStats::default(),
-            route: None,
-        },
-        cache_hit: true,
-        exact_hit: exact,
-    })
-}
-
 /// The cacheable record of one solved outcome: the plan's join order mapped
 /// into canonical table indices plus the solve's certificates.
 fn record_for_cache(
@@ -296,15 +230,14 @@ fn record_for_cache(
 /// The shared per-query configuration of the optimization engine: both
 /// surfaces — the sequential [`PlanSession`] and the continuous-ingest
 /// [`crate::service::QueryService`] workers — answer a query by building
-/// one of these over their own backend instance and calling
-/// [`process_query`]. One engine, two surfaces: that is what makes their
-/// results identical by construction.
+/// one of these over their backend and calling [`process_query`]. One
+/// engine, two surfaces: that is what makes their results identical by
+/// construction.
 pub(crate) struct EngineCtx<'a> {
     pub catalog: &'a Catalog,
     pub backend: &'a dyn JoinOrderer,
     pub options: &'a OrderingOptions,
     pub fingerprint_options: &'a FingerprintOptions,
-    pub caching: bool,
     pub cache: &'a ShardedPlanCache,
     /// Externally assigned LRU recency stamp for every cache operation of
     /// this query (see `Shard::stamp`). `None` for sequential facades (the
@@ -321,7 +254,7 @@ pub(crate) struct EngineCtx<'a> {
 /// interleaving of concurrent callers over one cache handle, each
 /// fingerprint is solved exactly once (leaders) with every concurrent
 /// duplicate either hitting the cache or blocking on the leader's slot and
-/// instantiating its record through the same [`instantiate_cached`] the
+/// instantiating its record through the same [`answer_hit`] the
 /// sequential path uses.
 pub(crate) fn process_query(
     ctx: &EngineCtx<'_>,
@@ -332,78 +265,23 @@ pub(crate) fn process_query(
     if let Err(e) = query.validate(ctx.catalog) {
         return Err(OrderingError::InvalidQuery(e.to_string()));
     }
-    if !ctx.caching {
-        return solve_uncached(ctx, query, stats);
-    }
     let fp = FingerprintedQuery::compute(ctx.catalog, query, ctx.fingerprint_options);
     if fp.budget_exhausted {
         stats.fingerprint_fallbacks += 1;
     }
-    process_fingerprinted(ctx, query, &fp, stats)
-}
-
-/// The claim-protocol stage of the engine ([`process_query`] dispatches
-/// here once caching is on and the query is fingerprinted). Counts
-/// hits/solves/in-flight statistics but **not**
-/// `queries`/`fingerprint_fallbacks` — the caller does.
-fn process_fingerprinted(
-    ctx: &EngineCtx<'_>,
-    query: &Query,
-    fp: &FingerprintedQuery,
-    stats: &mut SessionStats,
-) -> Result<SessionOutcome, OrderingError> {
-    let (model, params) = ctx.backend.cost_model();
     loop {
         match ctx.cache.claim_at(&fp.fingerprint, ctx.recency) {
             InFlightClaim::Cached(cached) => {
                 let start = milpjoin_shim::time::now();
-                match instantiate_cached(
-                    ctx.catalog,
-                    query,
-                    fp,
-                    cached.as_ref(),
-                    model,
-                    &params,
-                    start,
-                ) {
-                    Some(hit) => {
-                        stats.cache_hits += 1;
-                        if cached.warm {
-                            stats.warm_hits += 1;
-                        }
-                        if hit.exact_hit {
-                            stats.exact_hits += 1;
-                        }
-                        return Ok(hit);
-                    }
-                    // Canonicalization-bug surface (debug-asserted inside
-                    // `instantiate_cached`): treated as a miss, solved and
-                    // re-cached — never a wrong answer.
-                    None => return solve_and_cache(ctx, query, fp, stats),
-                }
+                return answer_hit(ctx, query, &fp, &cached, start, false, stats);
             }
             InFlightClaim::Lead(guard) => {
                 stats.inflight_leaders += 1;
-                stats.backend_solves += 1;
-                match ctx.backend.order(ctx.catalog, query, ctx.options) {
-                    Ok(outcome) => {
-                        stats.record_solve(&outcome);
-                        let record = Arc::new(record_for_cache(query, fp, &outcome));
-                        guard.publish(record);
-                        return Ok(SessionOutcome {
-                            outcome,
-                            cache_hit: false,
-                            exact_hit: false,
-                        });
-                    }
-                    Err(e) => {
-                        stats.backend_errors += 1;
-                        // Dropping the guard abandons the slot: followers
-                        // wake empty-handed and re-enter the protocol.
-                        drop(guard);
-                        return Err(e);
-                    }
-                }
+                // On an error the guard drops, which abandons the slot:
+                // followers wake empty-handed and re-enter the protocol.
+                let solved = solve(ctx, query, stats)?;
+                guard.publish(Arc::new(record_for_cache(query, &fp, &solved.outcome)));
+                return Ok(solved);
             }
             InFlightClaim::Wait(slot) => {
                 stats.inflight_followers += 1;
@@ -415,59 +293,89 @@ fn process_fingerprinted(
                 // retry of an uncached structure (deterministic backends
                 // fail identically).
                 if let Some(record) = slot.wait() {
-                    match instantiate_cached(
-                        ctx.catalog,
-                        query,
-                        fp,
-                        record.as_ref(),
-                        model,
-                        &params,
-                        start,
-                    ) {
-                        Some(hit) => {
-                            stats.cache_hits += 1;
-                            stats.inflight_wait_hits += 1;
-                            if record.warm {
-                                stats.warm_hits += 1;
-                            }
-                            if hit.exact_hit {
-                                stats.exact_hits += 1;
-                            }
-                            return Ok(hit);
-                        }
-                        None => return solve_and_cache(ctx, query, fp, stats),
-                    }
+                    return answer_hit(ctx, query, &fp, &record, start, true, stats);
                 }
             }
         }
     }
 }
 
-/// Runs the backend without touching the cache (caching disabled).
-fn solve_uncached(
-    ctx: &EngineCtx<'_>,
-    query: &Query,
-    stats: &mut SessionStats,
-) -> Result<SessionOutcome, OrderingError> {
-    stats.backend_solves += 1;
-    let outcome = ctx
-        .backend
-        .order(ctx.catalog, query, ctx.options)
-        .inspect_err(|_| stats.backend_errors += 1)?;
-    stats.record_solve(&outcome);
-    Ok(SessionOutcome {
-        outcome,
-        cache_hit: false,
-        exact_hit: false,
-    })
-}
-
-/// Runs the backend and caches the solved structure directly (the rare
-/// repair path when a cached or published record failed to instantiate).
-fn solve_and_cache(
+/// Answers a query from `record` — a cached entry, or (`waited`) the
+/// record its in-flight leader published — and counts the hit: maps the
+/// canonical join order through the query's fingerprint relabeling,
+/// re-costs the plan exactly under the backend's cost model, and carries
+/// the original solve's certificates only when the unquantized statistics
+/// match exactly. Every hit — a sequential lookup or a service follower
+/// woken by its leader — goes through this one function, which is what
+/// makes their outcomes bit-identical.
+fn answer_hit(
     ctx: &EngineCtx<'_>,
     query: &Query,
     fp: &FingerprintedQuery,
+    record: &CachedPlan,
+    start: Instant,
+    waited: bool,
+    stats: &mut SessionStats,
+) -> Result<SessionOutcome, OrderingError> {
+    let order: Vec<_> = record
+        .canonical_order
+        .iter()
+        .map(|&c| query.tables[fp.from_canonical[c]])
+        .collect();
+    let plan = if record.operators.is_empty() {
+        LeftDeepPlan::from_order(order)
+    } else {
+        LeftDeepPlan::with_operators(order, record.operators.clone())
+    };
+    // A fingerprint hit guarantees a structurally compatible plan; a
+    // validation failure would be a canonicalization bug — treated as a
+    // miss, solved and re-cached, never returned as a wrong answer.
+    if plan.validate(query).is_err() {
+        debug_assert!(false, "cached plan does not fit a fingerprint-equal query");
+        let solved = solve(ctx, query, stats)?;
+        let repaired = Arc::new(record_for_cache(query, fp, &solved.outcome));
+        ctx.cache
+            .insert_at(fp.fingerprint.clone(), repaired, ctx.recency);
+        return Ok(solved);
+    }
+    let exact = fp.exact == record.exact;
+    let (bound, proven_optimal) = if exact {
+        (record.bound, record.proven_optimal)
+    } else {
+        (None, false)
+    };
+    let (model, params) = ctx.backend.cost_model();
+    let cost = plan_cost(ctx.catalog, query, &plan, model, &params).total;
+    let elapsed = start.elapsed();
+    stats.cache_hits += 1;
+    stats.inflight_wait_hits += u64::from(waited);
+    stats.warm_hits += u64::from(record.warm);
+    stats.exact_hits += u64::from(exact);
+    Ok(SessionOutcome {
+        outcome: OrderingOutcome {
+            plan,
+            cost,
+            objective: cost,
+            bound,
+            proven_optimal,
+            trace: CostTrace::single(elapsed, cost, bound),
+            elapsed,
+            // A cache hit expands no search nodes and makes no routing
+            // decision.
+            search: SearchStats::default(),
+            route: None,
+        },
+        cache_hit: true,
+        exact_hit: exact,
+    })
+}
+
+/// Runs the backend on `query` and counts the solve (and its error, if
+/// any): the one backend call of the engine, for a leader and for the
+/// repair of a record that did not instantiate.
+fn solve(
+    ctx: &EngineCtx<'_>,
+    query: &Query,
     stats: &mut SessionStats,
 ) -> Result<SessionOutcome, OrderingError> {
     stats.backend_solves += 1;
@@ -476,9 +384,6 @@ fn solve_and_cache(
         .order(ctx.catalog, query, ctx.options)
         .inspect_err(|_| stats.backend_errors += 1)?;
     stats.record_solve(&outcome);
-    let record = record_for_cache(query, fp, &outcome);
-    ctx.cache
-        .insert_at(fp.fingerprint.clone(), Arc::new(record), ctx.recency);
     Ok(SessionOutcome {
         outcome,
         cache_hit: false,
@@ -532,10 +437,9 @@ pub struct PlanSession {
     backend: Box<dyn JoinOrderer>,
     options: OrderingOptions,
     fingerprint_options: FingerprintOptions,
-    caching: bool,
-    /// The shard-locked plan cache. One shard by default (exact global
-    /// LRU); shareable with other sessions and with services through
-    /// [`Self::shared_cache`].
+    /// The shard-locked plan cache. One shard (exact global LRU) unless
+    /// replaced by [`Self::with_shared_cache`]; shareable with other
+    /// sessions and with services through [`Self::shared_cache`].
     cache: Arc<ShardedPlanCache>,
     stats: SessionStats,
 }
@@ -547,7 +451,6 @@ impl PlanSession {
             backend,
             options: OrderingOptions::default(),
             fingerprint_options: FingerprintOptions::default(),
-            caching: true,
             cache: Arc::new(ShardedPlanCache::new(DEFAULT_CACHE_CAPACITY, 1)),
             stats: SessionStats::default(),
         }
@@ -565,33 +468,14 @@ impl PlanSession {
         self
     }
 
-    /// Disables (or re-enables) the plan cache; every query then reaches
-    /// the backend.
-    pub fn with_caching(mut self, on: bool) -> Self {
-        self.caching = on;
-        self
-    }
-
     /// Builder-style setter for the plan-cache capacity (default
     /// [`DEFAULT_CACHE_CAPACITY`]). The least-recently-used structure is
     /// evicted when an insert would exceed it — a streaming workload of
     /// ever-new structures no longer grows the cache without bound. `0`
-    /// stores nothing (lookups still run; prefer [`Self::with_caching`] to
-    /// skip them too). Shrinking below the current population evicts
-    /// immediately.
+    /// stores nothing (lookups still run). Shrinking below the current
+    /// population evicts immediately.
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
         self.cache.set_capacity(capacity);
-        self
-    }
-
-    /// Builder-style setter for the number of independently locked cache
-    /// shards (default 1 — exact global LRU). More shards reduce lock
-    /// contention when the cache is shared with a service's workers, at the
-    /// price of per-shard (approximate) LRU and a per-shard split of the
-    /// capacity. **Rebuilds the cache**: any cached structures are dropped.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        let capacity = self.cache.capacity();
-        self.cache = Arc::new(ShardedPlanCache::new(capacity, shards));
         self
     }
 
@@ -603,7 +487,10 @@ impl PlanSession {
     }
 
     /// Builder-style setter replacing this session's cache with an existing
-    /// shared one (see [`Self::shared_cache`]).
+    /// shared one (see [`Self::shared_cache`]), or with a fresh cache of
+    /// another shape: `ShardedPlanCache::new(capacity, shards)` trades exact
+    /// global LRU for less lock contention when the cache is shared with a
+    /// service's workers.
     pub fn with_shared_cache(mut self, cache: Arc<ShardedPlanCache>) -> Self {
         self.cache = cache;
         self
@@ -692,7 +579,6 @@ impl PlanSession {
             backend: &*self.backend,
             options: &self.options,
             fingerprint_options: &self.fingerprint_options,
-            caching: self.caching,
             cache: &self.cache,
             recency: None,
         };
@@ -855,20 +741,6 @@ mod tests {
         )
         .total;
         assert_eq!(second.outcome.cost, expected);
-    }
-
-    #[test]
-    fn caching_can_be_disabled() {
-        let mut catalog = Catalog::new();
-        let queries = two_structures(&mut catalog, 2);
-        let mut session =
-            PlanSession::new(catalog, Box::new(CountingBackend::new(false))).with_caching(false);
-        for r in session.optimize_batch(&queries) {
-            r.unwrap();
-        }
-        assert_eq!(session.explain().backend_solves, 4);
-        assert_eq!(session.explain().cache_hits, 0);
-        assert_eq!(session.cache_len(), 0);
     }
 
     /// One two-table structure per distinct (cardinality, selectivity)

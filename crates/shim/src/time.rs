@@ -22,7 +22,7 @@
 //!
 //! [`OrderingOptions::deterministic_budget`]: https://docs.rs/milpjoin-qopt
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The current instant — the only sanctioned wall-clock read in the
 /// workspace. Virtualized (frozen at the trial epoch) while an
@@ -41,15 +41,4 @@ pub(crate) fn real_now() -> Instant {
     // audit-allow(no-wall-clock): this is the choke point every other
     // wall-clock read in the workspace is required to go through.
     Instant::now()
-}
-
-/// Convenience: the deadline implied by an optional wall-clock limit,
-/// anchored at [`now`].
-pub fn deadline_after(limit: Option<Duration>) -> Option<Instant> {
-    limit.map(|l| now() + l)
-}
-
-/// Whether an optional deadline has passed (per [`now`]).
-pub fn expired(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| now() >= d)
 }

@@ -35,7 +35,7 @@ use milpjoin::{
     OrderingOptions, Precision, QueryService, RouterOptions, SessionStats,
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer, GreedyOptimizer};
-use milpjoin_qopt::{OrdererFactory, Query, SessionOutcome};
+use milpjoin_qopt::{JoinOrderer, Query, SessionOutcome};
 use milpjoin_suite::{ServeArgs, ServeExample};
 use milpjoin_workloads::{size_swept_stream, Topology, WorkloadSpec};
 
@@ -81,7 +81,7 @@ fn race_stream(
 /// `copies` times — concurrent duplicates must collapse onto one solve.
 fn drive_fixed(
     name: &str,
-    factory: impl OrdererFactory + Clone + 'static,
+    backend: impl JoinOrderer + Clone + 'static,
     copies: usize,
     tables: usize,
     submitters: usize,
@@ -94,7 +94,7 @@ fn drive_fixed(
         // templates take in real traffic.
         let (catalog, queries) = spec.generate_stream(7, 1, copies);
 
-        let service = QueryService::new(catalog, factory.clone())
+        let service = QueryService::new(catalog, backend.clone())
             .with_workers(workers)
             .with_options(OrderingOptions::with_time_limit(Duration::from_secs(10)));
 

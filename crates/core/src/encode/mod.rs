@@ -265,11 +265,12 @@ pub fn warm_start_assignment(
             lco += pag_values[gi][j] * g.correction.log10();
         }
         for r in 0..encoding.grid.len() {
-            // The activation constraint is one-sided: cto = 1 is always
-            // feasible (it only adds δ_r to co), while cto = 0 is
-            // infeasible once lco exceeds the threshold. Err toward 1 on
-            // boundary cases so rounding differences between this lco and
-            // the LP's can never make the fixed LP infeasible.
+            // The activation row is one-sided: one more flag of the prefix
+            // on only raises its right-hand side (and adds δ_r to co),
+            // while a flag left off is infeasible once lco exceeds its
+            // threshold. Err toward 1 on boundary cases so rounding
+            // differences between this lco and the LP's can never make the
+            // fixed LP infeasible.
             let active = lco > encoding.grid.log_threshold(r) - 1e-9;
             hints.push((vars.cto[j][r], if active { 1.0 } else { 0.0 }));
         }

@@ -119,11 +119,12 @@ pub enum ConstrCategory {
     InnerCardinality,
     /// `lco_j = Σ log Card · tio + Σ log Sel · pao`.
     LogCardinality,
-    /// Big-M threshold activation.
+    /// `lco_j <= log θ_0 + Σ_r (log θ_{r+1} - log θ_r) · cto_rj`, one
+    /// convex-hull row per join.
     ThresholdActivation,
     /// `co_j = Σ δ_r · cto_rj`.
     CardinalityFromThresholds,
-    /// Optional `cto_{r+1} <= cto_r` strengthening.
+    /// `cto_{r+1} <= cto_r`, which the activation row needs.
     ThresholdOrdering,
     /// One operator per join + cost linking (§5.3).
     OperatorChoice,

@@ -9,6 +9,12 @@
 //! factor 3 means the approximation is within factor 3 of the truth inside
 //! the modeled range.
 //!
+//! The encoder turns the flags on with one row per join, the convex hull of
+//! the staircase `k flags on ⇒ log-cardinality ≤ log θ_k`
+//! ([`crate::encode::cardinality`]). The grid supplies its levels
+//! ([`ThresholdGrid::activation_level`]): the thresholds, then the upper
+//! bound of the log-cardinality variables once every flag is on.
+//!
 //! The paper's three configurations (§7.1):
 //!
 //! | config | tolerance factor | thresholds/result (n ≤ 40) | (n > 40) |
@@ -196,7 +202,8 @@ pub fn max_grid_decades(model: CostModelKind, params: &CostParams) -> f64 {
 pub struct ThresholdGrid {
     /// log10 of each threshold value, ascending.
     log_thresholds: Vec<f64>,
-    /// log10 of the largest representable log-cardinality (used for big-M).
+    /// log10 of the largest representable operand cardinality (sets the
+    /// `lco` upper bound, [`Self::lco_upper`]).
     pub log_card_max: f64,
     /// Smallest possible log-cardinality (used for variable bounds).
     pub log_card_min: f64,
@@ -357,11 +364,26 @@ impl ThresholdGrid {
         self.level_value(last_reached)
     }
 
-    /// Big-M constant for the activation constraint of threshold `r`:
-    /// `lco - M · cto_r <= log θ_r` must be satisfiable with `cto_r = 1` for
-    /// any representable `lco`.
-    pub fn big_m(&self, r: usize) -> f64 {
-        (self.log_card_max - self.log_thresholds[r]).max(0.0) + 1.0
+    /// Upper bound of the outer log-cardinality variables `lco`: one decade
+    /// above the largest representable log-cardinality.
+    pub fn lco_upper(&self) -> f64 {
+        self.log_card_max + 1.0
+    }
+
+    /// The log-cardinality the activation row admits once flags `0..r` are
+    /// on: `log θ_r` for `r < l`, and for `r = l` the `lco` upper bound, or
+    /// the top threshold where that sits above it (a tiny query at low
+    /// precision: the grid keeps its one threshold a full spacing above
+    /// the smallest operand). The levels never fall, so the row's
+    /// coefficients, the steps between them, are non-negative.
+    pub fn activation_level(&self, r: usize) -> f64 {
+        match self.log_thresholds.get(r) {
+            Some(&lt) => lt,
+            None => self
+                .log_thresholds
+                .last()
+                .map_or(self.lco_upper(), |&top| top.max(self.lco_upper())),
+        }
     }
 
     /// Raw value of the window floor `θ_0` — the level every operand below
@@ -540,12 +562,29 @@ mod tests {
     }
 
     #[test]
-    fn big_m_large_enough() {
+    fn activation_levels_telescope_to_the_lco_bound() {
         let g = ThresholdGrid::build(Precision::Low, 20, 0.0, 40.0, ApproxMode::LowerBound);
-        for r in 0..g.len() {
-            // lco - M <= log θ_r must hold for lco = log_card_max.
-            assert!(g.log_card_max - g.big_m(r) <= g.log_threshold(r) + 1e-9);
+        let l = g.len();
+        for r in 0..l {
+            assert_eq!(g.activation_level(r), g.log_threshold(r));
+            assert!(g.activation_level(r + 1) > g.activation_level(r));
         }
+        // All flags on: the row reaches the lco upper bound, so it admits
+        // every representable log-cardinality.
+        assert_eq!(g.activation_level(l), g.lco_upper());
+    }
+
+    #[test]
+    fn tiny_range_low_precision_top_sits_above_the_lco_bound() {
+        // Operands span half a decade; low precision spaces thresholds two
+        // decades apart, and the one threshold sits a spacing above the
+        // smallest operand, above the lco upper bound.
+        let g = ThresholdGrid::build(Precision::Low, 3, 1.0, 1.5, ApproxMode::UpperBound);
+        assert_eq!(g.len(), 1);
+        assert!(g.log_threshold(0) > g.lco_upper());
+        // The last level is the top threshold, so the step is zero rather
+        // than negative.
+        assert_eq!(g.activation_level(1), g.log_threshold(0));
     }
 
     #[test]

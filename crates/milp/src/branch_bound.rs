@@ -550,10 +550,13 @@ fn expand<F: FnMut(PoolEvent<'_, Vec<f64>>)>(
         }
 
         // For a proven-optimal LP the objective is a valid subtree bound; a
-        // stalled-feasible LP only inherits its parent's.
+        // stalled-feasible LP only inherits its parent's. A child's LP
+        // optimum is never below its parent's, but on a degenerate basis
+        // the float objective can land a few ULPs under it, and the global
+        // bound must not fall: the parent's bound is the floor.
         let exact = res.status == LpStatus::Optimal;
         let obj = if exact {
-            res.objective
+            res.objective.max(node_chain_bound(&data))
         } else {
             node_chain_bound(&data)
         };

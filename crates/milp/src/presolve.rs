@@ -62,6 +62,9 @@ pub fn presolve(model: &mut Model, max_rounds: usize) -> PresolveOutcome {
             let mut fin_max = 0.0f64;
             let mut inf_min = 0usize;
             let mut inf_max = 0usize;
+            // The size of the terms, not of their sum: activities that
+            // cancel carry the round-off of their terms.
+            let mut magnitude = 0.0f64;
             for &(v, a) in &terms {
                 let d = model.var_data(v);
                 let (cmin, cmax) = if a >= 0.0 {
@@ -71,11 +74,13 @@ pub fn presolve(model: &mut Model, max_rounds: usize) -> PresolveOutcome {
                 };
                 if cmin.is_finite() {
                     fin_min += cmin;
+                    magnitude += cmin.abs();
                 } else {
                     inf_min += 1;
                 }
                 if cmax.is_finite() {
                     fin_max += cmax;
+                    magnitude += cmax.abs();
                 } else {
                     inf_max += 1;
                 }
@@ -86,7 +91,7 @@ pub fn presolve(model: &mut Model, max_rounds: usize) -> PresolveOutcome {
                 fin_min
             };
             let act_max = if inf_max > 0 { f64::INFINITY } else { fin_max };
-            let tol = 1e-9 * (1.0 + fin_min.abs().max(fin_max.abs()));
+            let tol = 1e-9 * (1.0 + magnitude);
             if act_min > hi + tol || act_max < lo - tol {
                 return PresolveOutcome::Infeasible;
             }
@@ -144,19 +149,32 @@ pub fn presolve(model: &mut Model, max_rounds: usize) -> PresolveOutcome {
                 }
                 if vtype != VarType::Continuous {
                     // Round inward with a tolerance so values such as
-                    // 0.9999999 round to 1, not 0.
-                    new_lb = (new_lb - 1e-7).ceil();
-                    new_ub = (new_ub + 1e-7).floor();
+                    // 0.9999999 round to 1, not 0. The tolerance covers
+                    // the round-off of the rest's terms: a flag of weight
+                    // 0.83 in a row whose terms reach 8.3e8 gets a limit
+                    // that is 1.8e-7 short of 1.
+                    let slack = 1e-7f64.max(1e-12 * magnitude / a.abs());
+                    new_lb = (new_lb - slack).ceil();
+                    new_ub = (new_ub + slack).floor();
                 }
                 let improve_lb = new_lb.is_finite()
                     && (vlb.is_infinite() || new_lb > vlb + 1e-9 * (1.0 + vlb.abs()));
                 let improve_ub = new_ub.is_finite()
                     && (vub.is_infinite() || new_ub < vub - 1e-9 * (1.0 + vub.abs()));
                 if improve_lb || improve_ub {
-                    if new_lb > new_ub + 1e-9 {
+                    let crossed = new_lb - new_ub;
+                    if crossed > 1e-9 * (1.0 + new_lb.abs().max(new_ub.abs())) {
                         return PresolveOutcome::Infeasible;
                     }
-                    model.tighten_var_bounds(v, new_lb, new_ub.max(new_lb));
+                    // Bounds crossed by round-off fix the column; `new_lb`
+                    // never falls below `vlb`, so the point stays in range.
+                    let (lb, ub) = if crossed > 0.0 {
+                        let point = new_lb.min(vub);
+                        (point, point)
+                    } else {
+                        (new_lb, new_ub)
+                    };
+                    model.tighten_var_bounds(v, lb, ub);
                     changes += 1;
                 }
             }
@@ -212,6 +230,59 @@ mod tests {
         let mut m = Model::new("t");
         m.add_integer(0.2, 0.8, "x"); // no integer in [0.2, 0.8]
         assert_eq!(presolve(&mut m, 1), PresolveOutcome::Infeasible);
+    }
+
+    #[test]
+    fn bounds_an_ulp_apart_on_a_large_column_are_not_infeasible() {
+        // x = y + c with y fixed: the row puts x's lower bound one ulp
+        // (7.5e-9) above its upper bound, and the activity of the row,
+        // about 4.5, carries the round-off of its 4.5e7 terms.
+        let c = 4.494_719_999_999_996_5;
+        let mut m = Model::new("t");
+        let x = m.add_continuous(c, 44_947_199.999_999_96, "x");
+        let y = m.add_continuous(44_947_195.505_279_97, 44_947_195.505_279_97, "y");
+        m.add_eq(x - y, c, "c");
+        assert!(matches!(
+            presolve(&mut m, 3),
+            PresolveOutcome::Reduced { .. }
+        ));
+        let d = m.var_data(x);
+        assert!(d.lb <= d.ub, "[{}, {}]", d.lb, d.ub);
+    }
+
+    #[test]
+    fn a_flag_beside_large_terms_is_not_rounded_off() {
+        // The join-ordering staircase `co = Σ_r δ_r · f_r` over ten
+        // thresholds a decade apart from 0.829, with f_1..f_9 and co fixed
+        // at the top: f_0 must be 1, but the rest of the row sums terms up
+        // to 7.5e8, and its limit for f_0 comes out 1.8e-7 short of 1.
+        let base = 0.829_112_32f64.log10();
+        let theta: Vec<f64> = (0..10).map(|r| 10f64.powf(base + r as f64)).collect();
+        let mut m = Model::new("t");
+        let co = m.add_continuous(0.0, theta[9], "co");
+        let mut row = crate::expr::LinExpr::from(co);
+        let flags: Vec<_> = (0..10)
+            .map(|r| {
+                let f = m.add_binary(format!("f{r}"));
+                let delta = if r == 0 {
+                    theta[0]
+                } else {
+                    theta[r] - theta[r - 1]
+                };
+                row += f * -delta;
+                f
+            })
+            .collect();
+        m.add_eq(row, 0.0, "co_def");
+        m.tighten_var_bounds(co, theta[9], theta[9]);
+        for &f in &flags[1..] {
+            m.tighten_var_bounds(f, 1.0, 1.0);
+        }
+        assert!(matches!(
+            presolve(&mut m, 3),
+            PresolveOutcome::Reduced { .. }
+        ));
+        assert_eq!(m.var_data(flags[0]).ub, 1.0);
     }
 
     #[test]

@@ -18,7 +18,24 @@
 //!
 //! Numerical safeguards: sparse LU with partial pivoting, product-form
 //! updates with periodic refactorization, Harris-style two-pass ratio tests
-//! (primal and dual), relative dual tolerances, and the stall guards below.
+//! (primal and dual), a dual tolerance per LP, and stall guards; the last
+//! two have sections below.
+//!
+//! ## Dual tolerance
+//!
+//! A reduced cost `d_j = c_j - a_j^T y` counts as zero within one dual
+//! tolerance per LP, computed once in [`Simplex::new`]: the larger of 1e-7
+//! and 1e-14 times the largest scaled cost `max_j |c_j|`, plus a noise
+//! term of 1e-12 of the column's own magnitudes. Up to costs of 1e7 it is
+//! the fixed 1e-7 floor. Equilibration leaves the objective unscaled, so the
+//! join-ordering encoder's costs reach 3.5e13, and the multipliers `y`
+//! carry round-off of about 1e-6 on rows whose true dual is 0. A zero-cost
+//! column then prices at `d ≈ -4e-7`: past a fixed 1e-7, the primal loop
+//! traded such columns through degenerate pivots until a stall exit and the
+//! LP lost its bound. The same tolerance serves all three places that read
+//! it: primal pricing, the dual feasibility check that admits a starting
+//! basis for the dual simplex, and the dual ratio test. With it at pricing
+//! alone, the dual rejects bases that the primal loop has called optimal.
 //!
 //! ## Stall guards
 //!
@@ -137,7 +154,11 @@ enum DualEnd {
 }
 
 const FEAS_TOL: f64 = 1e-7;
+/// Floor of the dual tolerance (see the module docs, "Dual tolerance").
 const DUAL_TOL: f64 = 1e-7;
+/// Dual tolerance per unit of the largest scaled cost: above the round-off
+/// that the simplex multipliers carry from costs that large.
+const DUAL_TOL_PER_COST: f64 = 1e-14;
 const PIVOT_TOL: f64 = 1e-8;
 const REFACTOR_INTERVAL: usize = 100;
 /// Consecutive degenerate pivots before switching to Bland's rule.
@@ -353,6 +374,13 @@ fn feas_tol(bound: f64) -> f64 {
     FEAS_TOL * (1.0 + bound.abs())
 }
 
+/// The dual tolerance of an LP with costs `obj`: [`DUAL_TOL`], or
+/// [`DUAL_TOL_PER_COST`] times the largest cost where that is larger.
+fn dual_tolerance(obj: &[f64]) -> f64 {
+    let max_cost = obj.iter().fold(0.0f64, |acc, c| acc.max(c.abs()));
+    DUAL_TOL.max(DUAL_TOL_PER_COST * max_cost)
+}
+
 /// The simplex engine. Owns working bounds (so branch-and-bound can tighten
 /// them without touching the shared [`LpProblem`]) and the current basis.
 pub struct Simplex<'a> {
@@ -378,6 +406,8 @@ pub struct Simplex<'a> {
     iterations_total: u64,
     /// Active cost perturbation (anti-cycling), sparse over columns.
     perturbation: Option<Vec<f64>>,
+    /// The dual tolerance of this LP, [`dual_tolerance`] of its costs.
+    dual_tol: f64,
 }
 
 impl<'a> Simplex<'a> {
@@ -400,6 +430,7 @@ impl<'a> Simplex<'a> {
             scratch: LoopScratch::default(),
             iterations_total: 0,
             perturbation: None,
+            dual_tol: dual_tolerance(&lp.obj),
         };
         s.install_slack_basis();
         s
@@ -809,7 +840,7 @@ impl<'a> Simplex<'a> {
                 // reduced cost when fixing the violation needs a long walk,
                 // and missing it turns a feasible LP into a false
                 // "infeasible".
-                let floor = if phase1 { 1e-10 } else { DUAL_TOL };
+                let floor = if phase1 { 1e-10 } else { self.dual_tol };
                 // The tolerance never falls below its floor, so a reduced
                 // cost with the wrong sign or within the floor cannot be
                 // eligible: skip the noise estimate for it.
@@ -1226,7 +1257,7 @@ impl<'a> Simplex<'a> {
             }
             let cj = self.lp.obj[j];
             let d = cj - self.lp.column_dot(j, y);
-            let tol = DUAL_TOL + 1e-12 * (1.0 + cj.abs() + self.lp.column_abs_dot(j, y));
+            let tol = self.dual_tol + 1e-12 * (1.0 + cj.abs() + self.lp.column_abs_dot(j, y));
             match self.status[j] {
                 VarStatus::AtLower => d >= -tol,
                 VarStatus::AtUpper => d <= tol,
@@ -1290,7 +1321,7 @@ impl<'a> Simplex<'a> {
                 VarStatus::Free => (d * beta.signum(), beta.abs()),
                 _ => continue,
             };
-            limit = limit.min((slack.max(0.0) + DUAL_TOL) / rate);
+            limit = limit.min((slack.max(0.0) + self.dual_tol) / rate);
             eligible.push((j, slack, rate));
         }
         // Pass 2: the largest rate among the columns whose exact ratio fits
@@ -1784,6 +1815,88 @@ mod tests {
             certified >= 25,
             "{certified} of 200 re-solves certified infeasible"
         );
+    }
+
+    #[test]
+    fn dual_tolerance_is_the_floor_up_to_costs_of_1e7() {
+        assert_eq!(dual_tolerance(&[]), DUAL_TOL);
+        assert_eq!(dual_tolerance(&[0.0, -3.0, 1e7]), DUAL_TOL);
+        assert_eq!(dual_tolerance(&[1.0, -4e13]), DUAL_TOL_PER_COST * 4e13);
+        assert!(dual_tolerance(&[2e7]) > DUAL_TOL);
+        // One tolerance per LP, from its scaled costs.
+        let mut m = Model::new("t");
+        let x = m.add_continuous(0.0, 1.0, "x");
+        let y = m.add_continuous(0.0, 1.0, "y");
+        m.add_le(x + y, 1.5, "c");
+        m.set_objective(x * 3.5e13 + y, Sense::Minimize);
+        let lp = LpProblem::from_model(&m);
+        let sx = Simplex::new(&lp);
+        assert_eq!(sx.dual_tol, dual_tolerance(&lp.obj));
+        assert!(sx.dual_tol > 0.1);
+    }
+
+    /// A random feasible LP like the differential cases', over boxed
+    /// columns, whose nonzero costs span 1 to 1e13 in magnitude, as the
+    /// join-ordering encoder's scaled costs do; a third of the costs are 0.
+    fn wide_cost_lp(seed: u64) -> Model {
+        let mut g = Gen(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let n = 4 + (g.unit() * 8.0) as usize;
+        let rows = 2 + (g.unit() * 6.0) as usize;
+        let mut m = Model::new("wide");
+        let mut point = Vec::new();
+        let vars: Vec<_> = (0..n)
+            .map(|j| {
+                let lo = g.range(-3.0, 0.0);
+                let hi = lo + g.range(0.5, 5.0);
+                point.push(g.range(lo, hi));
+                m.add_continuous(lo, hi, format!("x{j}"))
+            })
+            .collect();
+        for i in 0..rows {
+            let mut expr = crate::expr::LinExpr::new();
+            let mut activity = 0.0;
+            for (j, &v) in vars.iter().enumerate() {
+                if g.unit() < 0.6 {
+                    let a = g.range(-2.0, 2.0);
+                    expr += v * a;
+                    activity += a * point[j];
+                }
+            }
+            let half = g.range(0.0, 1.0);
+            m.add_range(activity - half, expr, activity + half, format!("r{i}"));
+        }
+        let mut obj = crate::expr::LinExpr::new();
+        for &v in &vars {
+            if g.unit() < 2.0 / 3.0 {
+                let sign = if g.unit() < 0.5 { -1.0 } else { 1.0 };
+                obj += v * (sign * 10f64.powf(g.range(0.0, 13.0)));
+            }
+        }
+        m.set_objective(obj, Sense::Minimize);
+        m
+    }
+
+    /// Every basis the primal loop calls optimal is dual feasible under
+    /// the same tolerance, so the dual simplex can start from it. With the
+    /// per-LP tolerance at the pricing site only, `dual_feasible` would
+    /// reject bases whose zero-cost columns price at the round-off of the
+    /// large costs.
+    #[test]
+    fn optimal_bases_pass_dual_feasible_on_wide_costs() {
+        let mut optimal = 0;
+        for seed in 0..300 {
+            let m = wide_cost_lp(seed);
+            let lp = LpProblem::from_model(&m);
+            let mut sx = Simplex::new(&lp);
+            if sx.solve(&SimplexLimits::default()).status != LpStatus::Optimal {
+                continue;
+            }
+            optimal += 1;
+            let mut y = vec![0.0; lp.num_rows];
+            sx.dual_values(&mut y);
+            assert!(sx.dual_feasible(&y), "seed {seed}");
+        }
+        assert!(optimal >= 250, "{optimal} of 300 LPs optimal");
     }
 
     /// `max Σ_j (1 + j/n) x_j` subject to one row `x_j <= 1` per column:

@@ -265,7 +265,9 @@ fn infeasible_parity() {
     assert_eq!(r.status, SolveStatus::Infeasible);
 }
 
-/// Big-M indicator structure, the pattern the join-ordering encoding uses.
+/// Big-M indicator structure: the paper's threshold activation rows (the
+/// encoder now uses one convex-hull row per join instead, and keeps big-M
+/// rows in its product linearizations).
 #[test]
 fn big_m_indicator_thresholds() {
     // z continuous in [0, 100]; t_r binary "z reaches threshold r" for

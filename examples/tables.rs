@@ -2,6 +2,11 @@
 //! base formulation, printed per family with the paper's symbols, for the
 //! running example (R ⋈ S ⋈ T) and a 10-table star query.
 //!
+//! One family departs from the paper's count: threshold activation takes
+//! one convex-hull row per join (n − 1 rows) where the paper's big-M rows
+//! take one per join and threshold (`l·(n − 1)`); see
+//! `milpjoin::encode::cardinality`.
+//!
 //! ```text
 //! cargo run --release --example tables
 //! ```

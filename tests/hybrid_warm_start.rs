@@ -314,6 +314,8 @@ fn elapsed_spans_the_whole_backend_call() {
 /// (13,455 over the whole solve). Counting progress, it takes 1,206
 /// (2,822 in all). With the infinite best and the perturbed-stall exit,
 /// the root LP would stop short at 878, but the solve would take 5,719.
+/// Under the threshold hull rows and a dual tolerance above the round-off
+/// of the largest cost, it takes 130 (291 in all).
 #[test]
 fn chain_six_root_lp_does_not_crawl() {
     let (catalog, query) =
@@ -332,4 +334,36 @@ fn chain_six_root_lp_does_not_crawl() {
     );
     assert!(root <= 2_000, "{root} root LP iterations");
     assert!(total <= 4_000, "{total} LP iterations");
+}
+
+/// The cycle-6 query whose root LP lost its bound on cost round-off. The
+/// encoder's costs reach 3.5e13 after scaling, so the simplex multipliers
+/// carry round-off of about 1e-6 on rows whose true dual is 0, and two
+/// zero-cost columns priced at −4.2e-7 and −8.9e-7: past a fixed 1e-7
+/// dual tolerance. Under the threshold hull rows the root LP reached its
+/// optimum near pivot 200 and then traded those two columns through 400
+/// degenerate pivots, Bland's rule and the cost perturbation until the
+/// perturbed-stall exit at pivot 1,001. The root lost its bound and the
+/// search took 13,616 LP iterations. With a dual tolerance above the
+/// round-off of the largest cost, the root takes 156 and the search 286
+/// (2,535 under the big-M rows).
+#[test]
+fn cycle_six_root_lp_keeps_its_bound() {
+    let (catalog, query) =
+        WorkloadSpec::new(Topology::Cycle, 6).generate(14_859_312_362_387_023_205);
+    let out = HybridOptimizer::new(EncoderConfig::default())
+        .order(
+            &catalog,
+            &query,
+            &OrderingOptions::with_deterministic_budget(20),
+        )
+        .unwrap();
+    out.plan.validate(&query).unwrap();
+    assert!(out.bound.is_some(), "no bound reported");
+    let (root, total) = (
+        out.search.root_lp_iterations,
+        out.search.total_lp_iterations,
+    );
+    assert!(root <= 1_000, "{root} root LP iterations");
+    assert!(total <= 2_000, "{total} LP iterations");
 }

@@ -276,10 +276,6 @@ impl DecomposingOptimizer {
         }
     }
 
-    pub fn with_defaults() -> Self {
-        Self::default()
-    }
-
     /// Replaces the decomposition tunables.
     pub fn decompose_options(mut self, options: DecomposeOptions) -> Self {
         self.options = options;
@@ -638,7 +634,7 @@ mod tests {
     #[test]
     fn stitched_plan_is_valid_and_costed() {
         let (c, q) = star_query(21);
-        let opt = DecomposingOptimizer::with_defaults();
+        let opt = DecomposingOptimizer::default();
         let out = opt
             .order(&c, &q, &OrderingOptions::with_deterministic_budget(200))
             .unwrap();
@@ -664,7 +660,7 @@ mod tests {
         // Small fragments keep the nine hybrid solves (three fragments x
         // three worker counts) fast; the identity claim is about the
         // orchestration, not the fragment solver.
-        let opt = DecomposingOptimizer::with_defaults()
+        let opt = DecomposingOptimizer::default()
             .decompose_options(DecomposeOptions::default().fragment_max_tables(6));
         let base = OrderingOptions::with_deterministic_budget(60);
         let one = opt.order(&c, &q, &base.clone().solver_threads(1)).unwrap();
@@ -685,7 +681,7 @@ mod tests {
     #[test]
     fn single_fragment_delegates_to_hybrid() {
         let (c, q) = chain_query(4, |_| 100.0);
-        let out = DecomposingOptimizer::with_defaults()
+        let out = DecomposingOptimizer::default()
             .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         out.plan.validate(&q).unwrap();
@@ -701,7 +697,7 @@ mod tests {
         let r = other.add_table("R", 10.0);
         let q = Query::new(vec![r]);
         assert!(matches!(
-            DecomposingOptimizer::with_defaults().order(&catalog, &q, &OrderingOptions::default()),
+            DecomposingOptimizer::default().order(&catalog, &q, &OrderingOptions::default()),
             Err(OrderingError::InvalidQuery(_))
         ));
     }

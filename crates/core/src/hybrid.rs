@@ -47,7 +47,7 @@ use crate::optimizer::MilpOptimizer;
 /// let mut query = Query::new(vec![r, s, t]);
 /// query.add_predicate(Predicate::binary(r, s, 0.1));
 ///
-/// let outcome = HybridOptimizer::with_defaults()
+/// let outcome = HybridOptimizer::default()
 ///     .order(&catalog, &query, &OrderingOptions::default())
 ///     .unwrap();
 /// outcome.plan.validate(&query).unwrap();
@@ -64,10 +64,6 @@ impl HybridOptimizer {
         HybridOptimizer {
             milp: MilpOptimizer::new(config),
         }
-    }
-
-    pub fn with_defaults() -> Self {
-        Self::default()
     }
 
     pub fn config(&self) -> &EncoderConfig {
@@ -181,7 +177,7 @@ mod tests {
     #[test]
     fn hybrid_solves_the_paper_example() {
         let (c, q) = example();
-        let out = HybridOptimizer::with_defaults()
+        let out = HybridOptimizer::default()
             .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         out.plan.validate(&q).unwrap();
@@ -192,7 +188,7 @@ mod tests {
     #[test]
     fn trace_opens_with_an_incumbent() {
         let (c, q) = example();
-        let out = HybridOptimizer::with_defaults()
+        let out = HybridOptimizer::default()
             .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         let first = out.trace.points().first().expect("non-empty trace");
@@ -207,7 +203,7 @@ mod tests {
         let mut c = Catalog::new();
         let r = c.add_table("R", 42.0);
         let q = Query::new(vec![r]);
-        let out = HybridOptimizer::with_defaults()
+        let out = HybridOptimizer::default()
             .order(&c, &q, &OrderingOptions::default())
             .unwrap();
         assert_eq!(out.plan.order, vec![r]);
@@ -218,7 +214,7 @@ mod tests {
     fn greedy_fallback_outcome_is_honest() {
         use std::time::Duration;
         let (c, q) = example();
-        let hybrid = HybridOptimizer::with_defaults();
+        let hybrid = HybridOptimizer::default();
         let seed = hybrid.seed_plan(&c, &q);
         let out = hybrid.greedy_fallback_outcome(
             &c,
@@ -245,8 +241,8 @@ mod tests {
     fn trait_object_usage() {
         let (c, q) = example();
         let backends: Vec<Box<dyn JoinOrderer>> = vec![
-            Box::new(HybridOptimizer::with_defaults()),
-            Box::new(MilpOptimizer::with_defaults()),
+            Box::new(HybridOptimizer::default()),
+            Box::new(MilpOptimizer::default()),
         ];
         for b in backends {
             let out = b.order(&c, &q, &OrderingOptions::default()).unwrap();

@@ -72,7 +72,7 @@ use milpjoin_shim::time as shim_time;
 
 use crate::config::EncoderConfig;
 use crate::decode::{decode, DecodedPlan};
-use crate::encode::{encode, warm_start_assignment, EncodeError, Encoding};
+use crate::encode::{encode, warm_start_assignment, EncodeError};
 use crate::stats::FormulationStats;
 use crate::thresholds::{ApproxMode, CostSpaceProjection, ThresholdGrid};
 
@@ -298,7 +298,7 @@ pub const MIN_RELATIVE_GAP: f64 = 1e-6;
 /// let mut query = Query::new(vec![r, s, t]);
 /// query.add_predicate(Predicate::binary(r, s, 0.1));
 ///
-/// let outcome = MilpOptimizer::with_defaults()
+/// let outcome = MilpOptimizer::default()
 ///     .optimize(&catalog, &query, &OrderingOptions::default(), None)
 ///     .unwrap();
 /// outcome.plan.validate(&query).unwrap();
@@ -313,17 +313,8 @@ impl MilpOptimizer {
         MilpOptimizer { config }
     }
 
-    pub fn with_defaults() -> Self {
-        Self::default()
-    }
-
     pub fn config(&self) -> &EncoderConfig {
         &self.config
-    }
-
-    /// Builds the MILP without solving (for formulation-size experiments).
-    pub fn encode_only(&self, catalog: &Catalog, query: &Query) -> Result<Encoding, EncodeError> {
-        encode(catalog, query, &self.config)
     }
 
     /// Runs the full optimize pipeline under `options`:
@@ -673,13 +664,20 @@ impl JoinOrderer for MilpOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::thresholds::{Precision, MAX_GRID_DECADES};
+
+    /// A medium-precision grid for `query`, topped at 10^6.
+    fn medium_grid(query: &Query, mode: ApproxMode) -> ThresholdGrid {
+        let n = query.num_tables();
+        ThresholdGrid::build_windowed(Precision::Medium, n, 0.0, 6.0, 6.0, MAX_GRID_DECADES, mode)
+    }
 
     #[test]
     fn single_table_fast_path() {
         let mut catalog = Catalog::new();
         let r = catalog.add_table("R", 42.0);
         let query = Query::new(vec![r]);
-        let out = MilpOptimizer::with_defaults()
+        let out = MilpOptimizer::default()
             .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap();
         // No joins: zero-cost plan over the single table, no MILP built.
@@ -707,7 +705,7 @@ mod tests {
         let mut other = Catalog::new();
         let r = other.add_table("R", 42.0);
         let query = Query::new(vec![r]);
-        let err = MilpOptimizer::with_defaults()
+        let err = MilpOptimizer::default()
             .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap_err();
         assert!(matches!(err, OrderingError::InvalidQuery(_)), "{err:?}");
@@ -745,7 +743,7 @@ mod tests {
     #[test]
     fn strictly_cheaper_seed_wins_the_argmin() {
         let (catalog, query) = paper_example();
-        let optimizer = MilpOptimizer::with_defaults();
+        let optimizer = MilpOptimizer::default();
         let (cheap, dear) = cheap_and_dear(&optimizer, &catalog, &query);
         let (picked, cost, swapped) = optimizer.select_returned_plan(
             &catalog,
@@ -774,7 +772,7 @@ mod tests {
     #[test]
     fn tied_seed_keeps_the_milp_plan() {
         let (catalog, query) = paper_example();
-        let optimizer = MilpOptimizer::with_defaults();
+        let optimizer = MilpOptimizer::default();
         let (cheap, _) = cheap_and_dear(&optimizer, &catalog, &query);
         // The seed R S T ties the MILP's R S T; so does the join order
         // S R T, a different plan at the same exact cost.
@@ -814,16 +812,9 @@ mod tests {
 
     #[test]
     fn cost_space_bound_projection_modes() {
-        use crate::thresholds::Precision;
         let (catalog, query) = paper_example();
         let lower = EncoderConfig::default();
-        let grid = ThresholdGrid::build(
-            Precision::Medium,
-            query.num_tables(),
-            0.0,
-            6.0,
-            ApproxMode::LowerBound,
-        );
+        let grid = medium_grid(&query, ApproxMode::LowerBound);
         // LowerBound approximations under-estimate cost: the MILP dual
         // bound passes through unchanged. A -inf bound (nothing proven)
         // projects to None.
@@ -840,13 +831,7 @@ mod tests {
             approx_mode: ApproxMode::UpperBound,
             ..Default::default()
         };
-        let ugrid = ThresholdGrid::build(
-            Precision::Medium,
-            query.num_tables(),
-            0.0,
-            6.0,
-            ApproxMode::UpperBound,
-        );
+        let ugrid = medium_grid(&query, ApproxMode::UpperBound);
         let up = bound_projection(&upper, &catalog, &query, &ugrid).unwrap();
         assert_eq!(up.divisor, Precision::Medium.tolerance_factor());
         assert_eq!(up.inflation, ugrid.floor_value()); // one intermediate
@@ -858,13 +843,7 @@ mod tests {
     fn byte_based_projection_pages_claim_no_bound() {
         use milpjoin_qopt::CostModelKind;
         let (catalog, query) = paper_example();
-        let grid = ThresholdGrid::build(
-            crate::thresholds::Precision::Medium,
-            query.num_tables(),
-            0.0,
-            6.0,
-            ApproxMode::LowerBound,
-        );
+        let grid = medium_grid(&query, ApproxMode::LowerBound);
         // Hash + projection prices pages from carried-column bytes — a
         // different unit from the exact model's fixed tuple width — so no
         // sound projection exists in either approximation mode.
@@ -883,14 +862,8 @@ mod tests {
     fn upper_bound_projection_per_model_accounting() {
         use milpjoin_qopt::CostModelKind;
         let (catalog, query) = paper_example();
-        let grid = ThresholdGrid::build(
-            crate::thresholds::Precision::Medium,
-            query.num_tables(),
-            0.0,
-            6.0,
-            ApproxMode::UpperBound,
-        );
-        let f = crate::thresholds::Precision::Medium.tolerance_factor();
+        let grid = medium_grid(&query, ApproxMode::UpperBound);
+        let f = Precision::Medium.tolerance_factor();
         let base = EncoderConfig {
             approx_mode: ApproxMode::UpperBound,
             ..Default::default()
@@ -925,7 +898,7 @@ mod tests {
         // that an earlier incumbent (or the seed) beats in exact cost. The
         // projection must report the argmin like a heuristic's plan.
         let (catalog, query) = paper_example();
-        let out = MilpOptimizer::with_defaults()
+        let out = MilpOptimizer::default()
             .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap();
         let swapped = OptimizeOutcome {
@@ -958,7 +931,7 @@ mod tests {
         let t = catalog.add_table("T", 100.0);
         let mut query = Query::new(vec![r, s, t]);
         query.add_predicate(milpjoin_qopt::Predicate::binary(r, s, 0.1));
-        let out = MilpOptimizer::with_defaults()
+        let out = MilpOptimizer::default()
             .optimize(
                 &catalog,
                 &query,

@@ -190,9 +190,10 @@ pub fn tuples_per_unit_cost(model: CostModelKind, params: &CostParams) -> f64 {
 /// window), while plan selection is protected by the exact-cost argmin
 /// and the session layer's exact re-costing, and certificates already
 /// carry the numerical-tolerance caveat (`MIN_RELATIVE_GAP`). The widened
-/// widths are validated empirically: `tests/grid_window.rs` drives
-/// 7-decade-cardinality BNL chains through MILP-vs-DP parity at the full
-/// ~9.5-decade window (no phantom infeasibility, optima matched).
+/// widths are validated empirically: the `bnl-wide` rows of
+/// `tests/oracle.rs` drive 7-decade-cardinality BNL chains through the
+/// MILP at the full ~9.5-decade window and hold them to the DP optimum
+/// (no phantom infeasibility, optima within the tolerance factor).
 pub fn max_grid_decades(model: CostModelKind, params: &CostParams) -> f64 {
     MAX_GRID_DECADES + tuples_per_unit_cost(model, params).log10().max(0.0)
 }
@@ -212,27 +213,7 @@ pub struct ThresholdGrid {
 
 impl ThresholdGrid {
     /// Builds the grid for a query whose outer-operand log10-cardinality
-    /// ranges over `[log_card_min, log_card_max]`, with the top of the
-    /// window at `log_card_max`.
-    pub fn build(
-        precision: Precision,
-        num_tables: usize,
-        log_card_min: f64,
-        log_card_max: f64,
-        mode: ApproxMode,
-    ) -> Self {
-        Self::build_windowed(
-            precision,
-            num_tables,
-            log_card_min,
-            log_card_max,
-            log_card_max,
-            MAX_GRID_DECADES,
-            mode,
-        )
-    }
-
-    /// Builds the grid with an explicit window anchor: the top threshold is
+    /// ranges over `[log_card_min, log_card_max]`. The top threshold is
     /// placed at `anchor_log_top` (clamped into the representable range)
     /// and the grid extends downward by at most `max_decades` decades
     /// (typically [`max_grid_decades`] for the configured cost model —
@@ -479,6 +460,12 @@ impl CostSpaceProjection {
 mod tests {
     use super::*;
 
+    /// The grid with its top at `log_card_max` over the model-agnostic
+    /// window.
+    fn grid(p: Precision, n: usize, min: f64, max: f64, mode: ApproxMode) -> ThresholdGrid {
+        ThresholdGrid::build_windowed(p, n, min, max, max, MAX_GRID_DECADES, mode)
+    }
+
     #[test]
     fn precision_parameters_match_paper() {
         assert_eq!(Precision::High.tolerance_factor(), 3.0);
@@ -493,20 +480,20 @@ mod tests {
     fn grid_respects_cap() {
         // The budget is the paper's cap further limited by the numerically
         // resolvable window width.
-        let g = ThresholdGrid::build(Precision::Low, 60, 0.0, 300.0, ApproxMode::LowerBound);
+        let g = grid(Precision::Low, 60, 0.0, 300.0, ApproxMode::LowerBound);
         let low_budget = (MAX_GRID_DECADES / Precision::Low.log10_spacing()) as usize + 1;
         assert_eq!(g.len(), 25.min(low_budget));
-        let g2 = ThresholdGrid::build(Precision::High, 10, 0.0, 300.0, ApproxMode::LowerBound);
+        let g2 = grid(Precision::High, 10, 0.0, 300.0, ApproxMode::LowerBound);
         let high_budget = (MAX_GRID_DECADES / Precision::High.log10_spacing()) as usize + 1;
         assert_eq!(g2.len(), 60.min(high_budget));
         // Precision ordering is preserved: high > medium > low counts.
-        let gm = ThresholdGrid::build(Precision::Medium, 10, 0.0, 300.0, ApproxMode::LowerBound);
+        let gm = grid(Precision::Medium, 10, 0.0, 300.0, ApproxMode::LowerBound);
         assert!(g2.len() > gm.len() && gm.len() > g.len());
     }
 
     #[test]
     fn small_range_needs_few_thresholds() {
-        let g = ThresholdGrid::build(Precision::Medium, 10, 1.0, 4.5, ApproxMode::LowerBound);
+        let g = grid(Precision::Medium, 10, 1.0, 4.5, ApproxMode::LowerBound);
         // Range 3.5 decades at spacing 1 -> about 4 thresholds.
         assert!(g.len() <= 5, "len {}", g.len());
         assert!(g.len() >= 3);
@@ -514,7 +501,7 @@ mod tests {
 
     #[test]
     fn lower_bound_within_tolerance() {
-        let g = ThresholdGrid::build(Precision::Medium, 10, 0.0, 10.0, ApproxMode::LowerBound);
+        let g = grid(Precision::Medium, 10, 0.0, 10.0, ApproxMode::LowerBound);
         for card in [5.0, 99.0, 1234.0, 1e6, 3.3e9] {
             let approx = g.approximate(card);
             assert!(
@@ -536,8 +523,8 @@ mod tests {
 
     #[test]
     fn upper_bound_dominates_lower() {
-        let lo = ThresholdGrid::build(Precision::Medium, 10, 0.0, 8.0, ApproxMode::LowerBound);
-        let hi = ThresholdGrid::build(Precision::Medium, 10, 0.0, 8.0, ApproxMode::UpperBound);
+        let lo = grid(Precision::Medium, 10, 0.0, 8.0, ApproxMode::LowerBound);
+        let hi = grid(Precision::Medium, 10, 0.0, 8.0, ApproxMode::UpperBound);
         for card in [12.0, 800.0, 52_000.0, 9.9e6] {
             assert!(hi.approximate(card) >= lo.approximate(card));
             assert!(hi.approximate(card) >= card.min(hi.threshold(hi.len() - 1)) * 0.999);
@@ -547,7 +534,7 @@ mod tests {
     #[test]
     fn delta_sums_reproduce_levels() {
         for mode in [ApproxMode::LowerBound, ApproxMode::UpperBound] {
-            let g = ThresholdGrid::build(Precision::Medium, 10, 0.0, 6.0, mode);
+            let g = grid(Precision::Medium, 10, 0.0, 6.0, mode);
             for upto in 0..g.len() {
                 let sum: f64 = (0..=upto).map(|r| g.delta(r)).sum::<f64>() + g.constant_offset();
                 let level = g.level_value(Some(upto));
@@ -563,7 +550,7 @@ mod tests {
 
     #[test]
     fn activation_levels_telescope_to_the_lco_bound() {
-        let g = ThresholdGrid::build(Precision::Low, 20, 0.0, 40.0, ApproxMode::LowerBound);
+        let g = grid(Precision::Low, 20, 0.0, 40.0, ApproxMode::LowerBound);
         let l = g.len();
         for r in 0..l {
             assert_eq!(g.activation_level(r), g.log_threshold(r));
@@ -579,7 +566,7 @@ mod tests {
         // Operands span half a decade; low precision spaces thresholds two
         // decades apart, and the one threshold sits a spacing above the
         // smallest operand, above the lco upper bound.
-        let g = ThresholdGrid::build(Precision::Low, 3, 1.0, 1.5, ApproxMode::UpperBound);
+        let g = grid(Precision::Low, 3, 1.0, 1.5, ApproxMode::UpperBound);
         assert_eq!(g.len(), 1);
         assert!(g.log_threshold(0) > g.lco_upper());
         // The last level is the top threshold, so the step is zero rather
@@ -589,7 +576,7 @@ mod tests {
 
     #[test]
     fn floor_and_top_accessors() {
-        let g = ThresholdGrid::build(Precision::Medium, 10, 0.0, 6.0, ApproxMode::UpperBound);
+        let g = grid(Precision::Medium, 10, 0.0, 6.0, ApproxMode::UpperBound);
         assert_eq!(g.floor_value(), g.threshold(0));
         assert_eq!(g.top_value(), g.threshold(g.len() - 1));
         assert!(g.floor_value() < g.top_value());
@@ -597,7 +584,7 @@ mod tests {
 
     #[test]
     fn upper_levels_bounded_by_factor_and_floor() {
-        let g = ThresholdGrid::build(Precision::Medium, 10, 0.0, 8.0, ApproxMode::UpperBound);
+        let g = grid(Precision::Medium, 10, 0.0, 8.0, ApproxMode::UpperBound);
         let f = Precision::Medium.tolerance_factor();
         for card in [0.001, 0.5, 3.0, 42.0, 1e4, 5e7, 1e12] {
             let level = g.approximate(card);
@@ -686,7 +673,7 @@ mod tests {
 
     #[test]
     fn thresholds_strictly_increasing() {
-        let g = ThresholdGrid::build(Precision::High, 10, 1.0, 20.0, ApproxMode::LowerBound);
+        let g = grid(Precision::High, 10, 1.0, 20.0, ApproxMode::LowerBound);
         for r in 1..g.len() {
             assert!(g.log_threshold(r) > g.log_threshold(r - 1));
             assert!(g.delta(r) > 0.0);

@@ -174,7 +174,7 @@ fn two_table_cout_objective_is_constant_zero() {
     let b = c.add_table("B", 50.0);
     let mut q = Query::new(vec![a, b]);
     q.add_predicate(Predicate::binary(a, b, 0.25));
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.milp_objective, 0.0);

@@ -129,7 +129,7 @@ fn hash_cost_model_end_to_end() {
 #[test]
 fn anytime_trace_is_monotone() {
     let (c, q) = example();
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     let mut last_inc = f64::INFINITY;
@@ -166,7 +166,7 @@ fn single_table_query_trivial() {
     let mut c = Catalog::new();
     let r = c.add_table("R", 10.0);
     let q = Query::new(vec![r]);
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.plan.order, vec![r]);
@@ -180,7 +180,7 @@ fn two_table_query() {
     let s = c.add_table("S", 20.0);
     let mut q = Query::new(vec![r, s]);
     q.add_predicate(Predicate::binary(r, s, 0.5));
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(&c, &q, &OrderingOptions::default(), None)
         .unwrap();
     out.plan.validate(&q).unwrap();

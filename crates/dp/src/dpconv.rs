@@ -73,12 +73,10 @@
 //! reference for every other cost model.
 
 use milpjoin_qopt::cost::{plan_cost_with_estimator, CostModelKind, CostParams};
-use milpjoin_qopt::orderer::{
-    CostTrace, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
-};
+use milpjoin_qopt::orderer::{JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome};
 use milpjoin_qopt::{Catalog, Estimator, LeftDeepPlan, Query, TableSet};
 
-use crate::{greedy_order, DpError, DpOptions, DpResult};
+use crate::{greedy_order, DpError, DpOptimizer, DpOptions, DpResult};
 
 /// Relative rung spacing of the quantized threshold grid: the greedy upper
 /// bound is rounded up to the next rung, so pruning can never cut a state
@@ -329,17 +327,6 @@ impl DpConvOptimizer {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn dp_options(&self, options: &OrderingOptions) -> DpOptions {
-        DpOptions {
-            deadline: options
-                .time_limit
-                .map(|limit| milpjoin_shim::time::now() + limit),
-            memory_budget_bytes: self.memory_budget_bytes,
-            cost_model: self.cost_model,
-            params: self.params,
-        }
-    }
 }
 
 impl JoinOrderer for DpConvOptimizer {
@@ -375,24 +362,12 @@ impl JoinOrderer for DpConvOptimizer {
                     .into(),
             ));
         }
-        let res =
-            optimize_conv(catalog, query, &self.dp_options(options)).map_err(|e| match e {
-                DpError::Timeout => OrderingError::Timeout,
-                DpError::MemoryLimit { .. } => OrderingError::ResourceLimit(e.to_string()),
-                DpError::InvalidQuery => OrderingError::InvalidQuery(e.to_string()),
-            })?;
-        // Exact optimality: the cost is also the cost-space lower bound.
-        Ok(OrderingOutcome {
-            trace: CostTrace::single(res.elapsed, res.cost, Some(res.cost)),
-            plan: res.plan,
-            cost: res.cost,
-            objective: res.cost,
-            bound: Some(res.cost),
-            proven_optimal: true,
-            elapsed: res.elapsed,
-            search: Default::default(),
-            route: None,
-        })
+        let exact = DpOptimizer {
+            cost_model: self.cost_model,
+            params: self.params,
+            memory_budget_bytes: self.memory_budget_bytes,
+        };
+        exact.solve_with(optimize_conv, catalog, query, options)
     }
 }
 

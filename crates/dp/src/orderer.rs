@@ -11,7 +11,19 @@ use milpjoin_qopt::orderer::{
 };
 use milpjoin_qopt::{Catalog, Query};
 
-use crate::{greedy_order, optimize, DpError, DpOptions};
+use crate::{greedy_order, optimize, DpError, DpOptions, DpResult};
+
+/// Classifies a DP failure: a deadline expiry is a timeout, a table-budget
+/// blowup a resource limit.
+impl From<DpError> for OrderingError {
+    fn from(e: DpError) -> Self {
+        match e {
+            DpError::Timeout => OrderingError::Timeout,
+            DpError::MemoryLimit { .. } => OrderingError::ResourceLimit(e.to_string()),
+            DpError::InvalidQuery => OrderingError::InvalidQuery(e.to_string()),
+        }
+    }
+}
 
 /// Exhaustive Selinger-style dynamic programming as a [`JoinOrderer`].
 /// Optimal or nothing: on success the returned plan is proven optimal under
@@ -43,15 +55,37 @@ impl DpOptimizer {
         }
     }
 
-    fn dp_options(&self, options: &OrderingOptions) -> DpOptions {
-        DpOptions {
+    /// Runs the exact `kernel` (this DP or DPconv's) under this
+    /// configuration, with a deadline from `options.time_limit`. The
+    /// outcome is proven optimal, so its exact cost is also the cost-space
+    /// lower bound: a one-point trace with factor 1.
+    pub(crate) fn solve_with(
+        &self,
+        kernel: fn(&Catalog, &Query, &DpOptions) -> Result<DpResult, DpError>,
+        catalog: &Catalog,
+        query: &Query,
+        options: &OrderingOptions,
+    ) -> Result<OrderingOutcome, OrderingError> {
+        let dp_options = DpOptions {
             deadline: options
                 .time_limit
                 .map(|limit| milpjoin_shim::time::now() + limit),
             memory_budget_bytes: self.memory_budget_bytes,
             cost_model: self.cost_model,
             params: self.params,
-        }
+        };
+        let res = kernel(catalog, query, &dp_options)?;
+        Ok(OrderingOutcome {
+            trace: CostTrace::single(res.elapsed, res.cost, Some(res.cost)),
+            plan: res.plan,
+            cost: res.cost,
+            objective: res.cost,
+            bound: Some(res.cost),
+            proven_optimal: true,
+            elapsed: res.elapsed,
+            search: Default::default(),
+            route: None,
+        })
     }
 }
 
@@ -75,24 +109,7 @@ impl JoinOrderer for DpOptimizer {
         query
             .validate(catalog)
             .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
-        let res = optimize(catalog, query, &self.dp_options(options)).map_err(|e| match e {
-            DpError::Timeout => OrderingError::Timeout,
-            DpError::MemoryLimit { .. } => OrderingError::ResourceLimit(e.to_string()),
-            DpError::InvalidQuery => OrderingError::InvalidQuery(e.to_string()),
-        })?;
-        // DP proves exact optimality, so its exact cost is also the
-        // cost-space lower bound: a one-point trace with factor 1.
-        Ok(OrderingOutcome {
-            trace: CostTrace::single(res.elapsed, res.cost, Some(res.cost)),
-            plan: res.plan,
-            cost: res.cost,
-            objective: res.cost,
-            bound: Some(res.cost),
-            proven_optimal: true,
-            elapsed: res.elapsed,
-            search: Default::default(),
-            route: None,
-        })
+        self.solve_with(optimize, catalog, query, options)
     }
 }
 

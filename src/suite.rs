@@ -1,16 +1,62 @@
 //! Shared helpers for the workspace-level integration tests and examples.
 
 use std::str::FromStr;
-use std::time::Duration;
 
-use milpjoin::{ApproxMode, Precision};
+use milpjoin::{ApproxMode, OrderingOutcome, Precision};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
 use milpjoin_qopt::{Catalog, LeftDeepPlan, Query, TableId};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
-/// Generates a seeded random workload (re-exported convenience).
-pub fn workload(topology: Topology, num_tables: usize, seed: u64) -> (Catalog, Query) {
-    WorkloadSpec::new(topology, num_tables).generate(seed)
+/// A mixed-topology stream over one catalog: `unique` random structures
+/// per paper topology (topology `i` draws from seeds `seed + 1000·i` on),
+/// each `copies` times, interleaved round-robin across the topologies.
+pub fn mixed_stream(
+    seed: u64,
+    tables: usize,
+    unique: usize,
+    copies: usize,
+) -> (Catalog, Vec<Query>) {
+    let mut catalog = Catalog::new();
+    let per_topology: Vec<Vec<Query>> = Topology::PAPER
+        .into_iter()
+        .enumerate()
+        .map(|(i, topology)| {
+            WorkloadSpec::new(topology, tables).generate_stream_into(
+                &mut catalog,
+                seed + 1000 * i as u64,
+                unique,
+                copies,
+            )
+        })
+        .collect();
+    let queries = (0..unique * copies)
+        .flat_map(|i| per_topology.iter().map(move |stream| stream[i].clone()))
+        .collect();
+    (catalog, queries)
+}
+
+/// Asserts that two outcomes of one solve are bit-identical: plan, cost,
+/// objective, bound, certificate, search counters and every traced
+/// incumbent and bound. Timings (`elapsed` and the trace timestamps) are
+/// wall-clock by nature and excluded.
+pub fn assert_bit_identical(label: &str, a: &OrderingOutcome, b: &OrderingOutcome) {
+    let key = |o: &OrderingOutcome| {
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        let trace: Vec<_> = o
+            .trace
+            .points()
+            .iter()
+            .map(|p| (bits(p.incumbent), bits(p.bound)))
+            .collect();
+        let values = (
+            o.cost.to_bits(),
+            o.objective.to_bits(),
+            bits(o.bound),
+            o.proven_optimal,
+        );
+        (o.plan.clone(), values, o.search, trace)
+    };
+    assert_eq!(key(a), key(b), "{label}");
 }
 
 /// `plan_cost` of every left-deep plan of `query` under `model` and the
@@ -33,11 +79,6 @@ pub fn all_plan_costs(catalog: &Catalog, query: &Query, model: CostModelKind) ->
         costs.push(plan_cost(catalog, query, &plan, model, &CostParams::default()).total);
     });
     costs
-}
-
-/// Formats a duration as fractional seconds.
-pub fn secs(d: Duration) -> String {
-    format!("{:.2}s", d.as_secs_f64())
 }
 
 /// The three precision configurations of the paper's §7.1.
@@ -300,10 +341,14 @@ mod tests {
 
     #[test]
     fn helpers_work() {
-        let (c, q) = workload(Topology::Chain, 4, 0);
-        q.validate(&c).unwrap();
-        assert_eq!(q.num_tables(), 4);
-        assert_eq!(secs(Duration::from_millis(1500)), "1.50s");
+        // Two structures per paper topology, twice each, round-robin.
+        let (c, queries) = mixed_stream(0, 4, 2, 2);
+        assert_eq!(queries.len(), 12);
+        for (i, q) in queries.iter().enumerate() {
+            q.validate(&c).unwrap();
+            let topology = Topology::PAPER[i % 3];
+            assert_eq!(q.num_predicates(), topology.edges(4).len(), "query {i}");
+        }
     }
 
     fn strings(args: &[&str]) -> Vec<String> {

@@ -198,7 +198,7 @@ fn proven_zero_objective_has_factor_one() {
     let s = catalog.add_table("S", 1000.0);
     let mut query = Query::new(vec![r, s]);
     query.add_predicate(Predicate::binary(r, s, 0.1));
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(&catalog, &query, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.status, SolveStatus::Optimal);

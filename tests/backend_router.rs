@@ -1,13 +1,12 @@
-//! Acceptance tests for the adaptive backend router and its DPconv arm:
-//! a routed outcome is bit-identical to running the reported arm directly
-//! (fixed cases plus randomized mixed streams), the DPconv arm agrees with
-//! the classical subset DP on the C_out optimum across all paper
-//! topologies, every arm's error/limit classification passes through the
-//! router unchanged, a duplicate-heavy small-query stream through
-//! `QueryService` resolves without ever reaching branch-and-bound —
-//! verified from `SessionStats` arm counts alone — and traffic at or past
-//! the decompose threshold always lands on the decompose arm, so a very
-//! large query never runs a bare whole-query root LP.
+//! Acceptance tests for the adaptive backend router: a routed outcome is
+//! bit-identical to running the reported arm directly (fixed cases plus
+//! randomized mixed streams), every arm's error/limit classification
+//! passes through the router unchanged, a duplicate-heavy small-query
+//! stream through `QueryService` resolves without ever reaching
+//! branch-and-bound — verified from `SessionStats` arm counts alone — and
+//! traffic at or past the decompose threshold always lands on the
+//! decompose arm, so a very large query never runs a bare whole-query
+//! root LP.
 
 use std::time::Duration;
 
@@ -16,9 +15,10 @@ use milpjoin::{
     OrderingOptions, OrderingOutcome, PlanSession, Precision, QueryService, RouterOptimizer,
     RouterOptions,
 };
-use milpjoin_dp::{DpConvOptimizer, DpOptimizer};
+use milpjoin_dp::DpConvOptimizer;
 use milpjoin_qopt::cost::{CostModelKind, CostParams};
 use milpjoin_qopt::{Catalog, Query};
+use milpjoin_suite::{assert_bit_identical, mixed_stream};
 use milpjoin_workloads::{large_query_stream, size_swept_stream, Topology, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -31,62 +31,6 @@ fn router(model: CostModelKind) -> RouterOptimizer {
         .precision(Precision::Low)
         .cost_model(model);
     standard_router(config, RouterOptions::default())
-}
-
-/// A mixed-topology stream over one catalog: `unique` random structures
-/// per topology, each `copies` times, round-robin across topologies.
-fn mixed_stream(seed: u64, tables: usize, unique: usize, copies: usize) -> (Catalog, Vec<Query>) {
-    let mut catalog = Catalog::new();
-    let per_topology: Vec<Vec<Query>> = Topology::PAPER
-        .into_iter()
-        .enumerate()
-        .map(|(i, topo)| {
-            WorkloadSpec::new(topo, tables).generate_stream_into(
-                &mut catalog,
-                seed + 1000 * i as u64,
-                unique,
-                copies,
-            )
-        })
-        .collect();
-    let len = per_topology.iter().map(Vec::len).max().unwrap_or(0);
-    let mut queries = Vec::new();
-    for i in 0..len {
-        for stream in &per_topology {
-            if let Some(q) = stream.get(i) {
-                queries.push(q.clone());
-            }
-        }
-    }
-    (catalog, queries)
-}
-
-/// The router's core contract: dispatch, never post-process. Timings
-/// (`elapsed`, trace timestamps) are wall-clock by nature and excluded.
-fn assert_bit_identical(label: &str, routed: &OrderingOutcome, direct: &OrderingOutcome) {
-    assert_eq!(routed.plan, direct.plan, "{label}: plan");
-    assert_eq!(
-        routed.cost.to_bits(),
-        direct.cost.to_bits(),
-        "{label}: cost {} vs {}",
-        routed.cost,
-        direct.cost
-    );
-    assert_eq!(
-        routed.objective.to_bits(),
-        direct.objective.to_bits(),
-        "{label}: objective"
-    );
-    assert_eq!(
-        routed.bound.map(f64::to_bits),
-        direct.bound.map(f64::to_bits),
-        "{label}: bound"
-    );
-    assert_eq!(
-        routed.proven_optimal, direct.proven_optimal,
-        "{label}: proven_optimal"
-    );
-    assert!(direct.route.is_none(), "{label}: direct solves never route");
 }
 
 /// Routes one query, re-runs the reported arm directly, and demands
@@ -108,6 +52,7 @@ fn check_routed_identity(
         .order(catalog, query, opts)
         .unwrap_or_else(|e| panic!("{label}: direct {} failed: {e:?}", decision.arm));
     assert_bit_identical(&format!("{label} via {}", decision.arm), &routed, &direct);
+    assert!(direct.route.is_none(), "{label}: direct solves never route");
     decision.arm
 }
 
@@ -162,33 +107,6 @@ proptest! {
                 matches!(arm, BackendArm::DpConv | BackendArm::Dp),
                 "small query routed to {arm}"
             );
-        }
-    }
-}
-
-/// The DPconv arm is exact where it claims to apply: its C_out optimum
-/// matches the classical Selinger DP across every paper topology, plans
-/// validate, and both arms certify optimality.
-#[test]
-fn dpconv_agrees_with_dp_on_cout_optimum() {
-    let conv = DpConvOptimizer::default();
-    let dp = DpOptimizer::default();
-    for topo in Topology::PAPER {
-        for n in [2usize, 3, 5, 8] {
-            for seed in 0..3u64 {
-                let (catalog, query) = WorkloadSpec::new(topo, n).generate(seed);
-                let c = conv.order(&catalog, &query, &options()).unwrap();
-                let d = dp.order(&catalog, &query, &options()).unwrap();
-                c.plan.validate(&query).unwrap();
-                assert!(c.proven_optimal && d.proven_optimal);
-                let rel = 1e-9 * (1.0 + d.cost.abs());
-                assert!(
-                    (c.cost - d.cost).abs() <= rel,
-                    "{topo:?} n={n} seed={seed}: dpconv {:.6e} vs dp {:.6e}",
-                    c.cost,
-                    d.cost
-                );
-            }
         }
     }
 }

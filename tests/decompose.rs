@@ -1,10 +1,10 @@
-//! Acceptance tests for the decompose-and-conquer optimizer: stitched
-//! plans are valid (every table joined exactly once, every predicate
-//! applied by the exact coster) and never cost more than the whole-query
-//! greedy construction across mixed topologies; the orchestration is
-//! bit-identical at any fragment-worker count; a wall-clock budget bounds
-//! the whole solve; and the router's `very-large-decompose` dispatch is
-//! bit-identical to a direct solve and passes arm errors through verbatim.
+//! Acceptance tests for the decompose-and-conquer optimizer: partitions
+//! cover the query disjointly within the fragment cap; the orchestration
+//! is bit-identical at any fragment-worker count; a wall-clock budget
+//! bounds the whole solve; and the router's `very-large-decompose`
+//! dispatch is bit-identical to a direct solve and passes arm errors
+//! through verbatim. The stitched plans' contract (valid, exactly costed,
+//! no bound, never above greedy) is checked in `tests/oracle.rs`.
 
 use std::time::{Duration, Instant};
 
@@ -13,34 +13,14 @@ use milpjoin::{
     EncoderConfig, HybridOptimizer, JoinOrderer, OrderingError, OrderingOptions, OrderingOutcome,
     Precision, RouterOptimizer, RouterOptions,
 };
-use milpjoin_dp::{greedy_order, DpOptimizer, DpOptions, GreedyOptimizer};
-use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
+use milpjoin_dp::{DpOptimizer, GreedyOptimizer};
+use milpjoin_qopt::cost::{CostModelKind, CostParams};
 use milpjoin_qopt::{Catalog, Query, TableSet};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use proptest::prelude::*;
 
 fn config() -> EncoderConfig {
     EncoderConfig::default().precision(Precision::Low)
-}
-
-/// Exact cost of the whole-query greedy plan under the config's model —
-/// the baseline the decompose arm must never lose to.
-fn greedy_cost(catalog: &Catalog, query: &Query) -> f64 {
-    let config = config();
-    let dp_options = DpOptions {
-        cost_model: config.cost_model,
-        params: config.cost_params,
-        ..DpOptions::default()
-    };
-    let plan = greedy_order(catalog, query, &dp_options);
-    plan_cost(
-        catalog,
-        query,
-        &plan,
-        config.cost_model,
-        &config.cost_params,
-    )
-    .total
 }
 
 /// The vendored proptest stub has no `sample::select`; draw an index into
@@ -67,33 +47,6 @@ proptest! {
             union = union | *frag;
         }
         prop_assert_eq!(union, TableSet::full(tables));
-    }
-
-    /// The honesty-and-quality contract: on mixed large topologies the
-    /// stitched plan validates (a permutation of all tables, so the exact
-    /// coster applies every predicate), its reported cost is the exact
-    /// plan cost, the outcome claims no optimality or bound, and the cost
-    /// never exceeds the whole-query greedy baseline.
-    #[test]
-    fn stitched_plans_validate_and_never_lose_to_greedy(
-        (seed, topo, tables) in (0u64..500, topology(), 20usize..=26)
-    ) {
-        let (catalog, query) = WorkloadSpec::new(topo, tables).generate(seed);
-        let backend = DecomposingOptimizer::new(config());
-        let outcome = backend
-            .order(&catalog, &query, &OrderingOptions::default().deterministic_budget(40))
-            .expect("decompose solves every valid query");
-        outcome.plan.validate(&query).expect("stitched plan is valid");
-        prop_assert!(!outcome.proven_optimal);
-        prop_assert!(outcome.bound.is_none());
-        let cfg = config();
-        let exact = plan_cost(&catalog, &query, &outcome.plan, cfg.cost_model, &cfg.cost_params).total;
-        prop_assert_eq!(outcome.cost.to_bits(), exact.to_bits(), "reported cost is the exact recost");
-        let baseline = greedy_cost(&catalog, &query);
-        prop_assert!(
-            outcome.cost <= baseline * (1.0 + 1e-9),
-            "stitched {:e} worse than greedy {:e}", outcome.cost, baseline
-        );
     }
 
     /// Determinism at any fragment-worker count: the worker pool only
@@ -156,7 +109,6 @@ fn wall_clock_budget_bounds_the_whole_solve() {
         .plan
         .validate(&query)
         .expect("stitched plan is valid");
-    assert!(outcome.cost <= greedy_cost(&catalog, &query) * (1.0 + 1e-9));
 }
 
 /// The router's `very-large-decompose` dispatch is pure: the routed

@@ -30,7 +30,7 @@ fn single_table_query_is_trivial_everywhere() {
         Err(EncodeError::TooFewTables(1))
     ));
     // ... but the optimizer facade handles it.
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(&catalog, &query, &OrderingOptions::default(), None)
         .unwrap();
     assert_eq!(out.plan.order, vec![r]);
@@ -63,7 +63,7 @@ fn dp_memory_budget() {
 #[test]
 fn milp_tiny_time_limit_fails_gracefully() {
     let (catalog, query) = WorkloadSpec::new(Topology::Chain, 10).generate(0);
-    let result = MilpOptimizer::with_defaults().optimize(
+    let result = MilpOptimizer::default().optimize(
         &catalog,
         &query,
         &OrderingOptions::with_time_limit(Duration::from_millis(1)),
@@ -88,7 +88,7 @@ fn extreme_selectivities_and_cardinalities() {
     let mut query = Query::new(vec![a, b, c]);
     query.add_predicate(Predicate::binary(a, b, 1e-9)); // extreme selectivity
     query.add_predicate(Predicate::binary(b, c, 1.0)); // no-op selectivity
-    let out = MilpOptimizer::with_defaults()
+    let out = MilpOptimizer::default()
         .optimize(
             &catalog,
             &query,

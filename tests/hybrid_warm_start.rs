@@ -146,7 +146,7 @@ fn zero_time_budget_falls_back_to_the_greedy_plan() {
 fn invalid_initial_plan_is_an_error() {
     let (catalog, query) = WorkloadSpec::new(Topology::Chain, 4).generate(0);
     let bad = milpjoin_qopt::LeftDeepPlan::from_order(vec![query.tables[0], query.tables[1]]);
-    let err = MilpOptimizer::with_defaults()
+    let err = MilpOptimizer::default()
         .optimize(&catalog, &query, &OrderingOptions::default(), Some(&bad))
         .unwrap_err();
     assert!(err.to_string().contains("invalid initial plan"), "{err}");
@@ -198,46 +198,13 @@ fn hybrid_rejects_invalid_queries_without_panicking() {
     let r = other.add_table("R", 10.0);
     let s = other.add_table("S", 20.0);
     let query = milpjoin_qopt::Query::new(vec![r, s]);
-    let err = HybridOptimizer::with_defaults()
+    let err = HybridOptimizer::default()
         .order(&catalog, &query, &OrderingOptions::default())
         .unwrap_err();
     assert!(
         matches!(err, OrderingError::InvalidQuery(_)),
         "expected InvalidQuery, got {err:?}"
     );
-}
-
-/// The hybrid's guaranteed contract, across seeds: its exact cost never
-/// exceeds its greedy seed's (the seed is an argmin candidate), and the
-/// trace always opens
-/// with an incumbent. (No bound against a *cold* MILP run is asserted —
-/// MILP-space ties can legitimately decode differently between two
-/// searches, so that property is not guaranteed.)
-#[test]
-fn hybrid_contract_across_seeds() {
-    for seed in 0..4u64 {
-        let (catalog, query) = WorkloadSpec::new(Topology::Chain, 7).generate(seed);
-        let config = EncoderConfig::default().precision(Precision::Low);
-        let options = OrderingOptions::with_time_limit(Duration::from_secs(20));
-        let greedy = GreedyOptimizer::new(config.cost_model)
-            .order(&catalog, &query, &options)
-            .unwrap();
-        let warm = HybridOptimizer::new(config)
-            .order(&catalog, &query, &options)
-            .unwrap();
-        warm.plan.validate(&query).unwrap();
-        assert!(
-            warm.cost <= greedy.cost * (1.0 + 1e-9),
-            "seed {seed}: hybrid {} worse than its greedy seed {}",
-            warm.cost,
-            greedy.cost
-        );
-        let first = warm.trace.points().first().expect("non-empty trace");
-        assert!(
-            first.incumbent.is_some(),
-            "seed {seed}: trace must open with the warm start"
-        );
-    }
 }
 
 /// A node LP that stalls again after its perturbed optimum failed on the
@@ -247,8 +214,7 @@ fn hybrid_contract_across_seeds() {
 /// 20-node budget, and about 3,600 without it. It now takes 788: two of
 /// its LPs stall long enough for Bland's rule (117 pivots in all), and
 /// none reaches the perturbation. The simplex unit tests pin each stall stage on
-/// synthetic LPs and on the guard itself; `hybrid_contract_across_seeds`
-/// reaches the perturbation and both stall exits on real encodings.
+/// synthetic LPs and on the guard itself.
 #[test]
 fn perturbed_stall_does_not_cycle() {
     let (catalog, query) =

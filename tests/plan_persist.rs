@@ -13,7 +13,7 @@ use milpjoin::{
 };
 use milpjoin_qopt::persist::fnv1a64;
 use milpjoin_qopt::{Catalog, Query};
-use milpjoin_workloads::{Topology, WorkloadSpec};
+use milpjoin_suite::mixed_stream;
 use proptest::prelude::*;
 
 fn backend() -> HybridOptimizer {
@@ -32,24 +32,6 @@ fn tmp_snapshot(name: &str) -> PathBuf {
         "milpjoin-plan-persist-{}-{name}.snap",
         std::process::id()
     ))
-}
-
-/// A mixed-topology duplicate-heavy stream over one catalog.
-fn mixed_stream(seed: u64, tables: usize, unique: usize, copies: usize) -> (Catalog, Vec<Query>) {
-    let mut catalog = Catalog::new();
-    let mut queries = Vec::new();
-    for (i, topo) in [Topology::Chain, Topology::Cycle, Topology::Star]
-        .into_iter()
-        .enumerate()
-    {
-        queries.extend(WorkloadSpec::new(topo, tables).generate_stream_into(
-            &mut catalog,
-            seed + 1000 * i as u64,
-            unique,
-            copies,
-        ));
-    }
-    (catalog, queries)
 }
 
 /// Value identity: plan, exact cost, bound, certificate. `cache_hit` is

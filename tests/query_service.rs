@@ -16,6 +16,7 @@ use milpjoin::{
 };
 use milpjoin_qopt::cost::plan_cost;
 use milpjoin_qopt::{Catalog, Query};
+use milpjoin_suite::mixed_stream;
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -25,34 +26,6 @@ fn backend() -> HybridOptimizer {
 
 fn options() -> OrderingOptions {
     OrderingOptions::with_time_limit(Duration::from_secs(20))
-}
-
-/// A mixed-topology stream over one catalog: `unique` random structures
-/// per topology, each `copies` times, round-robin across topologies.
-fn mixed_stream(seed: u64, tables: usize, unique: usize, copies: usize) -> (Catalog, Vec<Query>) {
-    let mut catalog = Catalog::new();
-    let per_topology: Vec<Vec<Query>> = [Topology::Chain, Topology::Cycle, Topology::Star]
-        .into_iter()
-        .enumerate()
-        .map(|(i, topo)| {
-            WorkloadSpec::new(topo, tables).generate_stream_into(
-                &mut catalog,
-                seed + 1000 * i as u64,
-                unique,
-                copies,
-            )
-        })
-        .collect();
-    let len = per_topology.iter().map(Vec::len).max().unwrap_or(0);
-    let mut queries = Vec::new();
-    for i in 0..len {
-        for stream in &per_topology {
-            if let Some(q) = stream.get(i) {
-                queries.push(q.clone());
-            }
-        }
-    }
-    (catalog, queries)
 }
 
 /// Approximate duplicates: each structure of a one-copy mixed stream is

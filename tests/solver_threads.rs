@@ -11,7 +11,7 @@
 use milpjoin::{EncoderConfig, HybridOptimizer, MilpOptimizer, PlanSession, Precision};
 use milpjoin_milp::SolveStatus;
 use milpjoin_qopt::{Catalog, OrderingOptions, Query, SessionOutcome};
-use milpjoin_workloads::{Topology, WorkloadSpec};
+use milpjoin_suite::{assert_bit_identical, mixed_stream};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -21,34 +21,6 @@ fn backend() -> HybridOptimizer {
 
 fn base_options() -> OrderingOptions {
     OrderingOptions::with_time_limit(Duration::from_secs(20))
-}
-
-/// A mixed-topology stream over one catalog: `unique` random structures
-/// per topology, each `copies` times, round-robin across topologies.
-fn mixed_stream(seed: u64, tables: usize, unique: usize, copies: usize) -> (Catalog, Vec<Query>) {
-    let mut catalog = Catalog::new();
-    let per_topology: Vec<Vec<Query>> = [Topology::Chain, Topology::Cycle, Topology::Star]
-        .into_iter()
-        .enumerate()
-        .map(|(i, topo)| {
-            WorkloadSpec::new(topo, tables).generate_stream_into(
-                &mut catalog,
-                seed + 1000 * i as u64,
-                unique,
-                copies,
-            )
-        })
-        .collect();
-    let len = per_topology.iter().map(Vec::len).max().unwrap_or(0);
-    let mut queries = Vec::new();
-    for i in 0..len {
-        for stream in &per_topology {
-            if let Some(q) = stream.get(i) {
-                queries.push(q.clone());
-            }
-        }
-    }
-    (catalog, queries)
 }
 
 fn solve_stream(
@@ -62,48 +34,6 @@ fn solve_stream(
         .into_iter()
         .map(|r| r.expect("hybrid always produces a plan"))
         .collect()
-}
-
-/// Bit-identical comparison: same solve, same exact re-costing, same
-/// anytime trace (timings excluded — they are wall-clock by nature).
-fn assert_bit_identical(label: &str, a: &SessionOutcome, b: &SessionOutcome) {
-    assert_eq!(a.outcome.plan, b.outcome.plan, "{label}: plan");
-    assert_eq!(
-        a.outcome.cost.to_bits(),
-        b.outcome.cost.to_bits(),
-        "{label}: cost"
-    );
-    assert_eq!(
-        a.outcome.objective.to_bits(),
-        b.outcome.objective.to_bits(),
-        "{label}: objective"
-    );
-    assert_eq!(
-        a.outcome.bound.map(f64::to_bits),
-        b.outcome.bound.map(f64::to_bits),
-        "{label}: bound"
-    );
-    assert_eq!(
-        a.outcome.proven_optimal, b.outcome.proven_optimal,
-        "{label}: proven_optimal"
-    );
-    assert_eq!(a.outcome.search, b.outcome.search, "{label}: search stats");
-    let (ta, tb) = (a.outcome.trace.points(), b.outcome.trace.points());
-    assert_eq!(ta.len(), tb.len(), "{label}: trace length");
-    for (i, (pa, pb)) in ta.iter().zip(tb).enumerate() {
-        assert_eq!(
-            pa.incumbent.map(f64::to_bits),
-            pb.incumbent.map(f64::to_bits),
-            "{label}: trace[{i}] incumbent"
-        );
-        assert_eq!(
-            pa.bound.map(f64::to_bits),
-            pb.bound.map(f64::to_bits),
-            "{label}: trace[{i}] bound"
-        );
-    }
-    assert_eq!(a.cache_hit, b.cache_hit, "{label}: cache_hit");
-    assert_eq!(a.exact_hit, b.exact_hit, "{label}: exact_hit");
 }
 
 /// Streamed incumbents must never increase and bounds must be honest:
@@ -138,7 +68,13 @@ fn default_and_explicit_single_thread_are_bit_identical() {
         let got = solve_stream(&catalog, &queries, base_options().solver_threads(threads));
         assert_eq!(expected.len(), got.len());
         for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
-            assert_bit_identical(&format!("threads={threads} query={i}"), e, g);
+            let label = format!("threads={threads} query={i}");
+            assert_bit_identical(&label, &e.outcome, &g.outcome);
+            assert_eq!(
+                (e.cache_hit, e.exact_hit),
+                (g.cache_hit, g.exact_hit),
+                "{label}"
+            );
         }
     }
 }
@@ -248,7 +184,9 @@ proptest! {
         let expected = solve_stream(&catalog, &queries, base_options());
         let got = solve_stream(&catalog, &queries, base_options().solver_threads(1));
         for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
-            assert_bit_identical(&format!("query={i}"), e, g);
+            let label = format!("query={i}");
+            assert_bit_identical(&label, &e.outcome, &g.outcome);
+            assert_eq!((e.cache_hit, e.exact_hit), (g.cache_hit, g.exact_hit), "{label}");
         }
     }
 

@@ -1,12 +1,16 @@
 //! Acceptance tests for the adaptive backend router: a routed outcome is
 //! bit-identical to running the reported arm directly (fixed cases plus
-//! randomized mixed streams), every arm's error/limit classification
+//! randomized mixed streams), the DPconv arm agrees with the classical
+//! DP on the C_out optimum, every arm's error/limit classification
 //! passes through the router unchanged, a duplicate-heavy small-query
 //! stream through `QueryService` resolves without ever reaching
 //! branch-and-bound — verified from `SessionStats` arm counts alone — and
 //! traffic at or past the decompose threshold always lands on the
 //! decompose arm, so a very large query never runs a bare whole-query
 //! root LP.
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use std::time::Duration;
 
@@ -109,6 +113,14 @@ proptest! {
             );
         }
     }
+}
+
+/// The DPconv arm is exact where it claims to apply: on 2–8-table rows of
+/// every paper topology the differential oracle holds it and the DP to the
+/// DP optimum, proven optimal, with factor 1.
+#[test]
+fn dpconv_agrees_with_dp_on_cout_optimum() {
+    oracle::check_section("dpconv_agrees_with_dp_on_cout_optimum");
 }
 
 /// An arm that fails with a chosen classification, for exercising the

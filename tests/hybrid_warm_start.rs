@@ -4,6 +4,9 @@
 //! bound-only events, even on queries where cold MILP needs seconds to find
 //! its first feasible plan.
 
+#[path = "common/oracle.rs"]
+mod oracle;
+
 use std::time::{Duration, Instant};
 
 use milpjoin::{
@@ -205,6 +208,14 @@ fn hybrid_rejects_invalid_queries_without_panicking() {
         matches!(err, OrderingError::InvalidQuery(_)),
         "expected InvalidQuery, got {err:?}"
     );
+}
+
+/// The hybrid's contract past the sizes the oracle enumerates, on 7-table
+/// chains: its exact cost never exceeds its greedy seed's (the seed is an
+/// argmin candidate), and its trace opens at the greedy cost.
+#[test]
+fn hybrid_contract_across_seeds() {
+    oracle::check_section("hybrid_contract_across_seeds");
 }
 
 /// A node LP that stalls again after its perturbed optimum failed on the

@@ -1,650 +1,28 @@
-//! The differential oracle: one table of inputs, one exact reference per
-//! input and cost model, and one function, [`check`], that holds every
-//! backend to its advertised contract on every row it runs on.
-//!
-//! A row's reference is the classical DP's optimum (`milpjoin_dp::optimize`,
-//! exact under all four cost models), which must equal the cheapest of
-//! every left-deep plan wherever the row has at most [`ENUMERATED_TABLES`]
-//! tables. Past [`DP_TABLES`], DPconv's C_out optimum is the reference up to
-//! [`DPCONV_TABLES`] tables. The greedy plan is every row's baseline.
-//!
-//! | contract | backends |
-//! |---|---|
-//! | the plan validates and `cost == plan_cost(plan)` | all |
-//! | `cost ≥ OPT`; the final and every traced bound `≤ OPT` | all |
-//! | traced incumbents never rise and are exact plan costs; the tail is `cost` | all |
-//! | `guaranteed_factor()` is `max(cost / bound, 1)` | all |
-//! | `cost == OPT`, proven optimal, factor 1 | dp, dpconv |
-//! | without a budget: a bound, and `cost ≤ max(1.5·F·OPT, OPT + 1e4)` | milp, hybrid |
-//! | `cost ≤ greedy`, and the trace opens at greedy's cost | hybrid |
-//! | `cost ≤ seed` | seeded milp |
-//! | no bound and no proof | greedy, decompose |
-//! | `cost ≤ greedy` | decompose |
-//! | `InvalidQuery` for an invalid query | all |
-//! | `InvalidConfig` off C_out; `InvalidQuery` with an expensive predicate | dpconv |
-//!
-//! The router is held to the contract of the arm it reports. Every search
-//! runs on one worker without a wall-clock limit (to its proof, or to the
-//! row's node budget), so every row repeats exactly.
-//!
-//! Over its table the oracle counts the cold MILP solves that return an
-//! earlier decoded incumbent (`argmin_swapped`) and the UpperBound solves
-//! whose bound would exceed the optimum without the window-floor
-//! inflation of `bound_projection`. Both counts must stay nonzero, so an
-//! edit of the table cannot silently drop the rows that reach these
-//! branches.
-//!
-//! To add a row, push a [`Row`] onto [`table`] (or [`edge_rows`], which
-//! run under node budgets). [`Row::new`] runs every backend that reaches
-//! the row's size under all four cost models; the builders narrow that.
+//! The differential oracle's own tests: the rows that reach the argmin
+//! swap and the UpperBound inflation, the 9–26-table and edge rows, invalid
+//! queries, and proptests over the generators. The table, its references
+//! and its contracts live in `common/oracle.rs`, which the other suites
+//! that check a section of the table share.
 
-use std::time::Duration;
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use milpjoin::{
-    bound_projection, encode, standard_router, ApproxMode, BackendArm, DecomposeOptions,
-    DecomposingOptimizer, EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer,
-    OrderingError, OrderingOptions, OrderingOutcome, Precision, RouterOptions,
+    EncoderConfig, HybridOptimizer, MilpOptimizer, OrderingError, OrderingOptions, Precision,
 };
-use milpjoin_dp::{DpConvOptimizer, DpOptimizer, DpOptions, GreedyOptimizer};
-use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
+use milpjoin_qopt::cost::{plan_cost, CostModelKind};
 use milpjoin_qopt::query::MAX_TABLES;
 use milpjoin_qopt::{Catalog, LeftDeepPlan, Predicate, Query};
-use milpjoin_suite::{all_plan_costs, PRECISIONS};
 use milpjoin_workloads::{Topology, WorkloadSpec};
+use oracle::{
+    arms_for, check_outcome, check_rows, check_section, search_arms, Arm, Reference, Row,
+    TOPOLOGIES,
+};
 use proptest::prelude::*;
-
-/// Slack of `cost ≥ OPT` and of every bound against OPT or a later bound:
-/// the simplex certifies bounds within its own tolerances
-/// (`MIN_RELATIVE_GAP` is 1e-6), plus 1e-9 absolute for optima near zero.
-const BOUND_REL: f64 = 1e-6;
-const BOUND_ABS: f64 = 1e-9;
-/// DPconv sums its costs in its own order: its cost matches `plan_cost`
-/// and the DP to 1e-9 relative, not to the bit.
-const DPCONV_REL: f64 = 1e-9;
-/// A traced incumbent matches some plan's exact cost to 1e-6 relative.
-const PLAN_REL: f64 = 1e-6;
-/// "Never costs more than" (hybrid, decompose against greedy): 1e-9
-/// relative.
-const NO_WORSE_REL: f64 = 1e-9;
-
-/// Rows up to this size also enumerate every left-deep plan and run the
-/// MILP and the hybrid.
-const ENUMERATED_TABLES: usize = 6;
-/// Largest row the classical DP references and the DP arm runs on.
-const DP_TABLES: usize = 12;
-/// Largest row DPconv references and runs on (about 0.1 s at 20 tables).
-const DPCONV_TABLES: usize = 20;
-/// Fragment cap of the decompose arm: small enough that 4–6-table rows
-/// decompose. The router's decompose arm keeps the default cap.
-const FRAGMENT_CAP: usize = 3;
-
-const MODELS: [CostModelKind; 4] = [
-    CostModelKind::Cout,
-    CostModelKind::Hash,
-    CostModelKind::SortMerge,
-    CostModelKind::BlockNestedLoop,
-];
-const TOPOLOGIES: [Topology; 4] = [
-    Topology::Chain,
-    Topology::Cycle,
-    Topology::Star,
-    Topology::Clique,
-];
-
-/// One backend configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Arm {
-    Greedy,
-    Dp,
-    DpConv,
-    Milp(ApproxMode, Precision),
-    Hybrid(ApproxMode, Precision),
-    Decompose,
-    Router,
-}
-
-fn config(model: CostModelKind, mode: ApproxMode, precision: Precision) -> EncoderConfig {
-    EncoderConfig {
-        approx_mode: mode,
-        ..EncoderConfig::new(precision, model)
-    }
-}
-
-/// The configuration of the decompose arm and of the router's arms.
-const SERVING: (ApproxMode, Precision) = (ApproxMode::LowerBound, Precision::Low);
-
-/// The MILP and the hybrid under both modes at each of `precisions`.
-fn search_arms(precisions: &[Precision]) -> Vec<Arm> {
-    let mut arms = Vec::new();
-    for mode in [ApproxMode::LowerBound, ApproxMode::UpperBound] {
-        for &p in precisions {
-            arms.extend([Arm::Milp(mode, p), Arm::Hybrid(mode, p)]);
-        }
-    }
-    arms
-}
-
-/// Every backend that reaches an `n`-table query.
-fn arms_for(n: usize) -> Vec<Arm> {
-    let mut arms = vec![Arm::Greedy];
-    if n <= DP_TABLES {
-        arms.push(Arm::Dp);
-    }
-    if n <= DPCONV_TABLES {
-        arms.push(Arm::DpConv);
-    }
-    if n <= ENUMERATED_TABLES {
-        arms.extend(search_arms(&PRECISIONS));
-    }
-    if n <= ENUMERATED_TABLES || n > DP_TABLES {
-        arms.push(Arm::Decompose);
-    }
-    arms.push(Arm::Router);
-    arms
-}
-
-impl Arm {
-    fn backend(self, model: CostModelKind) -> Box<dyn JoinOrderer> {
-        let serving = config(model, SERVING.0, SERVING.1);
-        match self {
-            Arm::Greedy => Box::new(GreedyOptimizer::new(model)),
-            Arm::Dp => Box::new(DpOptimizer::new(model)),
-            Arm::DpConv => Box::new(DpConvOptimizer {
-                cost_model: model,
-                ..Default::default()
-            }),
-            Arm::Milp(m, p) => Box::new(MilpOptimizer::new(config(model, m, p))),
-            Arm::Hybrid(m, p) => Box::new(HybridOptimizer::new(config(model, m, p))),
-            Arm::Decompose => {
-                Box::new(DecomposingOptimizer::new(serving).decompose_options(
-                    DecomposeOptions::default().fragment_max_tables(FRAGMENT_CAP),
-                ))
-            }
-            Arm::Router => Box::new(standard_router(serving, RouterOptions::default())),
-        }
-    }
-
-    /// The arm whose contract `outcome` is held to: the router's reported
-    /// arm, and the hybrid for a query within one decompose fragment.
-    fn contract(self, query: &Query, outcome: &OrderingOutcome) -> Arm {
-        let hybrid = Arm::Hybrid(SERVING.0, SERVING.1);
-        match self {
-            Arm::Decompose if query.num_tables() <= FRAGMENT_CAP => hybrid,
-            Arm::Router => match outcome.route.expect("a routed outcome has a route").arm {
-                BackendArm::Greedy => Arm::Greedy,
-                BackendArm::Dp => Arm::Dp,
-                BackendArm::DpConv => Arm::DpConv,
-                BackendArm::Hybrid => hybrid,
-                BackendArm::Decompose => Arm::Decompose,
-            },
-            arm => arm,
-        }
-    }
-}
-
-/// One input of the table, with the cost models and backends it runs
-/// under.
-struct Row {
-    label: String,
-    catalog: Catalog,
-    query: Query,
-    models: Vec<CostModelKind>,
-    arms: Vec<Arm>,
-    /// Node budget of every search; `None` runs each search to its proof.
-    budget: Option<u64>,
-}
-
-impl Row {
-    /// Every backend that reaches the row's size, under all four models.
-    fn new(label: impl Into<String>, (catalog, query): (Catalog, Query)) -> Self {
-        Row {
-            label: label.into(),
-            arms: arms_for(query.num_tables()),
-            catalog,
-            query,
-            models: MODELS.to_vec(),
-            budget: None,
-        }
-    }
-
-    fn generated(spec: &WorkloadSpec, seed: u64) -> Self {
-        let label = format!("{}-{}#{seed}", spec.topology.name(), spec.num_tables);
-        Row::new(label, spec.generate(seed))
-    }
-
-    fn models(mut self, models: &[CostModelKind]) -> Self {
-        self.models = models.to_vec();
-        self
-    }
-
-    /// Replaces the MILP and hybrid arms with `search`.
-    fn search(mut self, search: &[Arm]) -> Self {
-        self.arms
-            .retain(|a| !matches!(a, Arm::Milp(..) | Arm::Hybrid(..)));
-        self.arms.extend_from_slice(search);
-        self
-    }
-
-    fn budget(mut self, nodes: u64) -> Self {
-        self.budget = Some(nodes);
-        self
-    }
-
-    fn options(&self) -> OrderingOptions {
-        OrderingOptions {
-            deterministic_budget: self.budget,
-            solver_threads: 1,
-            ..OrderingOptions::default()
-        }
-    }
-}
-
-/// The references of one row under one cost model.
-struct Reference {
-    model: CostModelKind,
-    /// The exact optimum, where a DP reaches the row.
-    opt: Option<f64>,
-    /// Every left-deep plan's exact cost, up to [`ENUMERATED_TABLES`].
-    all_plans: Option<Vec<f64>>,
-    greedy: f64,
-}
-
-impl Reference {
-    fn new(row: &Row, model: CostModelKind) -> Self {
-        let (catalog, query, n) = (&row.catalog, &row.query, row.query.num_tables());
-        let label = format!("{}/{}", row.label, model.name());
-        let all_plans = (n <= ENUMERATED_TABLES).then(|| all_plan_costs(catalog, query, model));
-        let opt = if n <= DP_TABLES {
-            let options = DpOptions {
-                cost_model: model,
-                ..DpOptions::default()
-            };
-            let dp = milpjoin_dp::optimize(catalog, query, &options).expect("the DP solves");
-            let priced = plan_cost(catalog, query, &dp.plan, model, &CostParams::default()).total;
-            assert_eq!(dp.cost, priced, "{label}: DP cost vs plan_cost of its plan");
-            if let Some(all) = &all_plans {
-                let min = all.iter().copied().fold(f64::INFINITY, f64::min);
-                assert_eq!(dp.cost, min, "{label}: DP vs the cheapest enumerated plan");
-            }
-            Some(dp.cost)
-        } else if n <= DPCONV_TABLES && model == CostModelKind::Cout {
-            let conv = DpConvOptimizer::default().order(catalog, query, &row.options());
-            Some(conv.expect("DPconv solves").cost)
-        } else {
-            None
-        };
-        let greedy = GreedyOptimizer::new(model).order(catalog, query, &row.options());
-        Reference {
-            model,
-            opt,
-            all_plans,
-            greedy: greedy.expect("greedy orders every valid query").cost,
-        }
-    }
-}
-
-/// How often the rows reach the two `MilpOptimizer::optimize` branches
-/// that no other integration test reaches.
-#[derive(Debug, Default)]
-struct Counts {
-    /// Cold MILP solves that returned an earlier decoded incumbent.
-    swaps: usize,
-    /// UpperBound MILP solves whose bound, divided without the
-    /// window-floor inflation, would exceed the optimum.
-    inflated: usize,
-}
-
-/// Checks every arm of every row under every model of the row.
-fn check_rows(rows: &[Row]) -> Counts {
-    let mut counts = Counts::default();
-    for row in rows {
-        for &model in &row.models {
-            let reference = Reference::new(row, model);
-            for &arm in &row.arms {
-                check(row, &reference, arm, &mut counts);
-            }
-        }
-    }
-    counts
-}
-
-/// Runs `arm` on `row` and holds the outcome to the arm's contract.
-fn check(row: &Row, reference: &Reference, arm: Arm, counts: &mut Counts) {
-    let (catalog, query, model) = (&row.catalog, &row.query, reference.model);
-    let label = format!("{}/{}/{arm:?}", row.label, model.name());
-    let options = row.options();
-    let result = match arm {
-        // The cold MILP runs through `optimize` for the branch counts.
-        Arm::Milp(mode, precision) => {
-            let config = config(model, mode, precision);
-            let solve = MilpOptimizer::new(config.clone()).optimize(catalog, query, &options, None);
-            solve.map(|out| {
-                counts.swaps += usize::from(out.argmin_swapped);
-                // A query without joins has no encoding to project.
-                let encoded = query.num_tables() > 1 && out.milp_bound.is_finite();
-                if let (ApproxMode::UpperBound, Some(opt), true) = (mode, reference.opt, encoded) {
-                    let grid = encode(catalog, query, &config).expect("encodes").grid;
-                    let projection = bound_projection(&config, catalog, query, &grid);
-                    let divisor = projection.expect("every model projects a bound").divisor;
-                    counts.inflated += usize::from(out.milp_bound / divisor > ceiling(opt));
-                }
-                out.into_ordering_outcome()
-            })
-        }
-        _ => arm.backend(model).order(catalog, query, &options),
-    };
-    let expensive = query.predicates.iter().any(|p| p.eval_cost_per_tuple > 0.0);
-    let off_shape = model != CostModelKind::Cout || expensive;
-    let out = match (arm, result) {
-        (Arm::DpConv, Err(OrderingError::InvalidConfig(_))) if model != CostModelKind::Cout => {
-            return
-        }
-        (Arm::DpConv, Err(OrderingError::InvalidQuery(_))) if expensive => return,
-        (Arm::DpConv, Ok(_)) if off_shape => panic!("{label}: DPconv off its objective shape"),
-        // A cold MILP may find no plan within a node budget.
-        (Arm::Milp(..), Err(OrderingError::ResourceLimit(_))) if row.budget.is_some() => return,
-        (_, Ok(out)) => out,
-        (_, Err(e)) => panic!("{label}: {e:?}"),
-    };
-    check_outcome(&label, row, reference, arm.contract(query, &out), &out);
-}
-
-fn ceiling(opt: f64) -> f64 {
-    opt * (1.0 + BOUND_REL) + BOUND_ABS
-}
-
-fn close(a: f64, b: f64, rel: f64) -> bool {
-    (a - b).abs() <= rel * (1.0 + b.abs())
-}
-
-/// `a == b` to the bit, or to [`DPCONV_REL`] for DPconv's own sums.
-fn same(a: f64, b: f64, contract: Arm) -> bool {
-    if contract == Arm::DpConv {
-        close(a, b, DPCONV_REL)
-    } else {
-        a.to_bits() == b.to_bits()
-    }
-}
-
-/// `max(cost / bound, 1)` for a positive bound; a zero cost is trivially
-/// optimal.
-fn factor(cost: f64, bound: Option<f64>) -> Option<f64> {
-    if cost == 0.0 {
-        return Some(1.0);
-    }
-    bound.filter(|&b| b > 0.0).map(|b| (cost / b).max(1.0))
-}
-
-/// Holds `out` to the contracts of every backend and to those of the
-/// `contract` arm.
-fn check_outcome(label: &str, row: &Row, r: &Reference, contract: Arm, out: &OrderingOutcome) {
-    let (cost, points) = (out.cost, out.trace.points());
-
-    // Every backend: a valid plan whose cost is its exact cost, ...
-    out.plan
-        .validate(&row.query)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let params = CostParams::default();
-    let priced = plan_cost(&row.catalog, &row.query, &out.plan, r.model, &params).total;
-    assert!(
-        same(cost, priced, contract),
-        "{label}: {cost:e} vs plan_cost {priced:e}"
-    );
-
-    // ... no cheaper than the optimum, with no bound above it, ...
-    let bounds = out
-        .bound
-        .into_iter()
-        .chain(points.iter().filter_map(|p| p.bound));
-    let max_bound = bounds.fold(f64::NEG_INFINITY, f64::max);
-    if let Some(opt) = r.opt {
-        assert!(
-            cost >= opt * (1.0 - BOUND_REL) - BOUND_ABS,
-            "{label}: {cost:e} < OPT {opt:e}"
-        );
-        assert!(
-            max_bound <= ceiling(opt),
-            "{label}: bound {max_bound:e} > OPT {opt:e}"
-        );
-    }
-
-    // ... and a trace of exact plan costs that never rise and end at
-    // `cost`. The MILP's trace of a query without joins is empty: there is
-    // nothing to search.
-    let incumbents: Vec<f64> = points.iter().filter_map(|p| p.incumbent).collect();
-    let joins = row.query.num_tables() > 1;
-    assert!(
-        !joins || !incumbents.is_empty(),
-        "{label}: no traced incumbent"
-    );
-    let rose = incumbents
-        .windows(2)
-        .any(|w| w[1] > w[0] * (1.0 + 1e-12) + 1e-12);
-    assert!(!rose, "{label}: traced incumbents rose: {incumbents:?}");
-    if let Some(all) = &r.all_plans {
-        let exact = |inc: &f64| all.iter().any(|&c| close(*inc, c, PLAN_REL));
-        assert!(
-            incumbents.iter().all(exact),
-            "{label}: an incumbent is no plan's cost"
-        );
-    }
-    if let Some(tail) = points.last() {
-        assert_eq!(tail.incumbent, Some(cost), "{label}: trace tail");
-        if let Some(tb) = tail.bound {
-            let fb = out.bound.unwrap_or(f64::NEG_INFINITY);
-            assert!(
-                fb >= tb - BOUND_REL * (1.0 + tb.abs()),
-                "{label}: bound {fb:e} < {tb:e}"
-            );
-        }
-        let traced = out.trace.guaranteed_factor_at(Duration::MAX);
-        assert_eq!(traced, factor(cost, tail.bound), "{label}: traced factor");
-    }
-    assert_eq!(
-        out.guaranteed_factor(),
-        factor(cost, out.bound),
-        "{label}: factor"
-    );
-
-    // The contract of the backend's own kind.
-    let greedy = r.greedy;
-    let under_greedy = cost <= greedy * (1.0 + NO_WORSE_REL);
-    let proves_nothing = out.bound.is_none() && !out.proven_optimal;
-    match contract {
-        Arm::Greedy => {
-            assert_eq!(cost.to_bits(), greedy.to_bits(), "{label}: greedy cost");
-            assert!(proves_nothing, "{label}: greedy claims a bound or a proof");
-        }
-        Arm::Dp | Arm::DpConv => {
-            let opt = r.opt.expect("the exact arms run where a DP reaches");
-            assert!(
-                same(cost, opt, contract),
-                "{label}: {cost:e} vs OPT {opt:e}"
-            );
-            assert!(out.proven_optimal, "{label}: no proof");
-            assert_eq!(out.bound, Some(cost), "{label}: bound");
-        }
-        Arm::Milp(_, precision) | Arm::Hybrid(_, precision) => {
-            if let (None, Some(opt)) = (row.budget, r.opt) {
-                // §4.2's guarantee, with slack for the sub-θ0 floor of the
-                // threshold window and a floor for near-zero optima.
-                let limit = (opt * precision.tolerance_factor() * 1.5).max(opt + 1e4);
-                assert!(cost <= limit, "{label}: {cost:e} vs OPT {opt:e}");
-                assert!(
-                    out.bound.is_some(),
-                    "{label}: a finished solve claims no bound"
-                );
-            }
-            if matches!(contract, Arm::Hybrid(..)) {
-                assert!(under_greedy, "{label}: {cost:e} above greedy {greedy:e}");
-                let first = points.first().map_or(Some(greedy), |p| p.incumbent);
-                assert_eq!(first, Some(greedy), "{label}: trace opens off greedy");
-            }
-        }
-        Arm::Decompose => {
-            assert!(
-                proves_nothing,
-                "{label}: decompose claims a bound or a proof"
-            );
-            assert!(under_greedy, "{label}: {cost:e} above greedy {greedy:e}");
-        }
-        Arm::Router => unreachable!("the router is held to its reported arm"),
-    }
-}
-
-/// A chain over `cards`, joined by `sels`.
-fn chain(cards: &[f64], sels: &[f64]) -> (Catalog, Query) {
-    let mut catalog = Catalog::new();
-    let ids: Vec<_> = cards
-        .iter()
-        .enumerate()
-        .map(|(i, &card)| catalog.add_table(format!("t{i}"), card))
-        .collect();
-    let mut query = Query::new(ids.clone());
-    for (i, &sel) in sels.iter().enumerate() {
-        query.add_predicate(Predicate::binary(ids[i], ids[i + 1], sel));
-    }
-    (catalog, query)
-}
-
-/// The table: generated rows of every topology, then hand-built ones.
-///
-/// Search time grows with the table count, with the page models
-/// (block-nested-loop most) and with the clique's edges. So up to four
-/// tables a row runs every backend under every model. At five and six
-/// tables the MILP and the hybrid run every configuration under C_out,
-/// and the five-table chain, cycle and star add the page models at low
-/// precision. The six-table clique is a hand-built row below.
-fn table() -> Vec<Row> {
-    use CostModelKind::{BlockNestedLoop, Cout, Hash, SortMerge};
-    use Precision::{High, Low, Medium};
-    let (lower, upper) = (ApproxMode::LowerBound, ApproxMode::UpperBound);
-    let mut rows = Vec::new();
-    for topology in TOPOLOGIES {
-        for n in 2..=ENUMERATED_TABLES {
-            let row = || Row::generated(&WorkloadSpec::new(topology, n), n as u64);
-            match (topology, n) {
-                (_, ..=4) => rows.push(row()),
-                (Topology::Clique, 6) => {}
-                _ => rows.push(row().models(&[Cout])),
-            }
-            if n == 5 && topology != Topology::Clique {
-                let page_models = row().models(&[Hash, SortMerge, BlockNestedLoop]);
-                rows.push(page_models.search(&search_arms(&[Low])));
-            }
-        }
-    }
-
-    // The paper's running example.
-    let example = chain(&[10.0, 1000.0, 100.0], &[0.1]);
-    rows.push(Row::new("paper-example", example));
-
-    // The expensive S–T predicate is part of every plan's cost: a DP that
-    // leaves it out reports 2000 for a plan whose `plan_cost` is 7000.
-    let (catalog, mut query) = chain(&[10.0, 1000.0, 100.0, 50.0], &[0.1, 0.01, 0.5]);
-    query.predicates[1].eval_cost_per_tuple = 50.0;
-    rows.push(Row::new("expensive-predicate", (catalog, query)).models(&[Cout]));
-
-    // S(100000) as an inner operand costs its raw 782 pages: a DP that
-    // folds the unary predicate into it (one page) reports 12 for a plan
-    // whose `plan_cost` is 2355. The optimum, 12, keeps S in the first
-    // operand.
-    let (catalog, mut query) = chain(&[10.0, 100_000.0, 100.0], &[0.1, 0.01]);
-    query.add_predicate(Predicate::nary(vec![query.tables[1]], 0.001));
-    let unary = Row::new("unary-predicate", (catalog, query)).models(&[Hash]);
-    assert_eq!(Reference::new(&unary, Hash).opt, Some(12.0));
-    rows.push(unary);
-
-    // Cardinalities over 7 decades: the block-nested-loop window sits ~3.9
-    // decades above the greedy cost scale and reaches ~9.5 decades down.
-    // Their node LPs take the dual fallback and the cold retry.
-    let wide: [(&[f64], &[f64]); 2] = [
-        (&[10.0, 1e3, 1e5, 1e7, 1e8], &[1e-4, 1e-3, 1e-4, 1e-2]),
-        (
-            &[2.0, 1e2, 1e4, 1e6, 1e8, 5e8],
-            &[0.5, 1e-2, 1e-4, 1e-3, 1e-4],
-        ),
-    ];
-    for (cards, sels) in wide {
-        let row = Row::new(format!("bnl-wide-{}", cards.len()), chain(cards, sels));
-        for precision in [High, Medium] {
-            let config = EncoderConfig::new(precision, BlockNestedLoop);
-            let grid = encode(&row.catalog, &row.query, &config).unwrap().grid;
-            let span = grid.top_value().log10() - grid.floor_value().log10();
-            assert!(span > 6.5, "{}: a {span:.2}-decade window", row.label);
-        }
-        let search = [Arm::Milp(lower, High), Arm::Milp(lower, Medium)];
-        rows.push(row.models(&[BlockNestedLoop]).search(&search));
-    }
-
-    // Clique-6 #6, cold under C_out, medium precision and LowerBound,
-    // returns 95.26226 (the optimum is 95.26224) by swapping to an earlier
-    // incumbent; its last incumbent costs 99.9075.
-    let clique = Row::generated(&WorkloadSpec::new(Topology::Clique, 6), 6);
-    rows.push(clique.models(&[Cout]).search(&[Arm::Milp(lower, Medium)]));
-    // Chain-4 #10 swaps to its optimum, 9.309213e6, under hash and low
-    // precision.
-    let chain4 = Row::generated(&WorkloadSpec::new(Topology::Chain, 4), 10);
-    rows.push(chain4.models(&[Hash]).search(&[Arm::Milp(lower, Low)]));
-    // Under C_out, low precision and UpperBound this tiny chain's bound is
-    // 2.970e-4 against an optimum of 3.016e-4; without the window-floor
-    // inflation it would be 3.060e-4.
-    let tiny = WorkloadSpec::new(Topology::Chain, 5)
-        .cardinalities(1.0, 20.0)
-        .selectivities(1e-6, 1e-2);
-    let tiny = Row::new("tiny-chain-5#2", tiny.generate(2)).models(&[Cout]);
-    rows.push(tiny.search(&[Arm::Milp(upper, Low)]));
-    rows
-}
-
-/// Rows past the search arms' reach: nine tables for the DP arms, twenty
-/// and more for decompose under a node budget.
-fn large_rows() -> Vec<Row> {
-    let nine = |topology| Row::generated(&WorkloadSpec::new(topology, 9), 1);
-    let mut rows: Vec<Row> = TOPOLOGIES.into_iter().map(nine).collect();
-    for (topology, n, seed) in [
-        (Topology::Chain, 20, 7),
-        (Topology::Cycle, 20, 7),
-        (Topology::Star, 20, 7),
-        (Topology::Chain, 24, 3),
-        (Topology::Star, 26, 5),
-    ] {
-        let row = Row::generated(&WorkloadSpec::new(topology, n), seed);
-        rows.push(row.models(&[CostModelKind::Cout]).budget(40));
-    }
-    rows
-}
-
-/// Inputs at the edges of what a query can be, each under a node budget:
-/// without one, the decompose arm runs for tens of seconds on a 64-table
-/// chain.
-fn edge_rows() -> Vec<Row> {
-    let mut single = Catalog::new();
-    let one = Query::new(vec![single.add_table("R", 42.0)]);
-    // Two components, joined only by cross products.
-    let (catalog, mut split) = chain(&[10.0, 1e3, 50.0, 2e4, 300.0], &[0.01, 0.1, 1.0, 1e-3]);
-    split.predicates.remove(2);
-    // Twelve decades of cardinality: wider than any threshold window.
-    let spread = chain(&[1.0, 1e3, 1e6, 1e9, 1e12], &[1e-3, 1e-6, 1e-2, 1e-9]);
-    let rows = [
-        Row::new("one-table", (single, one)),
-        Row::generated(&WorkloadSpec::new(Topology::Chain, 2), 0),
-        Row::new("disconnected-5", (catalog, split)),
-        Row::new("selectivity-1", chain(&[10.0, 1e3, 100.0, 1e4], &[1.0; 3])),
-        Row::new(
-            "selectivity-1e-300",
-            chain(&[10.0, 1e3, 100.0, 1e4, 50.0], &[1e-300; 4]),
-        ),
-        Row::new("spread-12-decades", spread),
-        Row::new("extreme-3", chain(&[1.0, 1e9, 17.0], &[1e-9, 1.0])),
-        Row::generated(&WorkloadSpec::new(Topology::Chain, MAX_TABLES), 1),
-    ];
-    rows.into_iter().map(|row| row.budget(60)).collect()
-}
 
 #[test]
 fn table_rows_meet_every_contract() {
-    let counts = check_rows(&table());
+    let counts = check_section("table_rows_meet_every_contract");
     println!("{counts:?}");
     assert!(counts.swaps > 0, "no row reaches the argmin swap");
     assert!(counts.inflated > 0, "no row needs the UpperBound inflation");
@@ -652,12 +30,12 @@ fn table_rows_meet_every_contract() {
 
 #[test]
 fn large_rows_meet_every_contract() {
-    check_rows(&large_rows());
+    check_section("large_rows_meet_every_contract");
 }
 
 #[test]
 fn edge_rows_meet_every_contract() {
-    check_rows(&edge_rows());
+    check_section("edge_rows_meet_every_contract");
 }
 
 /// An invalid query is `InvalidQuery` from every backend.

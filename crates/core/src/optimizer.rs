@@ -371,6 +371,7 @@ impl MilpOptimizer {
         if query.num_tables() == 1 {
             query.validate(catalog).map_err(EncodeError::Query)?;
             let plan = LeftDeepPlan::from_order(query.tables.clone());
+            let elapsed = since_start();
             return Ok(OptimizeOutcome {
                 decoded: DecodedPlan::for_plan(query, plan.clone()),
                 plan,
@@ -380,10 +381,12 @@ impl MilpOptimizer {
                 cost_bound: Some(0.0),
                 true_cost: 0.0,
                 argmin_swapped: false,
-                cost_trace: CostTrace::default(),
+                // One point, like every other backend's trace: the
+                // zero-cost plan, proven optimal from the start.
+                cost_trace: CostTrace::single(elapsed, 0.0, Some(0.0)),
                 stats: FormulationStats::default(),
                 solve_time: Duration::ZERO,
-                elapsed: since_start(),
+                elapsed,
                 search: SearchStats::default(),
             });
         }
@@ -687,14 +690,18 @@ mod tests {
         assert_eq!(out.milp_objective, 0.0);
         assert_eq!(out.search.nodes_expanded, 0);
         assert_eq!(out.search.total_lp_iterations, 0);
-        assert!(out.cost_trace.is_empty());
         assert_eq!(out.stats.num_vars(), 0);
-        // The empty trace has no state to report, at any time.
-        assert!(out.cost_trace.state_at(Duration::from_secs(3600)).is_none());
-        assert!(out
+        // The trace is one point, the zero-cost plan with its proof.
+        let points = out.cost_trace.points();
+        assert_eq!(points.len(), 1);
+        assert_eq!(
+            (points[0].incumbent, points[0].bound),
+            (Some(0.0), Some(0.0))
+        );
+        let factor = out
             .cost_trace
-            .guaranteed_factor_at(Duration::ZERO)
-            .is_none());
+            .guaranteed_factor_at(Duration::from_secs(3600));
+        assert_eq!(factor, Some(1.0));
         // The MILP-space certificate of the zero-cost plan is a proof.
         assert_eq!(out.optimality_factor(), Some(1.0));
     }

@@ -120,7 +120,12 @@ proptest! {
 /// DP optimum, proven optimal, with factor 1.
 #[test]
 fn dpconv_agrees_with_dp_on_cout_optimum() {
-    oracle::check_section("dpconv_agrees_with_dp_on_cout_optimum");
+    let sizes = Topology::PAPER
+        .into_iter()
+        .flat_map(|t| [2, 3, 5, 8].map(|n| (t, n)));
+    let rows = sizes.flat_map(|(t, n)| (0..3).map(move |seed| (t, n, seed)));
+    let exact = [oracle::Arm::Dp, oracle::Arm::DpConv];
+    oracle::check_rows(&oracle::cout_rows(rows, |r| r.arms(&exact)));
 }
 
 /// An arm that fails with a chosen classification, for exercising the

@@ -1,6 +1,6 @@
-//! The differential oracle: one table of inputs, one exact reference per
-//! input and cost model, and one function, [`check`], that holds every
-//! backend to its advertised contract on every row it runs on.
+//! The differential oracle: one exact reference per input and cost model,
+//! and one function, [`check`], that holds every backend to its advertised
+//! contract on every row it runs on.
 //!
 //! A row's reference is the classical DP's optimum (`milpjoin_dp::optimize`,
 //! exact under all four cost models), which must equal the cheapest of
@@ -12,14 +12,14 @@
 //! |---|---|
 //! | the plan validates and `cost == plan_cost(plan)` | all |
 //! | `cost ≥ OPT`; the final and every traced bound `≤ OPT` | all |
-//! | traced incumbents never rise and are exact plan costs; the tail is `cost` | all |
+//! | traced incumbents never rise and are exact plan costs; the tail is `cost` and carries a bound no stronger than the final one | all |
 //! | `guaranteed_factor()` is `max(cost / bound, 1)` | all |
 //! | `cost == OPT`, proven optimal, factor 1 | dp, dpconv |
 //! | without a budget: a bound, and `cost ≤ max(1.5·F·OPT, OPT + 1e4)` | milp, hybrid |
-//! | `cost ≤ greedy`, and the trace opens at greedy's cost | hybrid |
+//! | `cost ≤ greedy` to the bit, and the trace opens at greedy's cost | hybrid |
 //! | `cost ≤ seed` | seeded milp |
 //! | no bound and no proof | greedy, decompose |
-//! | `cost ≤ greedy` | decompose |
+//! | `cost ≤ greedy` to the bit | decompose |
 //! | `InvalidQuery` for an invalid query | all |
 //! | `InvalidConfig` off C_out; `InvalidQuery` with an expensive predicate | dpconv |
 //!
@@ -27,21 +27,21 @@
 //! runs on one worker without a wall-clock limit (to its proof, or to the
 //! row's node budget), so every row repeats exactly.
 //!
-//! The table is split into sections, one per test: [`section`] maps the
-//! name of a test to its rows, and [`check_section`] checks them. The
-//! section `table_rows_meet_every_contract` holds the rows that reach the
-//! two `MilpOptimizer::optimize` branches no other input reaches: the cold
+//! The suites that include this module (`#[path = "common/oracle.rs"]`)
+//! each build their rows and call [`check_rows`]; [`check`] runs one arm
+//! and returns its outcome for assertions particular to a row.
+//! `tests/oracle.rs` holds the rows that reach the two
+//! `MilpOptimizer::optimize` branches no other input reaches: the cold
 //! MILP solves that return an earlier decoded incumbent (`argmin_swapped`)
 //! and the UpperBound solves whose bound would exceed the optimum without
 //! the window-floor inflation of `bound_projection`. Its test fails if
-//! either count is zero, so an edit of the table cannot silently drop
-//! them.
-//!
-//! To add a row, push a [`Row`] onto a section. [`Row::new`] runs every
-//! backend that reaches the row's size under all four cost models; the
-//! builders narrow that.
+//! either count is zero, so an edit of those rows cannot silently drop
+//! them. [`Row::new`] runs every backend that reaches the row's size under
+//! all four cost models; the builders narrow that.
 
-use std::ops::RangeInclusive;
+// Every suite that includes this module uses only part of it.
+#![allow(dead_code)]
+
 use std::time::Duration;
 
 use milpjoin::{
@@ -51,24 +51,24 @@ use milpjoin::{
 };
 use milpjoin_dp::{DpConvOptimizer, DpOptimizer, DpOptions, GreedyOptimizer};
 use milpjoin_qopt::cost::{plan_cost, CostModelKind, CostParams};
-use milpjoin_qopt::query::MAX_TABLES;
 use milpjoin_qopt::{Catalog, Predicate, Query};
 use milpjoin_suite::{all_plan_costs, PRECISIONS};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
-/// Slack of `cost ≥ OPT` and of every bound against OPT or a later bound:
-/// the simplex certifies bounds within its own tolerances
-/// (`MIN_RELATIVE_GAP` is 1e-6), plus 1e-9 absolute for optima near zero.
+/// Slack of `cost ≥ OPT` and of every bound against OPT: the simplex
+/// certifies bounds within its own tolerances (`MIN_RELATIVE_GAP` is
+/// 1e-6), plus 1e-9 absolute for optima near zero.
 const BOUND_REL: f64 = 1e-6;
 const BOUND_ABS: f64 = 1e-9;
+/// The final bound is at least the last traced one, to 1e-9 relative: the
+/// solver may tighten its bound at termination without emitting another
+/// event, but never weakens it.
+const FINAL_BOUND_REL: f64 = 1e-9;
 /// DPconv sums its costs in its own order: its cost matches `plan_cost`
 /// and the DP to 1e-9 relative, not to the bit.
 const DPCONV_REL: f64 = 1e-9;
 /// A traced incumbent matches some plan's exact cost to 1e-6 relative.
 const PLAN_REL: f64 = 1e-6;
-/// "Never costs more than" (hybrid, decompose against greedy): 1e-9
-/// relative.
-const NO_WORSE_REL: f64 = 1e-9;
 
 /// Rows up to this size also enumerate every left-deep plan and run the
 /// MILP and the hybrid.
@@ -229,7 +229,7 @@ impl Row {
     }
 
     /// Runs `arms` alone.
-    fn arms(mut self, arms: &[Arm]) -> Self {
+    pub fn arms(mut self, arms: &[Arm]) -> Self {
         self.arms = arms.to_vec();
         self
     }
@@ -252,7 +252,7 @@ impl Row {
 pub struct Reference {
     model: CostModelKind,
     /// The exact optimum, where a DP reaches the row.
-    opt: Option<f64>,
+    pub opt: Option<f64>,
     /// Every left-deep plan's exact cost, up to [`ENUMERATED_TABLES`].
     all_plans: Option<Vec<f64>>,
     greedy: f64,
@@ -317,13 +317,16 @@ pub fn check_rows(rows: &[Row]) -> Counts {
     counts
 }
 
-/// Checks every row of the section that the test `name` runs.
-pub fn check_section(name: &str) -> Counts {
-    check_rows(&section(name))
-}
-
-/// Runs `arm` on `row` and holds the outcome to the arm's contract.
-fn check(row: &Row, reference: &Reference, arm: Arm, counts: &mut Counts) {
+/// Runs `arm` on `row` under the reference's model, holds the outcome to
+/// the arm's contract and returns it; `None` where the arm rightly
+/// refuses the row (DPconv off its objective shape, a cold MILP out of
+/// nodes).
+pub fn check(
+    row: &Row,
+    reference: &Reference,
+    arm: Arm,
+    counts: &mut Counts,
+) -> Option<OrderingOutcome> {
     let (catalog, query, model) = (&row.catalog, &row.query, reference.model);
     let label = format!("{}/{}/{arm:?}", row.label, model.name());
     let options = row.options();
@@ -351,16 +354,19 @@ fn check(row: &Row, reference: &Reference, arm: Arm, counts: &mut Counts) {
     let off_shape = model != CostModelKind::Cout || expensive;
     let out = match (arm, result) {
         (Arm::DpConv, Err(OrderingError::InvalidConfig(_))) if model != CostModelKind::Cout => {
-            return
+            return None
         }
-        (Arm::DpConv, Err(OrderingError::InvalidQuery(_))) if expensive => return,
+        (Arm::DpConv, Err(OrderingError::InvalidQuery(_))) if expensive => return None,
         (Arm::DpConv, Ok(_)) if off_shape => panic!("{label}: DPconv off its objective shape"),
         // A cold MILP may find no plan within a node budget.
-        (Arm::Milp(..), Err(OrderingError::ResourceLimit(_))) if row.budget.is_some() => return,
+        (Arm::Milp(..), Err(OrderingError::ResourceLimit(_))) if row.budget.is_some() => {
+            return None
+        }
         (_, Ok(out)) => out,
         (_, Err(e)) => panic!("{label}: {e:?}"),
     };
     check_outcome(&label, row, reference, arm.contract(query, &out), &out);
+    Some(out)
 }
 
 fn ceiling(opt: f64) -> f64 {
@@ -423,14 +429,9 @@ pub fn check_outcome(label: &str, row: &Row, r: &Reference, contract: Arm, out: 
     }
 
     // ... and a trace of exact plan costs that never rise and end at
-    // `cost`. The MILP's trace of a query without joins is empty: there is
-    // nothing to search.
+    // `cost`.
     let incumbents: Vec<f64> = points.iter().filter_map(|p| p.incumbent).collect();
-    let joins = row.query.num_tables() > 1;
-    assert!(
-        !joins || !incumbents.is_empty(),
-        "{label}: no traced incumbent"
-    );
+    assert!(!incumbents.is_empty(), "{label}: no traced incumbent");
     let rose = incumbents
         .windows(2)
         .any(|w| w[1] > w[0] * (1.0 + 1e-12) + 1e-12);
@@ -447,8 +448,8 @@ pub fn check_outcome(label: &str, row: &Row, r: &Reference, contract: Arm, out: 
         if let Some(tb) = tail.bound {
             let fb = out.bound.unwrap_or(f64::NEG_INFINITY);
             assert!(
-                fb >= tb - BOUND_REL * (1.0 + tb.abs()),
-                "{label}: bound {fb:e} < {tb:e}"
+                fb >= tb - FINAL_BOUND_REL * (1.0 + tb.abs()),
+                "{label}: final bound {fb:e} < traced {tb:e}"
             );
         }
         let traced = out.trace.guaranteed_factor_at(Duration::MAX);
@@ -461,8 +462,10 @@ pub fn check_outcome(label: &str, row: &Row, r: &Reference, contract: Arm, out: 
     );
 
     // The contract of the backend's own kind.
+    // Both backends that promise never to cost more than greedy keep the
+    // greedy plan as a candidate, so the promise holds to the bit.
     let greedy = r.greedy;
-    let under_greedy = cost <= greedy * (1.0 + NO_WORSE_REL);
+    let under_greedy = cost <= greedy;
     let proves_nothing = out.bound.is_none() && !out.proven_optimal;
     match contract {
         Arm::Greedy => {
@@ -491,7 +494,7 @@ pub fn check_outcome(label: &str, row: &Row, r: &Reference, contract: Arm, out: 
             }
             if matches!(contract, Arm::Hybrid(..)) {
                 assert!(under_greedy, "{label}: {cost:e} above greedy {greedy:e}");
-                let first = points.first().map_or(Some(greedy), |p| p.incumbent);
+                let first = points.first().and_then(|p| p.incumbent);
                 assert_eq!(first, Some(greedy), "{label}: trace opens off greedy");
             }
         }
@@ -507,7 +510,7 @@ pub fn check_outcome(label: &str, row: &Row, r: &Reference, contract: Arm, out: 
 }
 
 /// A chain over `cards`, joined by `sels`.
-fn chain(cards: &[f64], sels: &[f64]) -> (Catalog, Query) {
+pub fn chain(cards: &[f64], sels: &[f64]) -> (Catalog, Query) {
     let mut catalog = Catalog::new();
     let ids: Vec<_> = cards
         .iter()
@@ -521,118 +524,9 @@ fn chain(cards: &[f64], sels: &[f64]) -> (Catalog, Query) {
     (catalog, query)
 }
 
-/// The table, one section per test: the rows of the test named `name`.
-///
-/// Search time grows with the table count, with the page models
-/// (block-nested-loop most) and with the clique's edges. So up to four
-/// tables the generated rows of every topology run every backend under
-/// every model. At five and six tables the MILP and the hybrid run every
-/// configuration under C_out, and the five-table chain, cycle and star
-/// add the page models at low precision. The six-table clique is one row
-/// of `table_rows_meet_every_contract`.
-pub fn section(name: &str) -> Vec<Row> {
-    use CostModelKind::{BlockNestedLoop, Cout, Hash, SortMerge};
-    use Precision::{High, Low, Medium};
-    use Topology::{Chain, Cycle, Star};
-    let (lower, upper) = (ApproxMode::LowerBound, ApproxMode::UpperBound);
-    let milp = |mode| PRECISIONS.map(|p| Arm::Milp(mode, p));
-    match name {
-        // tests/oracle.rs
-        "table_rows_meet_every_contract" => branch_rows(),
-        "large_rows_meet_every_contract" => large_rows(),
-        "edge_rows_meet_every_contract" => edge_rows(),
-
-        // tests/milp_vs_dp.rs: the generated rows, split by cost model; the
-        // search arms at medium precision on more five-table rows; every
-        // backend on the paper's example under all four models.
-        "cout_small_queries_all_topologies" => generated(2..=5, &[Cout]),
-        "six_table_star_near_optimal" => cout_rows(Topology::PAPER.map(|t| (t, 6, 6)), |r| r),
-        "hash_cost_model_agreement" => page_model_rows(&[Hash]),
-        "sort_merge_and_bnl_models_run" => page_model_rows(&[SortMerge, BlockNestedLoop]),
-        "cout_medium_precision" => cout_rows(Topology::PAPER.map(|t| (t, 5, 11)), |r| {
-            r.search(&search_arms(&[Medium]))
-        }),
-        "all_backends_through_one_trait" => {
-            let example = Row::new("paper-example", chain(&[10.0, 1000.0, 100.0], &[0.1]));
-            let cycle = Row::generated(&WorkloadSpec::new(Cycle, 5), 7).models(&[Cout]);
-            vec![example, cycle]
-        }
-
-        // tests/exact_argmin.rs: the MILP and the hybrid under both modes
-        // at low and medium precision.
-        "matrix_argmin_and_upper_bound_soundness" => {
-            cout_rows([(Chain, 5, 11), (Star, 5, 12), (Cycle, 5, 13)], |r| {
-                r.arms(&search_arms(&[Low, Medium]))
-            })
-        }
-
-        // tests/trace_projection.rs: the cold MILP in each mode at every
-        // precision; the hybrid on six-table stars; every backend on one
-        // chain.
-        "milp_trace_incumbents_are_exact_plan_costs" => {
-            cout_rows([(Star, 5, 0), (Chain, 5, 1), (Cycle, 5, 2)], |r| {
-                r.arms(&milp(lower))
-            })
-        }
-        "upper_bound_projection_is_sound_against_exhaustive_optimum" => {
-            cout_rows([(Star, 5, 3), (Chain, 5, 4), (Cycle, 5, 5)], |r| {
-                r.arms(&milp(upper))
-            })
-        }
-        "hybrid_trace_describes_the_returned_plan" => {
-            cout_rows((0..6).map(|seed| (Star, 6, seed)), |r| {
-                r.search(&[Arm::Hybrid(lower, Medium)])
-            })
-        }
-        "cost_space_factors_are_cross_backend_comparable" => cout_rows([(Chain, 5, 4)], |r| {
-            r.search(&[Arm::Milp(lower, High), Arm::Hybrid(lower, High)])
-        }),
-
-        // tests/hybrid_warm_start.rs: the hybrid past the enumerated sizes.
-        "hybrid_contract_across_seeds" => cout_rows((0..4).map(|seed| (Chain, 7, seed)), |r| {
-            r.search(&[Arm::Hybrid(lower, Low)])
-        }),
-
-        // tests/backend_router.rs: the exact arms alone.
-        "dpconv_agrees_with_dp_on_cout_optimum" => {
-            let sizes = Topology::PAPER
-                .into_iter()
-                .flat_map(|t| [2, 3, 5, 8].map(|n| (t, n)));
-            let specs = sizes.flat_map(|(t, n)| (0..3).map(move |seed| (t, n, seed)));
-            cout_rows(specs, |r| r.arms(&[Arm::Dp, Arm::DpConv]))
-        }
-
-        // tests/dp_exact_cost.rs
-        // The expensive S–T predicate is part of every plan's cost: a DP
-        // that leaves it out reports 2000 for a plan whose `plan_cost` is
-        // 7000.
-        "dp_charges_expensive_predicates" => {
-            let (catalog, mut query) = chain(&[10.0, 1000.0, 100.0, 50.0], &[0.1, 0.01, 0.5]);
-            query.predicates[1].eval_cost_per_tuple = 50.0;
-            vec![Row::new("expensive-predicate", (catalog, query)).models(&[Cout])]
-        }
-        // S(100000) as an inner operand costs its raw 782 pages: a DP that
-        // folds the unary predicate into it (one page) reports 12 for a
-        // plan whose `plan_cost` is 2355. The optimum, 12, keeps S in the
-        // first operand.
-        "dp_prices_the_inner_operand_at_its_raw_cardinality" => {
-            let (catalog, mut query) = chain(&[10.0, 100_000.0, 100.0], &[0.1, 0.01]);
-            query.add_predicate(Predicate::nary(vec![query.tables[1]], 0.001));
-            let unary = Row::new("unary-predicate", (catalog, query)).models(&[Hash]);
-            assert_eq!(Reference::new(&unary, Hash).opt, Some(12.0));
-            vec![unary]
-        }
-
-        // tests/grid_window.rs
-        "wide_cardinality_bnl_solves_to_the_dp_optimum" => wide_bnl_rows(),
-
-        _ => panic!("the table has no section {name}"),
-    }
-}
-
 /// One generated row under C_out per `(topology, tables, seed)`, each
 /// narrowed by `narrow`.
-fn cout_rows(
+pub fn cout_rows(
     specs: impl IntoIterator<Item = (Topology, usize, u64)>,
     narrow: impl Fn(Row) -> Row,
 ) -> Vec<Row> {
@@ -640,138 +534,4 @@ fn cout_rows(
     let rows = specs.into_iter().map(row);
     rows.map(|r| narrow(r.models(&[CostModelKind::Cout])))
         .collect()
-}
-
-/// Generated rows of every topology at each of `sizes` tables, seeded by
-/// their size, under `models`.
-fn generated(sizes: RangeInclusive<usize>, models: &[CostModelKind]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for topology in TOPOLOGIES {
-        for n in sizes.clone() {
-            let row = Row::generated(&WorkloadSpec::new(topology, n), n as u64);
-            rows.push(row.models(models));
-        }
-    }
-    rows
-}
-
-/// The generated rows up to four tables under `models`, and the
-/// five-table chain, cycle and star with the search arms at low
-/// precision.
-fn page_model_rows(models: &[CostModelKind]) -> Vec<Row> {
-    let mut rows = generated(2..=4, models);
-    for topology in Topology::PAPER {
-        let row = Row::generated(&WorkloadSpec::new(topology, 5), 5).models(models);
-        rows.push(row.search(&search_arms(&[Precision::Low])));
-    }
-    rows
-}
-
-/// Cardinalities over 7 decades: the block-nested-loop window sits ~3.9
-/// decades above the greedy cost scale and reaches ~9.5 decades down.
-/// Their node LPs take the dual fallback and the cold retry.
-fn wide_bnl_rows() -> Vec<Row> {
-    let wide: [(&[f64], &[f64]); 2] = [
-        (&[10.0, 1e3, 1e5, 1e7, 1e8], &[1e-4, 1e-3, 1e-4, 1e-2]),
-        (
-            &[2.0, 1e2, 1e4, 1e6, 1e8, 5e8],
-            &[0.5, 1e-2, 1e-4, 1e-3, 1e-4],
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (cards, sels) in wide {
-        let row = Row::new(format!("bnl-wide-{}", cards.len()), chain(cards, sels));
-        for precision in [Precision::High, Precision::Medium] {
-            let config = EncoderConfig::new(precision, CostModelKind::BlockNestedLoop);
-            let grid = encode(&row.catalog, &row.query, &config).unwrap().grid;
-            let span = grid.top_value().log10() - grid.floor_value().log10();
-            assert!(span > 6.5, "{}: a {span:.2}-decade window", row.label);
-        }
-        let lower = ApproxMode::LowerBound;
-        let search = [
-            Arm::Milp(lower, Precision::High),
-            Arm::Milp(lower, Precision::Medium),
-        ];
-        rows.push(
-            row.models(&[CostModelKind::BlockNestedLoop])
-                .search(&search),
-        );
-    }
-    rows
-}
-
-/// The rows that reach the argmin swap and the UpperBound inflation, each
-/// under the one configuration that reaches it.
-fn branch_rows() -> Vec<Row> {
-    use CostModelKind::{Cout, Hash};
-    let (lower, upper) = (ApproxMode::LowerBound, ApproxMode::UpperBound);
-    // Clique-6 #6, cold under C_out, medium precision and LowerBound,
-    // returns 95.26226 (the optimum is 95.26224) by swapping to an earlier
-    // incumbent; its last incumbent costs 99.9075.
-    let clique = Row::generated(&WorkloadSpec::new(Topology::Clique, 6), 6);
-    // Chain-4 #10 swaps to its optimum, 9.309213e6, under hash and low
-    // precision.
-    let chain4 = Row::generated(&WorkloadSpec::new(Topology::Chain, 4), 10);
-    // Under C_out, low precision and UpperBound this tiny chain's bound is
-    // 2.970e-4 against an optimum of 3.016e-4; without the window-floor
-    // inflation it would be 3.060e-4.
-    let tiny = WorkloadSpec::new(Topology::Chain, 5)
-        .cardinalities(1.0, 20.0)
-        .selectivities(1e-6, 1e-2);
-    let tiny = Row::new("tiny-chain-5#2", tiny.generate(2));
-    vec![
-        clique
-            .models(&[Cout])
-            .search(&[Arm::Milp(lower, Precision::Medium)]),
-        chain4
-            .models(&[Hash])
-            .search(&[Arm::Milp(lower, Precision::Low)]),
-        tiny.models(&[Cout])
-            .search(&[Arm::Milp(upper, Precision::Low)]),
-    ]
-}
-
-/// Rows past the search arms' reach: nine tables for the DP arms, twenty
-/// and more for decompose under a node budget.
-fn large_rows() -> Vec<Row> {
-    let nine = |topology| Row::generated(&WorkloadSpec::new(topology, 9), 1);
-    let mut rows: Vec<Row> = TOPOLOGIES.into_iter().map(nine).collect();
-    for (topology, n, seed) in [
-        (Topology::Chain, 20, 7),
-        (Topology::Cycle, 20, 7),
-        (Topology::Star, 20, 7),
-        (Topology::Chain, 24, 3),
-        (Topology::Star, 26, 5),
-    ] {
-        let row = Row::generated(&WorkloadSpec::new(topology, n), seed);
-        rows.push(row.models(&[CostModelKind::Cout]).budget(40));
-    }
-    rows
-}
-
-/// Inputs at the edges of what a query can be, each under a node budget:
-/// without one, the decompose arm runs for tens of seconds on a 64-table
-/// chain.
-fn edge_rows() -> Vec<Row> {
-    let mut single = Catalog::new();
-    let one = Query::new(vec![single.add_table("R", 42.0)]);
-    // Two components, joined only by cross products.
-    let (catalog, mut split) = chain(&[10.0, 1e3, 50.0, 2e4, 300.0], &[0.01, 0.1, 1.0, 1e-3]);
-    split.predicates.remove(2);
-    // Twelve decades of cardinality: wider than any threshold window.
-    let spread = chain(&[1.0, 1e3, 1e6, 1e9, 1e12], &[1e-3, 1e-6, 1e-2, 1e-9]);
-    let rows = [
-        Row::new("one-table", (single, one)),
-        Row::generated(&WorkloadSpec::new(Topology::Chain, 2), 0),
-        Row::new("disconnected-5", (catalog, split)),
-        Row::new("selectivity-1", chain(&[10.0, 1e3, 100.0, 1e4], &[1.0; 3])),
-        Row::new(
-            "selectivity-1e-300",
-            chain(&[10.0, 1e3, 100.0, 1e4, 50.0], &[1e-300; 4]),
-        ),
-        Row::new("spread-12-decades", spread),
-        Row::new("extreme-3", chain(&[1.0, 1e9, 17.0], &[1e-9, 1.0])),
-        Row::generated(&WorkloadSpec::new(Topology::Chain, MAX_TABLES), 1),
-    ];
-    rows.into_iter().map(|row| row.budget(60)).collect()
 }

@@ -215,7 +215,9 @@ fn hybrid_rejects_invalid_queries_without_panicking() {
 /// argmin candidate), and its trace opens at the greedy cost.
 #[test]
 fn hybrid_contract_across_seeds() {
-    oracle::check_section("hybrid_contract_across_seeds");
+    let hybrid = oracle::Arm::Hybrid(milpjoin::ApproxMode::LowerBound, Precision::Low);
+    let chains = (0..4).map(|seed| (Topology::Chain, 7, seed));
+    oracle::check_rows(&oracle::cout_rows(chains, |r| r.search(&[hybrid])));
 }
 
 /// A node LP that stalls again after its perturbed optimum failed on the

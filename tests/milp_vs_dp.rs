@@ -1,179 +1,80 @@
-//! Cross-backend integration through the unified [`JoinOrderer`] trait: the
-//! MILP optimizer's plans must be within the configured tolerance factor of
-//! the DP optimum (which is exact), per the approximation guarantee of
-//! §4.2, and the greedy-warm-started hybrid must never be worse than either
-//! the greedy seed or the plain MILP.
+//! The MILP and the hybrid within the tolerance factor of the DP optimum
+//! (§4.2), and every other backend held to its contract, on generated
+//! rows of the differential oracle (`common/oracle.rs`): one test per cost
+//! model and size band, and the paper's example.
 
-use std::time::Duration;
+#[path = "common/oracle.rs"]
+mod oracle;
 
-use milpjoin::{
-    EncoderConfig, HybridOptimizer, JoinOrderer, MilpOptimizer, OrderingOptions, Precision,
-};
-use milpjoin_dp::{DpOptimizer, GreedyOptimizer};
-use milpjoin_qopt::cost::CostModelKind;
-use milpjoin_qopt::{Catalog, Query};
+use std::ops::{Range, RangeInclusive};
+
+use milpjoin::Precision;
+use milpjoin_qopt::cost::CostModelKind::{self, BlockNestedLoop, Cout, Hash, SortMerge};
 use milpjoin_workloads::{Topology, WorkloadSpec};
+use oracle::{chain, check_rows, cout_rows, search_arms, Row, TOPOLOGIES};
 
-fn workload(topo: Topology, n: usize, seed: u64) -> (Catalog, Query) {
-    WorkloadSpec::new(topo, n).generate(seed)
+/// Generated rows of every topology at each of `sizes` tables and each of
+/// `seeds`, under `models`.
+fn generated(
+    sizes: RangeInclusive<usize>,
+    seeds: Range<u64>,
+    models: &[CostModelKind],
+) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for topology in TOPOLOGIES {
+        for n in sizes.clone() {
+            for seed in seeds.clone() {
+                let row = Row::generated(&WorkloadSpec::new(topology, n), seed);
+                rows.push(row.models(models));
+            }
+        }
+    }
+    rows
 }
 
-fn options() -> OrderingOptions {
-    OrderingOptions::with_time_limit(Duration::from_secs(30))
-}
-
-/// DP optimum under `model` via the trait (proven exact).
-fn dp_optimum(catalog: &Catalog, query: &Query, model: CostModelKind) -> f64 {
-    let out = DpOptimizer::new(model)
-        .order(catalog, query, &options())
-        .expect("DP solves small queries");
-    assert!(out.proven_optimal);
-    out.cost
-}
-
-fn check(topo: Topology, n: usize, seed: u64, precision: Precision, model: CostModelKind) {
-    let (catalog, query) = workload(topo, n, seed);
-    let optimal = dp_optimum(&catalog, &query, model);
-
-    let config = EncoderConfig::default()
-        .precision(precision)
-        .cost_model(model);
-    let milp = MilpOptimizer::new(config.clone());
-    let out = milp
-        .order(&catalog, &query, &options())
-        .expect("MILP finds a plan");
-    out.plan.validate(&query).unwrap();
-
-    // Approximation guarantee: within the tolerance factor of optimal, with
-    // a little slack for the sub-θ0 floor of the threshold window and a
-    // slack floor for near-zero optima.
-    let factor = precision.tolerance_factor();
-    let limit = (optimal * factor * 1.5).max(optimal + 1e4);
-    assert!(
-        out.cost <= limit,
-        "{topo:?} n={n} seed={seed} {model:?}: MILP {:.4e} vs DP {:.4e} (limit {:.4e})",
-        out.cost,
-        optimal,
-        limit
-    );
-
-    // The hybrid must stay within the same guarantee and is additionally
-    // capped by its greedy seed.
-    let hybrid = HybridOptimizer::new(config.clone())
-        .order(&catalog, &query, &options())
-        .unwrap();
-    hybrid.plan.validate(&query).unwrap();
-    let greedy = GreedyOptimizer::new(model)
-        .order(&catalog, &query, &options())
-        .unwrap();
-    assert!(
-        hybrid.cost <= greedy.cost + 1e-9 && hybrid.cost <= limit,
-        "{topo:?} n={n} seed={seed} {model:?}: hybrid {:.4e} vs greedy {:.4e} / limit {:.4e}",
-        hybrid.cost,
-        greedy.cost,
-        limit
-    );
+/// The page models run every backend up to four tables, and at five
+/// tables the search arms at low precision: search time grows with the
+/// page models, block-nested-loop most.
+fn page_model_rows(models: &[CostModelKind], seeds: Range<u64>) -> Vec<Row> {
+    let mut rows = generated(2..=4, seeds, models);
+    for topology in Topology::PAPER {
+        let row = Row::generated(&WorkloadSpec::new(topology, 5), 5).models(models);
+        rows.push(row.search(&search_arms(&[Precision::Low])));
+    }
+    rows
 }
 
 #[test]
 fn cout_small_queries_all_topologies() {
-    for topo in Topology::PAPER {
-        for n in [2usize, 3, 4, 5] {
-            for seed in 0..3u64 {
-                check(topo, n, seed, Precision::High, CostModelKind::Cout);
-            }
-        }
-    }
-}
-
-#[test]
-fn cout_medium_precision() {
-    for topo in Topology::PAPER {
-        check(topo, 5, 11, Precision::Medium, CostModelKind::Cout);
-    }
-}
-
-#[test]
-fn hash_cost_model_agreement() {
-    for seed in 0..2u64 {
-        check(
-            Topology::Star,
-            4,
-            seed,
-            Precision::High,
-            CostModelKind::Hash,
-        );
-        check(
-            Topology::Chain,
-            4,
-            seed,
-            Precision::High,
-            CostModelKind::Hash,
-        );
-    }
-}
-
-#[test]
-fn sort_merge_and_bnl_models_run() {
-    for model in [CostModelKind::SortMerge, CostModelKind::BlockNestedLoop] {
-        check(Topology::Star, 4, 1, Precision::High, model);
-    }
+    check_rows(&generated(2..=5, 0..3, &[Cout]));
 }
 
 #[test]
 fn six_table_star_near_optimal() {
-    check(Topology::Star, 6, 5, Precision::High, CostModelKind::Cout);
+    check_rows(&cout_rows(Topology::PAPER.map(|t| (t, 6, 5)), |r| r));
 }
 
-/// A query whose tables are unknown to the catalog is an error — never a
-/// panic — from every backend behind the trait.
 #[test]
-fn invalid_query_rejected_by_every_backend() {
-    let catalog = Catalog::new(); // empty: nothing the query names exists
-    let mut other = Catalog::new();
-    let r = other.add_table("R", 10.0);
-    let s = other.add_table("S", 20.0);
-    let query = Query::new(vec![r, s]);
-    let backends: Vec<Box<dyn JoinOrderer>> = vec![
-        Box::new(GreedyOptimizer::default()),
-        Box::new(DpOptimizer::default()),
-        Box::new(MilpOptimizer::with_defaults()),
-        Box::new(HybridOptimizer::with_defaults()),
-    ];
-    for b in &backends {
-        let err = b.order(&catalog, &query, &options()).unwrap_err();
-        assert!(
-            matches!(err, milpjoin::OrderingError::InvalidQuery(_)),
-            "{}: expected InvalidQuery, got {err:?}",
-            b.name()
-        );
-    }
+fn hash_cost_model_agreement() {
+    check_rows(&page_model_rows(&[Hash], 0..2));
 }
 
-/// Every backend behind the same trait object produces a valid plan, and
-/// their exact costs are ordered the way theory demands:
-/// DP <= hybrid <= greedy.
+#[test]
+fn sort_merge_and_bnl_models_run() {
+    check_rows(&page_model_rows(&[SortMerge, BlockNestedLoop], 1..2));
+}
+
+#[test]
+fn cout_medium_precision() {
+    let rows = cout_rows(Topology::PAPER.map(|t| (t, 5, 11)), |r| {
+        r.search(&search_arms(&[Precision::Medium]))
+    });
+    check_rows(&rows);
+}
+
 #[test]
 fn all_backends_through_one_trait() {
-    let (catalog, query) = workload(Topology::Cycle, 5, 7);
-    let backends: Vec<Box<dyn JoinOrderer>> = vec![
-        Box::new(GreedyOptimizer::default()),
-        Box::new(DpOptimizer::default()),
-        Box::new(MilpOptimizer::new(
-            EncoderConfig::default().precision(Precision::High),
-        )),
-        Box::new(HybridOptimizer::new(
-            EncoderConfig::default().precision(Precision::High),
-        )),
-    ];
-    let mut costs = std::collections::HashMap::new();
-    for b in &backends {
-        let out = b.order(&catalog, &query, &options()).unwrap();
-        out.plan.validate(&query).unwrap();
-        assert!(out.cost.is_finite() && out.cost >= 0.0);
-        assert!(out.elapsed <= Duration::from_secs(31));
-        costs.insert(b.name(), out.cost);
-    }
-    assert!(costs["dp"] <= costs["hybrid"] + 1e-9);
-    assert!(costs["hybrid"] <= costs["greedy"] + 1e-9);
+    let example = Row::new("paper-example", chain(&[10.0, 1000.0, 100.0], &[0.1]));
+    let cycle = Row::generated(&WorkloadSpec::new(Topology::Cycle, 5), 7).models(&[Cout]);
+    check_rows(&[example, cycle]);
 }

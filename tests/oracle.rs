@@ -1,41 +1,106 @@
 //! The differential oracle's own tests: the rows that reach the argmin
 //! swap and the UpperBound inflation, the 9–26-table and edge rows, invalid
-//! queries, and proptests over the generators. The table, its references
-//! and its contracts live in `common/oracle.rs`, which the other suites
-//! that check a section of the table share.
+//! queries, and proptests over the generators. The references and the
+//! contracts live in `common/oracle.rs`, which every suite that checks
+//! rows of the oracle shares.
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use milpjoin::{
-    EncoderConfig, HybridOptimizer, MilpOptimizer, OrderingError, OrderingOptions, Precision,
+    ApproxMode, EncoderConfig, HybridOptimizer, MilpOptimizer, OrderingError, OrderingOptions,
+    Precision,
 };
 use milpjoin_qopt::cost::{plan_cost, CostModelKind};
 use milpjoin_qopt::query::MAX_TABLES;
 use milpjoin_qopt::{Catalog, LeftDeepPlan, Predicate, Query};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use oracle::{
-    arms_for, check_outcome, check_rows, check_section, search_arms, Arm, Reference, Row,
-    TOPOLOGIES,
+    arms_for, chain, check_outcome, check_rows, search_arms, Arm, Reference, Row, TOPOLOGIES,
 };
 use proptest::prelude::*;
 
+/// The rows that reach the argmin swap and the UpperBound inflation, each
+/// under the one configuration that reaches it.
 #[test]
 fn table_rows_meet_every_contract() {
-    let counts = check_section("table_rows_meet_every_contract");
+    use CostModelKind::{Cout, Hash};
+    let (lower, upper) = (ApproxMode::LowerBound, ApproxMode::UpperBound);
+    // Clique-6 #6, cold under C_out, medium precision and LowerBound,
+    // returns 95.26226 (the optimum is 95.26224) by swapping to an earlier
+    // incumbent; its last incumbent costs 99.9075.
+    let clique = Row::generated(&WorkloadSpec::new(Topology::Clique, 6), 6);
+    // Chain-4 #10 swaps to its optimum, 9.309213e6, under hash and low
+    // precision.
+    let chain4 = Row::generated(&WorkloadSpec::new(Topology::Chain, 4), 10);
+    // Under C_out, low precision and UpperBound this tiny chain's bound is
+    // 2.970e-4 against an optimum of 3.016e-4; without the window-floor
+    // inflation it would be 3.060e-4.
+    let tiny = WorkloadSpec::new(Topology::Chain, 5)
+        .cardinalities(1.0, 20.0)
+        .selectivities(1e-6, 1e-2);
+    let tiny = Row::new("tiny-chain-5#2", tiny.generate(2));
+    let rows = [
+        clique
+            .models(&[Cout])
+            .search(&[Arm::Milp(lower, Precision::Medium)]),
+        chain4
+            .models(&[Hash])
+            .search(&[Arm::Milp(lower, Precision::Low)]),
+        tiny.models(&[Cout])
+            .search(&[Arm::Milp(upper, Precision::Low)]),
+    ];
+    let counts = check_rows(&rows);
     println!("{counts:?}");
     assert!(counts.swaps > 0, "no row reaches the argmin swap");
     assert!(counts.inflated > 0, "no row needs the UpperBound inflation");
 }
 
+/// Rows past the search arms' reach: nine tables for the DP arms, twenty
+/// and more for decompose under a node budget.
 #[test]
 fn large_rows_meet_every_contract() {
-    check_section("large_rows_meet_every_contract");
+    let nine = |topology| Row::generated(&WorkloadSpec::new(topology, 9), 1);
+    let mut rows: Vec<Row> = TOPOLOGIES.into_iter().map(nine).collect();
+    for (topology, n, seed) in [
+        (Topology::Chain, 20, 7),
+        (Topology::Cycle, 20, 7),
+        (Topology::Star, 20, 7),
+        (Topology::Chain, 24, 3),
+        (Topology::Star, 26, 5),
+    ] {
+        let row = Row::generated(&WorkloadSpec::new(topology, n), seed);
+        rows.push(row.models(&[CostModelKind::Cout]).budget(40));
+    }
+    check_rows(&rows);
 }
 
+/// Inputs at the edges of what a query can be, each under a node budget:
+/// without one, the decompose arm runs for tens of seconds on a 64-table
+/// chain.
 #[test]
 fn edge_rows_meet_every_contract() {
-    check_section("edge_rows_meet_every_contract");
+    let mut single = Catalog::new();
+    let one = Query::new(vec![single.add_table("R", 42.0)]);
+    // Two components, joined only by cross products.
+    let (catalog, mut split) = chain(&[10.0, 1e3, 50.0, 2e4, 300.0], &[0.01, 0.1, 1.0, 1e-3]);
+    split.predicates.remove(2);
+    // Twelve decades of cardinality: wider than any threshold window.
+    let spread = chain(&[1.0, 1e3, 1e6, 1e9, 1e12], &[1e-3, 1e-6, 1e-2, 1e-9]);
+    let rows = [
+        Row::new("one-table", (single, one)),
+        Row::generated(&WorkloadSpec::new(Topology::Chain, 2), 0),
+        Row::new("disconnected-5", (catalog, split)),
+        Row::new("selectivity-1", chain(&[10.0, 1e3, 100.0, 1e4], &[1.0; 3])),
+        Row::new(
+            "selectivity-1e-300",
+            chain(&[10.0, 1e3, 100.0, 1e4, 50.0], &[1e-300; 4]),
+        ),
+        Row::new("spread-12-decades", spread),
+        Row::new("extreme-3", chain(&[1.0, 1e9, 17.0], &[1e-9, 1.0])),
+        Row::generated(&WorkloadSpec::new(Topology::Chain, MAX_TABLES), 1),
+    ];
+    check_rows(&rows.map(|row| row.budget(60)));
 }
 
 /// An invalid query is `InvalidQuery` from every backend.

@@ -443,9 +443,7 @@ impl JoinOrderer for DecomposingOptimizer {
         options: &OrderingOptions,
     ) -> Result<OrderingOutcome, OrderingError> {
         let start = milpjoin_shim::time::now();
-        query
-            .validate(catalog)
-            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        query.validate(catalog)?;
         let fragments = partition_join_graph(query, self.options.fragment_max_tables);
         if fragments.len() <= 1 {
             // The query fits in one fragment: decomposition degenerates to

@@ -139,9 +139,7 @@ impl JoinOrderer for HybridOptimizer {
         // Validation must come first: the greedy construction (and the
         // warm-start hint builder) index the catalog directly and would
         // panic on a query the MILP path rejects with a proper error.
-        query
-            .validate(catalog)
-            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        query.validate(catalog)?;
         let seed = self.seed_plan(catalog, query);
         let seed_elapsed = start.elapsed();
         match self

@@ -224,9 +224,10 @@ pub struct OptimizeOutcome {
     pub milp_objective: f64,
     /// Final lower bound in the MILP's cost space.
     pub milp_bound: f64,
-    /// [`cost_space_bound`] projection of `milp_bound`: a lower bound, in
-    /// exact cost space, on the cost of *every* plan. `None` when the
-    /// search proved nothing.
+    /// [`cost_space_bound`] projection of `milp_bound`, or of a higher
+    /// bound the search reported earlier: a lower bound, in exact cost
+    /// space, on the cost of *every* plan. `None` when the search proved
+    /// nothing.
     pub cost_bound: Option<f64>,
     /// Exact cost of the returned plan under the configured cost model.
     pub true_cost: f64,
@@ -271,7 +272,7 @@ impl OptimizeOutcome {
 impl From<EncodeError> for OrderingError {
     fn from(e: EncodeError) -> Self {
         match e {
-            EncodeError::Query(q) => OrderingError::InvalidQuery(q.to_string()),
+            EncodeError::Query(q) => q.into(),
             EncodeError::Config(c) => OrderingError::InvalidConfig(c.to_string()),
             EncodeError::TooFewTables(_) => OrderingError::InvalidQuery(e.to_string()),
         }
@@ -515,8 +516,10 @@ impl MilpOptimizer {
             seed,
         );
         // A final trace point makes the trace tail describe the returned
-        // plan at termination time.
-        let final_bound = cost_space_bound(projection.as_ref(), result.bound);
+        // plan at termination time. The solver's final bound can sit a
+        // rounding step below one it already reported, so the projection
+        // takes the best of both: the final bound never loosens the trace.
+        let final_bound = cost_space_bound(projection.as_ref(), result.bound.max(last_bound));
         if argmin_swapped {
             cost_trace.push(CostTracePoint {
                 elapsed: since_start(),

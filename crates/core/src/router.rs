@@ -103,9 +103,9 @@ mod tests {
     }
 
     /// Sweeps every feature the standard policy reads through the pure
-    /// `route()`: each documented rule fires somewhere, no other rule
-    /// (the fallback included) ever does, and every installed arm serves
-    /// some query — a rule or arm the policy cannot reach fails here.
+    /// `route()`: every query is routed, each documented rule fires
+    /// somewhere, and every installed arm serves some query — a rule or
+    /// arm the policy cannot reach fails here.
     #[test]
     fn standard_policy_has_no_dead_rules_or_arms() {
         let options = RouterOptions::default();

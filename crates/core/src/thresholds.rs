@@ -46,8 +46,6 @@ pub enum Precision {
     Medium,
     /// Tolerance factor 100 (paper's "low precision").
     Low,
-    /// Custom tolerance factor and threshold cap.
-    Custom { factor: f64, max_thresholds: usize },
 }
 
 impl Precision {
@@ -57,7 +55,6 @@ impl Precision {
             Precision::High => 3.0,
             Precision::Medium => 10.0,
             Precision::Low => 100.0,
-            Precision::Custom { factor, .. } => factor,
         }
     }
 
@@ -87,7 +84,6 @@ impl Precision {
                     15
                 }
             }
-            Precision::Custom { max_thresholds, .. } => max_thresholds,
         }
     }
 
@@ -96,7 +92,6 @@ impl Precision {
             Precision::High => "high",
             Precision::Medium => "medium",
             Precision::Low => "low",
-            Precision::Custom { .. } => "custom",
         }
     }
 

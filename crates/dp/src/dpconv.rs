@@ -351,9 +351,7 @@ impl JoinOrderer for DpConvOptimizer {
                 self.cost_model.name()
             )));
         }
-        query
-            .validate(catalog)
-            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        query.validate(catalog)?;
         if query.predicates.iter().any(|p| p.eval_cost_per_tuple > 0.0) {
             return Err(OrderingError::InvalidQuery(
                 "expensive predicates charge the join that first evaluates them, \

@@ -106,9 +106,7 @@ impl JoinOrderer for DpOptimizer {
     ) -> Result<OrderingOutcome, OrderingError> {
         // The DP kernel indexes the catalog directly; reject a query it
         // does not match before the estimator can panic.
-        query
-            .validate(catalog)
-            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        query.validate(catalog)?;
         self.solve_with(optimize, catalog, query, options)
     }
 }
@@ -158,9 +156,7 @@ impl JoinOrderer for GreedyOptimizer {
         if query.num_tables() == 0 {
             return Err(OrderingError::InvalidQuery("query has no tables".into()));
         }
-        query
-            .validate(catalog)
-            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        query.validate(catalog)?;
         let start = milpjoin_shim::time::now();
         let dp_options = DpOptions {
             cost_model: self.cost_model,

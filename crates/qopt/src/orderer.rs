@@ -33,7 +33,7 @@ use std::time::Duration;
 use crate::catalog::Catalog;
 use crate::cost::{CostModelKind, CostParams};
 use crate::plan::LeftDeepPlan;
-use crate::query::Query;
+use crate::query::{Query, QueryError};
 
 /// The guaranteed optimality factor `incumbent / bound`, at least 1, in a
 /// non-negative objective space — the one rule behind
@@ -299,6 +299,13 @@ impl std::fmt::Display for OrderingError {
 }
 
 impl std::error::Error for OrderingError {}
+
+/// A query that fails validation is [`OrderingError::InvalidQuery`].
+impl From<QueryError> for OrderingError {
+    fn from(e: QueryError) -> Self {
+        OrderingError::InvalidQuery(e.to_string())
+    }
+}
 
 /// A join ordering backend: anything that maps a (catalog, query) pair to a
 /// costed left-deep plan under shared runtime limits.

@@ -57,8 +57,8 @@
 //!    MILP).
 //!
 //! If a rule's arm is missing the next rule is tried; if no rule fires,
-//! a deterministic fallback picks the first installed arm that can serve
-//! the query (rule `"fallback"`). The decision — arm, rule, features — is
+//! the query is not routed and [`RouterOptimizer`] reports
+//! [`OrderingError::InvalidConfig`]. The decision — arm, rule, features — is
 //! recorded in a [`RouteDecision`] on the outcome and aggregated into
 //! [`crate::session::SessionStats::routes`], so "did any small query ever
 //! reach branch-and-bound?" is answerable from `explain()` alone.
@@ -179,7 +179,7 @@ pub struct RouteDecision {
     pub arm: BackendArm,
     /// The policy rule that fired (`"tight-budget"`,
     /// `"very-large-decompose"`, `"small-cout"`, `"small-exact"`,
-    /// `"large-search"`, `"fallback"`).
+    /// `"large-search"`).
     pub rule: &'static str,
     /// The features the rule fired on.
     pub features: QueryFeatures,
@@ -410,7 +410,8 @@ impl RouterOptimizer {
     }
 
     /// The pure policy: which arm would serve a query with these features?
-    /// `None` only when no arms are installed. Deterministic — same
+    /// `None` when no rule that applies has its arm installed (e.g. a
+    /// greedy-only router without a tight budget). Deterministic — same
     /// features, same installed arms, same decision — and side-effect
     /// free, so callers can ask "where would this go?" without solving.
     pub fn route(&self, features: &QueryFeatures) -> Option<RouteDecision> {
@@ -450,39 +451,7 @@ impl RouterOptimizer {
             }
         }
         // Rule 5: the search tail.
-        if let Some(d) = decision(BackendArm::Hybrid, "large-search") {
-            return Some(d);
-        }
-        // Deterministic fallback over whatever is installed: exact arms
-        // first when the query is small enough for them, heuristics before
-        // out-of-range DPs otherwise. DPconv is only ever picked when its
-        // objective shape applies; decompose serves any query, but only as
-        // the last resort below its threshold.
-        let small = features.tables <= self.options.exact_max_tables;
-        let order: [BackendArm; 4] = if small {
-            [
-                BackendArm::DpConv,
-                BackendArm::Dp,
-                BackendArm::Greedy,
-                BackendArm::Decompose,
-            ]
-        } else {
-            [
-                BackendArm::Greedy,
-                BackendArm::Dp,
-                BackendArm::DpConv,
-                BackendArm::Decompose,
-            ]
-        };
-        for arm in order {
-            if arm == BackendArm::DpConv && !features.dpconv_applicable() {
-                continue;
-            }
-            if let Some(d) = decision(arm, "fallback") {
-                return Some(d);
-            }
-        }
-        None
+        decision(BackendArm::Hybrid, "large-search")
     }
 
     /// Features + policy in one step for a validated query.
@@ -513,18 +482,17 @@ impl JoinOrderer for RouterOptimizer {
         }
         // Feature extraction walks the predicate list through
         // `JoinGraph::from_query`, which requires a validated query.
-        query
-            .validate(catalog)
-            .map_err(|e| OrderingError::InvalidQuery(e.to_string()))?;
+        query.validate(catalog)?;
         let (model, _) = self
             .model
             .ok_or_else(|| OrderingError::InvalidConfig("router has no arms installed".into()))?;
         let features = QueryFeatures::compute(query, model, options);
-        let decision = self
-            .route(&features)
-            // audit-allow(no-panic): construction validates that a router with
-            // a cost model installs at least one arm.
-            .expect("router with a cost model has at least one arm");
+        let decision = self.route(&features).ok_or_else(|| {
+            OrderingError::InvalidConfig(format!(
+                "no installed arm serves a routing rule that applies to this {}-table query",
+                features.tables
+            ))
+        })?;
         let backend = self.arms[decision.arm.index()]
             .as_ref()
             // audit-allow(no-panic): `route` draws from the installed-arm set
@@ -715,13 +683,14 @@ mod tests {
             .with_arm(BackendArm::Hybrid, arm(CostModelKind::Cout));
         let out = router.order(&c, &q, &OrderingOptions::default()).unwrap();
         assert_eq!(out.route.unwrap().arm, BackendArm::Dp);
-        // Only a greedy arm: everything falls back to it.
+        // Only a greedy arm: no rule but `tight-budget` can fire, so the
+        // query is not routed.
         let router = RouterOptimizer::new(RouterOptions::default())
             .with_arm(BackendArm::Greedy, arm(CostModelKind::Cout));
-        let out = router.order(&c, &q, &OrderingOptions::default()).unwrap();
-        let route = out.route.unwrap();
-        assert_eq!(route.arm, BackendArm::Greedy);
-        assert_eq!(route.rule, "fallback");
+        assert!(matches!(
+            router.order(&c, &q, &OrderingOptions::default()),
+            Err(OrderingError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -413,20 +413,9 @@ impl QueryService {
         self.shared.backend.name()
     }
 
-    /// Configured worker-pool size.
-    pub fn workers(&self) -> usize {
-        self.shared.workers
-    }
-
     /// Number of distinct solved structures currently cached.
     pub fn cache_len(&self) -> usize {
         self.shared.cache.len()
-    }
-
-    /// Submissions not yet resolved (queued or in flight).
-    pub fn pending(&self) -> u64 {
-        let state = self.shared.state.lock();
-        state.submitted - state.resolved
     }
 
     /// Aggregate statistics across all workers so far (same shape and

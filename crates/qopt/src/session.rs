@@ -262,9 +262,7 @@ pub(crate) fn process_query(
     stats: &mut SessionStats,
 ) -> Result<SessionOutcome, OrderingError> {
     stats.queries += 1;
-    if let Err(e) = query.validate(ctx.catalog) {
-        return Err(OrderingError::InvalidQuery(e.to_string()));
-    }
+    query.validate(ctx.catalog)?;
     let fp = FingerprintedQuery::compute(ctx.catalog, query, ctx.fingerprint_options);
     if fp.budget_exhausted {
         stats.fingerprint_fallbacks += 1;

@@ -142,85 +142,51 @@ fn flag_value<T: FromStr>(flag: &str, value: Option<String>) -> Result<T, String
         .map_err(|_| format!("`{flag}` takes a non-negative integer, not `{value}`"))
 }
 
-/// The serving examples, which share one argument parser ([`ServeArgs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeExample {
-    /// `examples/session.rs`: also takes the approximation mode and
-    /// `--solver-threads`.
-    Session,
-    /// `examples/service.rs`: also takes `--submitters` and `--snapshot`.
-    Service,
-}
-
-impl ServeExample {
-    fn name(self) -> &'static str {
-        match self {
-            ServeExample::Session => "session",
-            ServeExample::Service => "service",
-        }
-    }
-
-    fn usage(self) -> &'static str {
-        match self {
-            ServeExample::Session => {
-                "[copies] [tables] [lower|upper] [--backend B] [--workers N] [--solver-threads T]"
-            }
-            ServeExample::Service => {
-                "[copies] [tables] [--backend B] [--submitters N] [--workers N] [--snapshot PATH]"
-            }
-        }
-    }
-}
-
-/// The backends the serving examples drive (`--backend`).
+/// The backends the `serve` example drives (`--backend`).
 const SERVE_BACKENDS: [&str; 7] = [
     "greedy", "dp", "dpconv", "milp", "hybrid", "decomp", "router",
 ];
 
-/// Command-line arguments of the serving examples, parsed strictly: an
-/// unknown flag, a flag the example does not take, a missing or unparsable
-/// value, an unknown backend or mode and a surplus argument are errors, so
-/// a mistyped command never runs a different experiment. Flags may come
-/// in any order around the positional arguments.
+/// Command-line arguments of the `serve` example, parsed strictly: an
+/// unknown flag, a missing or unparsable value, an unknown backend or mode
+/// and a surplus argument are errors, so a mistyped command never runs a
+/// different experiment. Flags may come in any order around the
+/// positional arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeArgs {
     /// Copies of each structure in the stream (default 8, at least 1).
     pub copies: usize,
     /// Tables per query (default 8, at least 2).
     pub tables: usize,
-    /// The third positional argument of `session`, `lower` (the default) or
-    /// `upper`.
+    /// The third positional argument, `lower` (the default) or `upper`.
     pub approx_mode: ApproxMode,
     /// `greedy`, `dp`, `dpconv`, `milp`, `hybrid` (the default), `decomp`
     /// or `router`.
     pub backend: String,
-    /// Service workers (default 1 for `session`, 2 for `service`; at
-    /// least 1).
+    /// Service workers (default 1, at least 1).
     pub workers: usize,
-    /// Branch-and-bound workers per solve, `session` only (default 1, at
-    /// least 1).
+    /// Branch-and-bound workers per solve (default 1, at least 1).
     pub solver_threads: usize,
-    /// Submitter threads, `service` only (default 4, at least 1).
+    /// Submitter threads (default 1, at least 1).
     pub submitters: usize,
-    /// Snapshot file, `service` only.
+    /// Snapshot file of the service's persistent plan cache.
     pub snapshot: Option<String>,
 }
 
 impl ServeArgs {
-    /// Parses the arguments of `example` (see [`ServeExample`]).
-    pub fn parse(
-        example: ServeExample,
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Self, String> {
-        let session = example == ServeExample::Session;
+    const USAGE: &'static str = "[copies] [tables] [lower|upper] [--backend B] [--workers N] \
+                                 [--submitters N] [--solver-threads T] [--snapshot PATH]";
+
+    /// Parses the arguments of `serve`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = ServeArgs {
             copies: 8,
             tables: 8,
             approx_mode: ApproxMode::LowerBound,
             backend: "hybrid".into(),
-            workers: if session { 1 } else { 2 },
+            workers: 1,
             solver_threads: 1,
-            submitters: 4,
+            submitters: 1,
             snapshot: None,
         };
         let mut positional = 0;
@@ -238,11 +204,9 @@ impl ServeArgs {
                     out.backend = name;
                 }
                 "--workers" => out.workers = flag_value(&arg, args.next())?,
-                "--solver-threads" if session => {
-                    out.solver_threads = flag_value(&arg, args.next())?;
-                }
-                "--submitters" if !session => out.submitters = flag_value(&arg, args.next())?,
-                "--snapshot" if !session => out.snapshot = Some(flag_text(&arg, args.next())?),
+                "--solver-threads" => out.solver_threads = flag_value(&arg, args.next())?,
+                "--submitters" => out.submitters = flag_value(&arg, args.next())?,
+                "--snapshot" => out.snapshot = Some(flag_text(&arg, args.next())?),
                 flag if flag.starts_with("--") => {
                     return Err(format!("unknown flag `{flag}`"));
                 }
@@ -250,7 +214,7 @@ impl ServeArgs {
                     match positional {
                         0 => out.copies = positional_count("copies", value)?,
                         1 => out.tables = positional_count("tables", value)?,
-                        2 if session => {
+                        2 => {
                             out.approx_mode = match value {
                                 "lower" => ApproxMode::LowerBound,
                                 "upper" => ApproxMode::UpperBound,
@@ -277,10 +241,10 @@ impl ServeArgs {
     }
 
     /// [`Self::parse`] over the process arguments; on an error, prints it
-    /// with the usage line of `example` and exits with status 2.
-    pub fn from_env(example: ServeExample) -> Self {
-        Self::parse(example, std::env::args().skip(1))
-            .unwrap_or_else(|e| usage_error(example.name(), example.usage(), &e))
+    /// with the usage line and exits with status 2.
+    pub fn from_env() -> Self {
+        Self::parse(std::env::args().skip(1))
+            .unwrap_or_else(|e| usage_error("serve", Self::USAGE, &e))
     }
 }
 
@@ -393,63 +357,53 @@ mod tests {
 
     #[test]
     fn serve_args_accept_the_smoke_commands() {
-        use ServeExample::{Service, Session};
-        let session = |a: &[&str]| ServeArgs::parse(Session, strings(a)).unwrap();
-        let service = |a: &[&str]| ServeArgs::parse(Service, strings(a)).unwrap();
-        let defaults = session(&[]);
-        assert_eq!((defaults.copies, defaults.tables), (8, 8));
-        assert_eq!(defaults.approx_mode, ApproxMode::LowerBound);
-        assert_eq!((defaults.backend.as_str(), defaults.workers), ("hybrid", 1));
-        assert_eq!(service(&[]).workers, 2);
+        let serve = |a: &[&str]| ServeArgs::parse(strings(a)).unwrap();
+        let defaults = ServeArgs {
+            copies: 8,
+            tables: 8,
+            approx_mode: ApproxMode::LowerBound,
+            backend: "hybrid".into(),
+            workers: 1,
+            solver_threads: 1,
+            submitters: 1,
+            snapshot: None,
+        };
+        assert_eq!(serve(&[]), defaults);
 
-        let a = session(&["3", "6", "upper"]);
+        let a = serve(&["3", "6", "upper"]);
         assert_eq!((a.copies, a.tables), (3, 6));
         assert_eq!(a.approx_mode, ApproxMode::UpperBound);
-        assert_eq!(session(&["3", "6", "lower", "--workers", "4"]).workers, 4);
-        let a = session(&["--solver-threads", "4", "3", "6", "lower"]);
+        assert_eq!(serve(&["3", "6", "lower", "--workers", "4"]).workers, 4);
+        let a = serve(&["--solver-threads", "4", "3", "6", "lower"]);
         assert_eq!((a.solver_threads, a.copies), (4, 3));
-        assert_eq!(
-            session(&["3", "30", "--backend", "decomp"]).backend,
-            "decomp"
-        );
+        assert_eq!(serve(&["3", "30", "--backend", "decomp"]).backend, "decomp");
 
-        let a = service(&["3", "6", "--submitters", "4", "--workers", "2"]);
+        let a = serve(&["3", "6", "--submitters", "4", "--workers", "2"]);
         assert_eq!((a.copies, a.tables, a.submitters, a.workers), (3, 6, 4, 2));
-        let a = service(&["3", "6", "--snapshot", "target/warmboot.snap"]);
+        let a = serve(&["3", "6", "--snapshot", "target/warmboot.snap"]);
         assert_eq!(a.snapshot.as_deref(), Some("target/warmboot.snap"));
-        assert_eq!(
-            service(&["3", "6", "--backend", "router"]).backend,
-            "router"
-        );
+        assert_eq!(serve(&["3", "6", "--backend", "router"]).backend, "router");
         // Zero counts keep their old clamp.
-        let a = session(&["0", "0", "--workers", "0"]);
-        assert_eq!((a.copies, a.tables, a.workers), (1, 2, 1));
+        let a = serve(&["0", "0", "--workers", "0", "--submitters", "0"]);
+        assert_eq!((a.copies, a.tables, a.workers, a.submitters), (1, 2, 1, 1));
     }
 
     #[test]
     fn serve_args_reject_mistyped_commands() {
-        use ServeExample::{Service, Session};
-        for (example, bad) in [
-            (Session, &["three", "6"][..]),
-            (Session, &["3", "6", "lower", "--wrokers", "4"]),
-            (Session, &["3", "6", "lower", "extra"]),
-            (Session, &["3", "6", "middle"]),
-            (Session, &["3", "-6"]),
-            (Session, &["3", "6", "--workers"]),
-            (Session, &["3", "6", "--workers", "four"]),
-            (Session, &["3", "6", "--backend", "gredy"]),
-            (Session, &["3", "6", "--backend"]),
-            (Session, &["3", "6", "--submitters", "4"]),
-            (Session, &["3", "6", "--snapshot", "x.snap"]),
-            (Service, &["3", "6", "--submiters", "4"]),
-            (Service, &["3", "6", "upper"]),
-            (Service, &["3", "6", "--solver-threads", "2"]),
-            (Service, &["3", "6", "--snapshot"]),
+        for bad in [
+            &["three", "6"][..],
+            &["3", "6", "lower", "--wrokers", "4"],
+            &["3", "6", "lower", "extra"],
+            &["3", "6", "middle"],
+            &["3", "-6"],
+            &["3", "6", "--workers"],
+            &["3", "6", "--workers", "four"],
+            &["3", "6", "--backend", "gredy"],
+            &["3", "6", "--backend"],
+            &["3", "6", "--submiters", "4"],
+            &["3", "6", "--snapshot"],
         ] {
-            assert!(
-                ServeArgs::parse(example, strings(bad)).is_err(),
-                "{example:?} {bad:?} accepted"
-            );
+            assert!(ServeArgs::parse(strings(bad)).is_err(), "{bad:?} accepted");
         }
     }
 

@@ -20,11 +20,12 @@ use oracle::{
 };
 use proptest::prelude::*;
 
-/// The rows that reach the argmin swap and the UpperBound inflation, each
-/// under the one configuration that reaches it.
+/// The rows that reach the argmin swap and the UpperBound inflation, and
+/// one whose final bound fell below its traced bound, each under the one
+/// configuration that reaches it.
 #[test]
 fn table_rows_meet_every_contract() {
-    use CostModelKind::{Cout, Hash};
+    use CostModelKind::{BlockNestedLoop, Cout, Hash};
     let (lower, upper) = (ApproxMode::LowerBound, ApproxMode::UpperBound);
     // Clique-6 #6, cold under C_out, medium precision and LowerBound,
     // returns 95.26226 (the optimum is 95.26224) by swapping to an earlier
@@ -40,6 +41,11 @@ fn table_rows_meet_every_contract() {
         .cardinalities(1.0, 20.0)
         .selectivities(1e-6, 1e-2);
     let tiny = Row::new("tiny-chain-5#2", tiny.generate(2));
+    // The hybrid on clique-5 #0 under block-nested-loop, high precision and
+    // UpperBound: the solver's final bound, projected, is -12.453467540,
+    // 4.3e-7 below the -12.453462153 its trace already carried, unless the
+    // projection takes the larger of the two.
+    let clique5 = Row::generated(&WorkloadSpec::new(Topology::Clique, 5), 0);
     let rows = [
         clique
             .models(&[Cout])
@@ -49,6 +55,9 @@ fn table_rows_meet_every_contract() {
             .search(&[Arm::Milp(lower, Precision::Low)]),
         tiny.models(&[Cout])
             .search(&[Arm::Milp(upper, Precision::Low)]),
+        clique5
+            .models(&[BlockNestedLoop])
+            .search(&[Arm::Hybrid(upper, Precision::High)]),
     ];
     let counts = check_rows(&rows);
     println!("{counts:?}");

@@ -322,7 +322,6 @@ impl DecomposingOptimizer {
         let solves = jobs.len() as u32;
         let frag_options = OrderingOptions {
             time_limit: options.time_limit.map(|l| l / solves),
-            relative_gap: options.relative_gap,
             deterministic_budget: options
                 .deterministic_budget
                 .map(|b| (b / u64::from(solves)).max(1)),

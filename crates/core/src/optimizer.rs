@@ -279,11 +279,10 @@ impl From<EncodeError> for OrderingError {
     }
 }
 
-/// The smallest relative gap the optimizer will target. A request below
-/// this value (including the default `0.0`) is clamped up to it: the
-/// floating-point simplex cannot certify gaps tighter than its own
-/// tolerances, so "0" operationally means "proven optimal within numerical
-/// tolerance" — which is also how [`SolveStatus::Optimal`] is reported.
+/// The relative gap every MILP solve targets: the floating-point simplex
+/// cannot certify gaps tighter than its own tolerances, so this is what
+/// "proven optimal within numerical tolerance" means operationally — and
+/// how [`SolveStatus::Optimal`] is reported.
 pub const MIN_RELATIVE_GAP: f64 = 1e-6;
 
 /// The MILP-based join order optimizer (the paper's system).
@@ -323,9 +322,8 @@ impl MilpOptimizer {
     /// * `time_limit` and `deterministic_budget` become the solver's
     ///   wall-clock and node budgets (node metering is invariant under CPU
     ///   contention, which is the point of the deterministic form);
-    /// * `relative_gap` is clamped up to [`MIN_RELATIVE_GAP`], so the
-    ///   default `0.0` requests proven optimality within numerical
-    ///   tolerance;
+    /// * the solver targets the gap [`MIN_RELATIVE_GAP`]: proven
+    ///   optimality within numerical tolerance;
     /// * `solver_threads` sets the workers of the one branch-and-bound
     ///   search, `0` counting as `1`.
     ///
@@ -405,7 +403,7 @@ impl MilpOptimizer {
 
         let solver_options = SolverOptions {
             time_limit: options.time_limit,
-            relative_gap: options.relative_gap.max(MIN_RELATIVE_GAP),
+            relative_gap: MIN_RELATIVE_GAP,
             node_limit: options.deterministic_budget,
             // `0` (the `Default`) counts as one worker.
             threads: options.solver_threads.max(1),
@@ -927,14 +925,8 @@ mod tests {
 
     #[test]
     fn relative_gap_floor_is_applied() {
-        // A request of 0.0 (the default) is documented to mean "proven
-        // optimal within numerical tolerance" — i.e. the clamped floor.
-        assert!(
-            OrderingOptions::default()
-                .relative_gap
-                .max(MIN_RELATIVE_GAP)
-                == MIN_RELATIVE_GAP
-        );
+        // Every solve targets the floor: "proven optimal within numerical
+        // tolerance".
         let mut catalog = Catalog::new();
         let r = catalog.add_table("R", 10.0);
         let s = catalog.add_table("S", 1000.0);
@@ -942,15 +934,7 @@ mod tests {
         let mut query = Query::new(vec![r, s, t]);
         query.add_predicate(milpjoin_qopt::Predicate::binary(r, s, 0.1));
         let out = MilpOptimizer::default()
-            .optimize(
-                &catalog,
-                &query,
-                &OrderingOptions {
-                    relative_gap: 0.0,
-                    ..Default::default()
-                },
-                None,
-            )
+            .optimize(&catalog, &query, &OrderingOptions::default(), None)
             .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
         // Proven optimal: the final bound matches the objective within the

@@ -248,6 +248,28 @@ impl Shard {
         }
     }
 
+    /// Stores `plan` under `fp` at the recency stamp of `at`, then evicts
+    /// beyond capacity; returns how many entries were evicted. Replacing
+    /// an entry max-merges its recency, so a stale external stamp can
+    /// never *age* an entry a later operation already refreshed. A
+    /// zero-capacity shard stores nothing.
+    fn store(&mut self, fp: Fingerprint, plan: Arc<CachedPlan>, at: Option<u64>) -> u64 {
+        if self.capacity == 0 {
+            return 0;
+        }
+        let clock = self.stamp(at);
+        match self.map.get_mut(&fp) {
+            Some((existing, last_used)) => {
+                *existing = plan;
+                *last_used = (*last_used).max(clock);
+            }
+            None => {
+                self.map.insert(fp, (plan, clock));
+            }
+        }
+        self.enforce_capacity()
+    }
+
     /// Evicts least-recently-used entries until the shard fits its
     /// capacity; returns how many were evicted.
     fn enforce_capacity(&mut self) -> u64 {
@@ -436,25 +458,9 @@ impl ShardedPlanCache {
     }
 
     /// [`Self::insert`] with an explicit recency stamp (see
-    /// [`Shard::stamp`]). When replacing an existing entry the recency is
-    /// max-merged, so a stale external stamp can never *age* an entry a
-    /// later operation already refreshed.
+    /// [`Shard::stamp`] and [`Shard::store`]).
     pub(crate) fn insert_at(&self, fp: Fingerprint, plan: Arc<CachedPlan>, at: Option<u64>) -> u64 {
-        let mut shard = self.shards[self.shard_of(&fp)].lock();
-        if shard.capacity == 0 {
-            return 0;
-        }
-        let clock = shard.stamp(at);
-        match shard.map.get_mut(&fp) {
-            Some((existing, last_used)) => {
-                *existing = plan;
-                *last_used = (*last_used).max(clock);
-            }
-            None => {
-                shard.map.insert(fp, (plan, clock));
-            }
-        }
-        shard.enforce_capacity()
+        self.shards[self.shard_of(&fp)].lock().store(fp, plan, at)
     }
 
     /// The in-flight dedup protocol's single entry point (see the module
@@ -500,21 +506,8 @@ impl ShardedPlanCache {
     /// structure as cached the instant it stops being in flight).
     fn publish_inflight(&self, fp: &Fingerprint, plan: Arc<CachedPlan>, at: Option<u64>) {
         let mut shard = self.shards[self.shard_of(fp)].lock();
+        shard.store(fp.clone(), plan, at);
         shard.inflight.remove(fp);
-        if shard.capacity == 0 {
-            return;
-        }
-        let clock = shard.stamp(at);
-        match shard.map.get_mut(fp) {
-            Some((existing, last_used)) => {
-                *existing = plan;
-                *last_used = (*last_used).max(clock);
-            }
-            None => {
-                shard.map.insert(fp.clone(), (plan, clock));
-            }
-        }
-        shard.enforce_capacity();
     }
 
     /// Leader failure path: retires the slot without caching anything.

@@ -13,9 +13,9 @@
 //!   color refinement; classes the refinement cannot split — true
 //!   symmetries like alternating-selectivity cycles — are resolved by
 //!   **individualization**: each tied member is tentatively promoted, the
-//!   refinement re-run, and the lexicographically smallest resulting
-//!   fingerprint wins, so the outcome is independent of the input listing
-//!   order up to a bounded search budget);
+//!   refinement re-run, and the resulting fingerprint smallest in byte
+//!   order wins, so the outcome is independent of the input listing order
+//!   up to a bounded search budget);
 //! * join-graph edges (predicates) are expressed over canonical positions
 //!   and **sorted**;
 //! * **projection payloads** are canonical too: every carried column
@@ -40,6 +40,38 @@
 //! isomorphic queries mapping to different fingerprints, possible only
 //! past the individualization budget) costs a cache miss, never a wrong
 //! answer.
+//!
+//! # Byte layout
+//!
+//! A [`Fingerprint`] and its [`ExactStats`] are each one canonical byte
+//! string, written only by this module; the snapshot tier
+//! ([`crate::persist`], format version 2) stores both as they are.
+//! Integers are little-endian, and every sequence carries its length:
+//!
+//! ```text
+//! fingerprint  table count    u16
+//!              per table      quantized cardinality i64, quantized tuple
+//!                             width i64, sorted u8
+//!              predicates     u32 count; per predicate: u32 count and
+//!                             ascending canonical tables u16, quantized
+//!                             selectivity i64, quantized evaluation cost i64
+//!              groups         u32 count; per group: u32 count and
+//!                             ascending sorted-predicate indices u32,
+//!                             quantized correction i64
+//!              columns        u32 count; per column: canonical table u16,
+//!                             quantized width i64, output u8, u32 count and
+//!                             ascending sorted-predicate indices u32
+//! exact stats  f64 bits, in the fingerprint's order: cardinality and tuple
+//!              width per table, selectivity and evaluation cost per
+//!              predicate, correction per group, width per column
+//! ```
+//!
+//! Predicates sort by their quantized key, then by their index in the
+//! query; groups the same way; columns by their quantized key, then by
+//! exact width. Exact statistics mean something only beside an equal
+//! fingerprint, which fixes their count and order. They write `0.0` for
+//! `-0.0`, so byte equality is `f64` equality on every value
+//! [`Query::validate`] admits.
 
 use crate::catalog::Catalog;
 use crate::query::Query;
@@ -59,8 +91,8 @@ pub struct FingerprintOptions {
     pub log10_step: f64,
     /// Bound on the number of individualization branches explored when
     /// 1-WL refinement stabilizes with tied tables (true symmetries). Each
-    /// branch promotes one tied member and re-refines; the
-    /// lexicographically smallest completed fingerprint wins. Symmetric
+    /// branch promotes one tied member and re-refines; the completed
+    /// fingerprint smallest in byte order wins. Symmetric
     /// structures seen in practice (cycles, cliques, twin leaves of a
     /// star) resolve within a handful of branches; the budget caps
     /// adversarial symmetry groups, past which the remaining ties fall
@@ -107,82 +139,49 @@ fn rank_by_key<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> Vec<usize> {
     rank
 }
 
-/// One table of the canonical structure.
-///
-/// (`pub(crate)` so `persist` can encode snapshot records field by field.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct TableKey {
-    pub(crate) qlog_card: i64,
-    pub(crate) qlog_tuple_bytes: i64,
-    pub(crate) sorted: bool,
-}
-
-/// One predicate (join-graph edge, or n-ary hyperedge) over canonical
-/// table positions.
+/// The canonical, quantized structure of one query — the plan-cache key,
+/// as one byte string (layout in the module docs). Column *positions*
+/// within a table deliberately do not appear: two disjoint table sets with
+/// the same carried-column structure must match.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct PredKey {
-    /// Canonical positions, ascending.
-    pub(crate) tables: Vec<u16>,
-    pub(crate) qlog_selectivity: i64,
-    pub(crate) qlog_eval_cost: i64,
-}
-
-/// One correlated group, over indices into the sorted predicate list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct GroupKey {
-    /// Indices into [`Fingerprint::predicates`], ascending.
-    pub(crate) members: Vec<u32>,
-    pub(crate) qlog_correction: i64,
-}
-
-/// One carried column of the projection payload (§5.2), in canonical
-/// coordinates: which canonical table it lives on, its quantized width,
-/// whether the query outputs it, and which sorted predicates require it.
-/// Column *positions* within a table deliberately do not appear — two
-/// disjoint table sets with the same carried-column structure must match.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct ColumnKey {
-    /// Canonical table position.
-    pub(crate) table: u16,
-    pub(crate) qlog_bytes: i64,
-    /// Listed in the query's output columns.
-    pub(crate) output: bool,
-    /// Indices into [`Fingerprint::predicates`] of predicates requiring
-    /// this column, ascending.
-    pub(crate) predicates: Vec<u32>,
-}
-
-/// The canonical, quantized structure of one query — the plan-cache key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Fingerprint {
-    pub(crate) tables: Vec<TableKey>,
-    pub(crate) predicates: Vec<PredKey>,
-    pub(crate) groups: Vec<GroupKey>,
-    /// Carried columns (projection extension); empty when the query tracks
-    /// no columns.
-    pub(crate) columns: Vec<ColumnKey>,
-}
+pub struct Fingerprint(Box<[u8]>);
 
 impl Fingerprint {
+    /// Number of tables of the structure: the key's leading `u16`, or 0
+    /// for a byte string too short to carry one (never computed; only a
+    /// damaged snapshot record can hold one).
     pub fn num_tables(&self) -> usize {
-        self.tables.len()
+        self.0
+            .first_chunk()
+            .map_or(0, |&count| usize::from(u16::from_le_bytes(count)))
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// A key read back from a snapshot, unparsed: a record is reachable
+    /// only through equality with a key computed from a live query.
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
+        Fingerprint(bytes.into())
     }
 }
 
-/// The *unquantized* statistics of a query in canonical order, used to
-/// decide whether two fingerprint-equal queries are in fact identical (so
-/// optimality certificates may be carried across a cache hit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExactStats {
-    /// (cardinality, tuple_bytes, sorted) per canonical table.
-    pub(crate) tables: Vec<(f64, f64, bool)>,
-    /// (canonical positions, selectivity, eval cost) per sorted predicate.
-    pub(crate) predicates: Vec<(Vec<u16>, f64, f64)>,
-    /// (sorted-predicate indices, correction) per group.
-    pub(crate) groups: Vec<(Vec<u32>, f64)>,
-    /// (canonical table, exact bytes, output, requiring predicates) per
-    /// carried column, sorted.
-    pub(crate) columns: Vec<(u16, f64, bool, Vec<u32>)>,
+/// The *unquantized* statistics of a query in canonical order, as one byte
+/// string (layout in the module docs), used to decide whether two
+/// fingerprint-equal queries are in fact identical (so optimality
+/// certificates may be carried across a cache hit).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExactStats(Box<[u8]>);
+
+impl ExactStats {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Self {
+        ExactStats(bytes.into())
+    }
 }
 
 /// A query together with its fingerprint and the canonical relabeling —
@@ -213,9 +212,11 @@ struct FingerprintCtx<'a> {
     query: &'a Query,
     step: f64,
     n: usize,
-    /// (cardinality, tuple_bytes, sorted) per query position.
-    raw: Vec<(f64, f64, bool)>,
-    keys: Vec<TableKey>,
+    /// (cardinality, tuple_bytes) per query position.
+    raw: Vec<(f64, f64)>,
+    /// (quantized cardinality, quantized tuple_bytes, sorted) per query
+    /// position: the table part of the key, cardinality-major.
+    keys: Vec<(i64, i64, bool)>,
     /// Member query positions per predicate.
     pred_positions: Vec<Vec<usize>>,
     /// Incident predicate indices per query position.
@@ -232,37 +233,29 @@ impl FingerprintedQuery {
     pub fn compute(catalog: &Catalog, query: &Query, options: &FingerprintOptions) -> Self {
         let step = options.log10_step.max(1e-9);
         let n = query.num_tables();
-        // Canonical positions are stored as u16 in the predicate keys;
+        // The table count and canonical positions are written as u16;
         // validated queries are capped far below that (MAX_TABLES = 64,
-        // the table-set bitmask width), so the casts below cannot
-        // truncate.
+        // the table-set bitmask width), so the casts cannot truncate.
         debug_assert!(
-            n <= usize::from(u16::MAX) + 1,
+            n <= usize::from(u16::MAX),
             "fingerprint requires a validated query (<= {} tables)",
             crate::query::MAX_TABLES
         );
 
-        // Per-position raw statistics.
-        let raw: Vec<(f64, f64, bool)> = query
+        // Per-position raw statistics and their quantized keys.
+        let (raw, keys): (Vec<_>, Vec<_>) = query
             .tables
             .iter()
             .map(|&t| {
                 let table = catalog.table(t);
-                (
+                let (card, bytes) = (
                     table.cardinality,
                     table.tuple_bytes(catalog.default_tuple_bytes),
-                    table.sorted,
-                )
+                );
+                let key = (quantize(card, step), quantize(bytes, step), table.sorted);
+                ((card, bytes), key)
             })
-            .collect();
-        let keys: Vec<TableKey> = raw
-            .iter()
-            .map(|&(card, bytes, sorted)| TableKey {
-                qlog_card: quantize(card, step),
-                qlog_tuple_bytes: quantize(bytes, step),
-                sorted,
-            })
-            .collect();
+            .unzip();
 
         // Member positions are resolved once per predicate; the ranking and
         // refinement below reuse them every round.
@@ -413,7 +406,7 @@ fn refine_to_fixpoint(ctx: &FingerprintCtx, mut rank: Vec<usize>) -> Vec<usize> 
 /// Resolves the canonical order from an initial ranking: refine to a
 /// fixpoint; if symmetric ties remain, branch — individualize each member
 /// of the first tied class in turn, re-refine, recurse — and keep the
-/// lexicographically smallest completed fingerprint. The branch count is
+/// completed fingerprint smallest in byte order. The branch count is
 /// bounded by [`FingerprintOptions::individualization_budget`]; an
 /// exhausted budget completes the current branch with the input-order
 /// tie-break (deterministic, and sound — merely possibly
@@ -477,7 +470,8 @@ fn search(
 
 /// Completes a (possibly still tied) ranking into a concrete canonical
 /// order — remaining ties broken by input position — and keeps it if its
-/// fingerprint is the lexicographically smallest seen.
+/// fingerprint is the smallest seen in byte order. Any fixed total order
+/// over the same completions picks an isomorphism-invariant one.
 fn complete(
     ctx: &FingerprintCtx,
     rank: &[usize],
@@ -495,17 +489,34 @@ fn complete(
     }
 }
 
-/// Builds the canonical payload (fingerprint + exact statistics) for a
-/// complete canonical order.
-fn build_payload(ctx: &FingerprintCtx, from_canonical: &[usize]) -> (Fingerprint, ExactStats) {
-    let mut to_canonical = vec![0usize; ctx.n];
-    for (canon, &pos) in from_canonical.iter().enumerate() {
-        to_canonical[pos] = canon;
-    }
+/// Appends little-endian bytes to a payload.
+fn put<const N: usize>(buf: &mut Vec<u8>, bytes: [u8; N]) {
+    buf.extend_from_slice(&bytes);
+}
 
-    // Predicates over canonical positions, sorted. Remember where each
-    // original predicate landed for the group and column mappings.
-    let mut preds: Vec<(PredKey, Vec<u16>, f64, f64, usize)> = ctx
+/// Appends a sequence length to a payload.
+fn put_len(buf: &mut Vec<u8>, len: usize) {
+    put(buf, (len as u32).to_le_bytes());
+}
+
+/// The bytes of an exact statistic, `-0.0` written as `0.0`.
+fn exact_bits(value: f64) -> [u8; 8] {
+    (if value == 0.0 { 0.0 } else { value }).to_le_bytes()
+}
+
+/// Builds the canonical payload — fingerprint and exact statistics, in one
+/// pass, laid out as the module docs say — for a complete canonical order.
+fn build_payload(ctx: &FingerprintCtx, from_canonical: &[usize]) -> (Fingerprint, ExactStats) {
+    let mut to_canonical = vec![0u16; ctx.n];
+    for (canon, &pos) in from_canonical.iter().enumerate() {
+        to_canonical[pos] = canon as u16;
+    }
+    let quantized = |value: f64| quantize(value, ctx.step);
+
+    // Predicates over canonical positions, sorted by key, then by original
+    // index. Remember where each original predicate landed for the group
+    // and column mappings.
+    let mut preds: Vec<(Vec<u16>, i64, i64, usize)> = ctx
         .query
         .predicates
         .iter()
@@ -513,25 +524,22 @@ fn build_payload(ctx: &FingerprintCtx, from_canonical: &[usize]) -> (Fingerprint
         .map(|(pi, p)| {
             let mut tables: Vec<u16> = ctx.pred_positions[pi]
                 .iter()
-                .map(|&pos| to_canonical[pos] as u16)
+                .map(|&pos| to_canonical[pos])
                 .collect();
             tables.sort_unstable();
-            let key = PredKey {
-                tables: tables.clone(),
-                qlog_selectivity: quantize(p.selectivity, ctx.step),
-                qlog_eval_cost: quantize(p.eval_cost_per_tuple, ctx.step),
-            };
-            (key, tables, p.selectivity, p.eval_cost_per_tuple, pi)
+            let (q_sel, q_cost) = (quantized(p.selectivity), quantized(p.eval_cost_per_tuple));
+            (tables, q_sel, q_cost, pi)
         })
         .collect();
-    preds.sort_by(|a, b| (&a.0, a.4).cmp(&(&b.0, b.4)));
+    preds.sort_unstable();
     let mut pred_rank = vec![0u32; preds.len()];
     for (sorted_idx, p) in preds.iter().enumerate() {
-        pred_rank[p.4] = sorted_idx as u32;
+        pred_rank[p.3] = sorted_idx as u32;
     }
 
-    // Correlated groups over sorted-predicate indices, sorted.
-    let mut groups: Vec<(GroupKey, Vec<u32>, f64)> = ctx
+    // Correlated groups over sorted-predicate indices, sorted by key (a
+    // stable sort: ties keep their original order).
+    let mut groups: Vec<(Vec<u32>, i64, f64)> = ctx
         .query
         .correlated_groups
         .iter()
@@ -539,59 +547,78 @@ fn build_payload(ctx: &FingerprintCtx, from_canonical: &[usize]) -> (Fingerprint
             let mut members: Vec<u32> =
                 g.members.iter().map(|pid| pred_rank[pid.index()]).collect();
             members.sort_unstable();
-            (
-                GroupKey {
-                    members: members.clone(),
-                    qlog_correction: quantize(g.correction, ctx.step),
-                },
-                members,
-                g.correction,
-            )
+            (members, quantized(g.correction), g.correction)
         })
         .collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    groups.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
 
-    // Carried columns in canonical coordinates, sorted (see [`ColumnKey`]).
-    let mut columns: Vec<(ColumnKey, u16, f64, bool, Vec<u32>)> = ctx
+    // Carried columns in canonical coordinates, sorted by key, then by
+    // exact width.
+    let mut columns: Vec<(u16, i64, bool, Vec<u32>, f64)> = ctx
         .columns
         .iter()
         .map(|&(pos, bytes, output, ref pred_indices)| {
-            let table = to_canonical[pos] as u16;
             let mut predicates: Vec<u32> = pred_indices.iter().map(|&pi| pred_rank[pi]).collect();
             predicates.sort_unstable();
             (
-                ColumnKey {
-                    table,
-                    qlog_bytes: quantize(bytes, ctx.step),
-                    output,
-                    predicates: predicates.clone(),
-                },
-                table,
-                bytes,
+                to_canonical[pos],
+                quantized(bytes),
                 output,
                 predicates,
+                bytes,
             )
         })
         .collect();
-    columns.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.total_cmp(&b.2)));
+    columns.sort_by(|a, b| {
+        (a.0, a.1, a.2, &a.3)
+            .cmp(&(b.0, b.1, b.2, &b.3))
+            .then(a.4.total_cmp(&b.4))
+    });
 
-    (
-        Fingerprint {
-            tables: from_canonical.iter().map(|&pos| ctx.keys[pos]).collect(),
-            predicates: preds.iter().map(|p| p.0.clone()).collect(),
-            groups: groups.iter().map(|g| g.0.clone()).collect(),
-            columns: columns.iter().map(|c| c.0.clone()).collect(),
-        },
-        ExactStats {
-            tables: from_canonical.iter().map(|&pos| ctx.raw[pos]).collect(),
-            predicates: preds.iter().map(|p| (p.1.clone(), p.2, p.3)).collect(),
-            groups: groups.iter().map(|g| (g.1.clone(), g.2)).collect(),
-            columns: columns
-                .iter()
-                .map(|c| (c.1, c.2, c.3, c.4.clone()))
-                .collect(),
-        },
-    )
+    let mut fp = Vec::with_capacity(14 + 17 * ctx.n + 28 * preds.len());
+    let mut exact = Vec::with_capacity(16 * (ctx.n + preds.len()));
+    put(&mut fp, (ctx.n as u16).to_le_bytes());
+    for &pos in from_canonical {
+        let ((card, bytes), (q_card, q_bytes, sorted)) = (ctx.raw[pos], ctx.keys[pos]);
+        put(&mut fp, q_card.to_le_bytes());
+        put(&mut fp, q_bytes.to_le_bytes());
+        fp.push(u8::from(sorted));
+        put(&mut exact, exact_bits(card));
+        put(&mut exact, exact_bits(bytes));
+    }
+    put_len(&mut fp, preds.len());
+    for (tables, q_sel, q_cost, pi) in &preds {
+        put_len(&mut fp, tables.len());
+        for &t in tables {
+            put(&mut fp, t.to_le_bytes());
+        }
+        put(&mut fp, q_sel.to_le_bytes());
+        put(&mut fp, q_cost.to_le_bytes());
+        let p = &ctx.query.predicates[*pi];
+        put(&mut exact, exact_bits(p.selectivity));
+        put(&mut exact, exact_bits(p.eval_cost_per_tuple));
+    }
+    put_len(&mut fp, groups.len());
+    for (members, q_correction, correction) in &groups {
+        put_len(&mut fp, members.len());
+        for &m in members {
+            put(&mut fp, m.to_le_bytes());
+        }
+        put(&mut fp, q_correction.to_le_bytes());
+        put(&mut exact, exact_bits(*correction));
+    }
+    put_len(&mut fp, columns.len());
+    for (table, q_bytes, output, predicates, bytes) in &columns {
+        put(&mut fp, table.to_le_bytes());
+        put(&mut fp, q_bytes.to_le_bytes());
+        fp.push(u8::from(*output));
+        put_len(&mut fp, predicates.len());
+        for &p in predicates {
+            put(&mut fp, p.to_le_bytes());
+        }
+        put(&mut exact, exact_bits(*bytes));
+    }
+    (Fingerprint(fp.into()), ExactStats(exact.into()))
 }
 
 #[cfg(test)]
@@ -610,6 +637,40 @@ mod tests {
             q.add_predicate(Predicate::binary(ids[0], leaf, sel));
         }
         q
+    }
+
+    /// Pins the bytes of one small key and its exact statistics. Snapshots
+    /// store both as they are, so a layout change must come with a new
+    /// snapshot format version.
+    #[test]
+    fn key_bytes_are_pinned() {
+        let mut c = Catalog::new();
+        let a = c.add_table("a", 10.0);
+        let b = c.add_table("b", 100.0);
+        let mut q = Query::new(vec![b, a]);
+        q.add_predicate(Predicate::binary(a, b, 0.5).with_eval_cost(-0.0));
+        let f = FingerprintedQuery::compute(&c, &q, &FingerprintOptions::default());
+        let mut key = vec![2, 0]; // two tables
+        for q_card in [10i64, 20] {
+            key.extend(q_card.to_le_bytes()); // 10 and 100 rows, in tenths of a decade
+            key.extend(18i64.to_le_bytes()); // the default 64-byte tuple
+            key.push(0); // not sorted
+        }
+        key.extend(1u32.to_le_bytes()); // one predicate,
+        key.extend(2u32.to_le_bytes()); // over two tables:
+        key.extend([0, 0, 1, 0]); // canonical 0 and 1,
+        key.extend((-3i64).to_le_bytes()); // selectivity 0.5,
+        key.extend(i64::MIN.to_le_bytes()); // no evaluation cost
+        key.extend([0; 8]); // no groups, no columns
+        let exact: Vec<u8> = [10.0f64, 64.0, 100.0, 64.0, 0.5, 0.0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let bump = "the key layout changed: bump persist::SNAPSHOT_VERSION";
+        assert_eq!(f.fingerprint.as_bytes(), key, "{bump}");
+        assert_eq!(f.exact.as_bytes(), exact, "{bump}");
+        assert_eq!(f.fingerprint.num_tables(), 2);
+        assert_eq!(f.from_canonical, vec![1, 0]);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl CostTrace {
 }
 
 /// Runtime limits shared by every backend. Limits a backend cannot honor
-/// are ignored (greedy has no nodes to limit; DP has no gap to close).
+/// are ignored (greedy and DP have no nodes to limit).
 #[derive(Debug, Clone, Default)]
 pub struct OrderingOptions {
     /// Wall-clock budget for the whole optimization.
@@ -139,9 +139,6 @@ pub struct OrderingOptions {
     /// [`Self::deterministic_budget`] where result identity under load
     /// matters.
     pub time_limit: Option<Duration>,
-    /// Stop once the backend proves its objective within this relative gap
-    /// of optimal (bounding backends only).
-    pub relative_gap: f64,
     /// Deterministic per-solve budget, metered in branch-and-bound nodes
     /// instead of wall-clock time — the one node budget. It is a hard cap:
     /// checked before every node LP, so a single-worker solve expands at

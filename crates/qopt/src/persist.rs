@@ -7,7 +7,7 @@
 //! dependency-free binary snapshot format so a rebooted session or
 //! service serves a previously-seen stream with zero backend solves.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! All integers are little-endian; sequences carry a `u64` length prefix.
 //!
@@ -17,12 +17,16 @@
 //!          fingerprint hash u64       FNV-1a over FingerprintOptions
 //!          config hash      u64       FNV-1a over cost model + params
 //!          entry count      u64
-//! entry*   fingerprint      tables / predicates / groups / columns
+//! entry*   fingerprint      bytes     the cache key
 //!          canonical plan   join order, operators, bound, certificate
-//!          exact stats      unquantized statistics (certificate gate)
+//!          exact stats      bytes     unquantized statistics (certificate gate)
 //!          recency rank     u64       ascending == least- to most-recent
 //! trailer  checksum         u64       FNV-1a over every preceding byte
 //! ```
+//!
+//! The key and the exact statistics are stored as the byte strings
+//! [`crate::fingerprint`] writes (its module docs give their layout);
+//! version 1 wrote them field by field.
 //!
 //! # Guarantees
 //!
@@ -35,12 +39,19 @@
 //!   or costing drift would otherwise serve plans keyed by a different
 //!   equivalence relation.
 //! * **Integrity.** The trailing checksum covers the whole file; a
-//!   truncated or bit-flipped snapshot degrades to a clean cold boot.
+//!   truncated or bit-flipped snapshot degrades to a clean cold boot. The
+//!   checksum detects corruption; it does not authenticate.
+//! * **Validated on load, down to what a hit uses.** An entry is kept only
+//!   if its plan is a permutation of its key's tables, with one operator
+//!   per join when it records operators, and a finite bound. The key and
+//!   the exact statistics need no parsing: an entry is reached only
+//!   through equality with a key computed from a live, validated query,
+//!   and its certificates carry over only when its exact statistics equal
+//!   that query's byte for byte.
 //! * **No trusted plans.** Loading only re-populates the cache. Every hit
 //!   on a loaded entry goes through the same instantiation path as an
 //!   in-process hit: the plan is re-validated against the live query and
-//!   re-costed against the live catalog, and optimality certificates
-//!   carry over only when the exact (unquantized) statistics match.
+//!   re-costed against the live catalog.
 //! * **LRU continuity.** Entries are written in global recency order and
 //!   re-inserted in that order on load, so the eviction order a serving
 //!   process had built up survives the reboot.
@@ -61,9 +72,7 @@ use std::sync::Arc;
 
 use crate::cache::{CachedPlan, ShardedPlanCache};
 use crate::cost::{CostModelKind, CostParams};
-use crate::fingerprint::{
-    ColumnKey, ExactStats, Fingerprint, FingerprintOptions, GroupKey, PredKey, TableKey,
-};
+use crate::fingerprint::{ExactStats, Fingerprint, FingerprintOptions};
 use crate::plan::JoinOp;
 
 /// First eight bytes of every snapshot file.
@@ -72,7 +81,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MJPLANC1";
 /// Current snapshot format version. Bumped on any layout change; older
 /// files are rejected wholesale (a warm boot is an optimization, not
 /// state — rejecting is always safe).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Fixed byte length of the header (magic + version + two hashes + count).
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
@@ -186,19 +195,11 @@ fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -212,6 +213,11 @@ fn put_bool(buf: &mut Vec<u8>, v: bool) {
 
 fn put_len(buf: &mut Vec<u8>, n: usize) {
     put_u64(buf, n as u64);
+}
+
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_len(buf, bytes.len());
+    buf.extend_from_slice(bytes);
 }
 
 /// Bounds-checked little-endian reader. Every accessor returns `None`
@@ -246,11 +252,6 @@ impl<'a> Cursor<'a> {
         self.take(1).map(|s| s[0])
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .and_then(|s| Some(u16::from_le_bytes(s.try_into().ok()?)))
-    }
-
     fn u32(&mut self) -> Option<u32> {
         self.take(4)
             .and_then(|s| Some(u32::from_le_bytes(s.try_into().ok()?)))
@@ -259,11 +260,6 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Option<u64> {
         self.take(8)
             .and_then(|s| Some(u64::from_le_bytes(s.try_into().ok()?)))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.take(8)
-            .and_then(|s| Some(i64::from_le_bytes(s.try_into().ok()?)))
     }
 
     fn f64(&mut self) -> Option<f64> {
@@ -289,196 +285,20 @@ impl<'a> Cursor<'a> {
         }
         usize::try_from(n).ok()
     }
+
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let n = self.seq_len()?;
+        self.take(n)
+    }
 }
 
 // ---------------------------------------------------------------------
-// Fingerprint / plan records
+// Snapshot records
 // ---------------------------------------------------------------------
-
-fn put_fingerprint(buf: &mut Vec<u8>, fp: &Fingerprint) {
-    put_len(buf, fp.tables.len());
-    for t in &fp.tables {
-        put_i64(buf, t.qlog_card);
-        put_i64(buf, t.qlog_tuple_bytes);
-        put_bool(buf, t.sorted);
-    }
-    put_len(buf, fp.predicates.len());
-    for p in &fp.predicates {
-        put_len(buf, p.tables.len());
-        for &t in &p.tables {
-            put_u16(buf, t);
-        }
-        put_i64(buf, p.qlog_selectivity);
-        put_i64(buf, p.qlog_eval_cost);
-    }
-    put_len(buf, fp.groups.len());
-    for g in &fp.groups {
-        put_len(buf, g.members.len());
-        for &m in &g.members {
-            put_u32(buf, m);
-        }
-        put_i64(buf, g.qlog_correction);
-    }
-    put_len(buf, fp.columns.len());
-    for c in &fp.columns {
-        put_u16(buf, c.table);
-        put_i64(buf, c.qlog_bytes);
-        put_bool(buf, c.output);
-        put_len(buf, c.predicates.len());
-        for &p in &c.predicates {
-            put_u32(buf, p);
-        }
-    }
-}
-
-fn get_fingerprint(cur: &mut Cursor<'_>) -> Option<Fingerprint> {
-    let n_tables = cur.seq_len()?;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        tables.push(TableKey {
-            qlog_card: cur.i64()?,
-            qlog_tuple_bytes: cur.i64()?,
-            sorted: cur.bool()?,
-        });
-    }
-    let n_preds = cur.seq_len()?;
-    let mut predicates = Vec::with_capacity(n_preds);
-    for _ in 0..n_preds {
-        let n = cur.seq_len()?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(cur.u16()?);
-        }
-        predicates.push(PredKey {
-            tables: members,
-            qlog_selectivity: cur.i64()?,
-            qlog_eval_cost: cur.i64()?,
-        });
-    }
-    let n_groups = cur.seq_len()?;
-    let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        let n = cur.seq_len()?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(cur.u32()?);
-        }
-        groups.push(GroupKey {
-            members,
-            qlog_correction: cur.i64()?,
-        });
-    }
-    let n_columns = cur.seq_len()?;
-    let mut columns = Vec::with_capacity(n_columns);
-    for _ in 0..n_columns {
-        let table = cur.u16()?;
-        let qlog_bytes = cur.i64()?;
-        let output = cur.bool()?;
-        let n = cur.seq_len()?;
-        let mut preds = Vec::with_capacity(n);
-        for _ in 0..n {
-            preds.push(cur.u32()?);
-        }
-        columns.push(ColumnKey {
-            table,
-            qlog_bytes,
-            output,
-            predicates: preds,
-        });
-    }
-    Some(Fingerprint {
-        tables,
-        predicates,
-        groups,
-        columns,
-    })
-}
-
-fn put_exact(buf: &mut Vec<u8>, exact: &ExactStats) {
-    put_len(buf, exact.tables.len());
-    for &(card, bytes, sorted) in &exact.tables {
-        put_f64(buf, card);
-        put_f64(buf, bytes);
-        put_bool(buf, sorted);
-    }
-    put_len(buf, exact.predicates.len());
-    for (tables, sel, cost) in &exact.predicates {
-        put_len(buf, tables.len());
-        for &t in tables {
-            put_u16(buf, t);
-        }
-        put_f64(buf, *sel);
-        put_f64(buf, *cost);
-    }
-    put_len(buf, exact.groups.len());
-    for (members, corr) in &exact.groups {
-        put_len(buf, members.len());
-        for &m in members {
-            put_u32(buf, m);
-        }
-        put_f64(buf, *corr);
-    }
-    put_len(buf, exact.columns.len());
-    for (table, bytes, output, preds) in &exact.columns {
-        put_u16(buf, *table);
-        put_f64(buf, *bytes);
-        put_bool(buf, *output);
-        put_len(buf, preds.len());
-        for &p in preds {
-            put_u32(buf, p);
-        }
-    }
-}
-
-fn get_exact(cur: &mut Cursor<'_>) -> Option<ExactStats> {
-    let n_tables = cur.seq_len()?;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        tables.push((cur.f64()?, cur.f64()?, cur.bool()?));
-    }
-    let n_preds = cur.seq_len()?;
-    let mut predicates = Vec::with_capacity(n_preds);
-    for _ in 0..n_preds {
-        let n = cur.seq_len()?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(cur.u16()?);
-        }
-        predicates.push((members, cur.f64()?, cur.f64()?));
-    }
-    let n_groups = cur.seq_len()?;
-    let mut groups = Vec::with_capacity(n_groups);
-    for _ in 0..n_groups {
-        let n = cur.seq_len()?;
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(cur.u32()?);
-        }
-        groups.push((members, cur.f64()?));
-    }
-    let n_columns = cur.seq_len()?;
-    let mut columns = Vec::with_capacity(n_columns);
-    for _ in 0..n_columns {
-        let table = cur.u16()?;
-        let bytes = cur.f64()?;
-        let output = cur.bool()?;
-        let n = cur.seq_len()?;
-        let mut preds = Vec::with_capacity(n);
-        for _ in 0..n {
-            preds.push(cur.u32()?);
-        }
-        columns.push((table, bytes, output, preds));
-    }
-    Some(ExactStats {
-        tables,
-        predicates,
-        groups,
-        columns,
-    })
-}
 
 fn put_entry(buf: &mut Vec<u8>, fp: &Fingerprint, plan: &CachedPlan, rank: u64) {
-    put_fingerprint(buf, fp);
+    put_bytes(buf, fp.as_bytes());
     put_len(buf, plan.canonical_order.len());
     for &pos in &plan.canonical_order {
         put_u64(buf, pos as u64);
@@ -495,7 +315,7 @@ fn put_entry(buf: &mut Vec<u8>, fp: &Fingerprint, plan: &CachedPlan, rank: u64) 
         None => put_u8(buf, 0),
     }
     put_bool(buf, plan.proven_optimal);
-    put_exact(buf, &plan.exact);
+    put_bytes(buf, plan.exact.as_bytes());
     put_u64(buf, rank);
 }
 
@@ -507,7 +327,7 @@ struct Record {
 }
 
 fn get_entry(cur: &mut Cursor<'_>) -> Option<Record> {
-    let fingerprint = get_fingerprint(cur)?;
+    let fingerprint = Fingerprint::from_bytes(cur.bytes()?);
     let n_order = cur.seq_len()?;
     let mut canonical_order = Vec::with_capacity(n_order);
     for _ in 0..n_order {
@@ -524,7 +344,7 @@ fn get_entry(cur: &mut Cursor<'_>) -> Option<Record> {
         _ => return None,
     };
     let proven_optimal = cur.bool()?;
-    let exact = get_exact(cur)?;
+    let exact = ExactStats::from_bytes(cur.bytes()?);
     let rank = cur.u64()?;
     Some(Record {
         fingerprint,
@@ -543,41 +363,15 @@ fn get_entry(cur: &mut Cursor<'_>) -> Option<Record> {
     })
 }
 
-/// Structural validation of one decoded record: internally consistent
-/// dimensions and index references, and finite statistics. Anything less
-/// is rejected — the serving layers assume fingerprint/plan/stat shapes
-/// agree, and a snapshot is the one place that invariant crosses a trust
-/// boundary. (Costs are *not* read from disk at all: hits re-cost against
-/// the live catalog.)
+/// Validation of one decoded record, down to what a hit uses (see the
+/// module docs): the join order is a permutation of the key's tables, the
+/// operator list (when the backend recorded one) has one operator per
+/// join, and the bound is finite. (Costs are *not* read from disk at all:
+/// hits re-cost against the live catalog.)
 fn validate_record(rec: &Record) -> bool {
-    let fp = &rec.fingerprint;
     let plan = &rec.plan;
-    let n = fp.tables.len();
-    let n_preds = fp.predicates.len();
-    if n == 0 {
-        return false;
-    }
-    // Fingerprint-internal references: predicates name canonical tables,
-    // groups and columns name sorted-predicate indices.
-    let pred_tables_ok = |tables: &[u16]| tables.iter().all(|&t| usize::from(t) < n);
-    if !fp.predicates.iter().all(|p| pred_tables_ok(&p.tables)) {
-        return false;
-    }
-    let pred_refs_ok = |refs: &[u32]| refs.iter().all(|&p| (p as usize) < n_preds);
-    if !fp.groups.iter().all(|g| pred_refs_ok(&g.members)) {
-        return false;
-    }
-    if !fp
-        .columns
-        .iter()
-        .all(|c| usize::from(c.table) < n && pred_refs_ok(&c.predicates))
-    {
-        return false;
-    }
-    // The join order is a permutation of the canonical tables, and the
-    // operator list (when the backend recorded one) has one operator per
-    // join.
-    if plan.canonical_order.len() != n {
+    let n = rec.fingerprint.num_tables();
+    if n == 0 || plan.canonical_order.len() != n {
         return false;
     }
     let mut seen = vec![false; n];
@@ -587,52 +381,8 @@ fn validate_record(rec: &Record) -> bool {
         }
         seen[pos] = true;
     }
-    if !plan.operators.is_empty() && plan.operators.len() != n - 1 {
-        return false;
-    }
-    if let Some(b) = plan.bound {
-        if !b.is_finite() {
-            return false;
-        }
-    }
-    // Exact stats mirror the fingerprint dimension for dimension (the
-    // certificate carry-over compares them element-wise), with finite
-    // values and in-bounds references.
-    let exact = &plan.exact;
-    if exact.tables.len() != n
-        || exact.predicates.len() != n_preds
-        || exact.groups.len() != fp.groups.len()
-        || exact.columns.len() != fp.columns.len()
-    {
-        return false;
-    }
-    if !exact
-        .tables
-        .iter()
-        .all(|&(card, bytes, _)| card.is_finite() && bytes.is_finite())
-    {
-        return false;
-    }
-    if !exact
-        .predicates
-        .iter()
-        .all(|(tables, sel, cost)| pred_tables_ok(tables) && sel.is_finite() && cost.is_finite())
-    {
-        return false;
-    }
-    if !exact
-        .groups
-        .iter()
-        .all(|(members, corr)| pred_refs_ok(members) && corr.is_finite())
-    {
-        return false;
-    }
-    if !exact.columns.iter().all(|(table, bytes, _, preds)| {
-        usize::from(*table) < n && bytes.is_finite() && pred_refs_ok(preds)
-    }) {
-        return false;
-    }
-    true
+    (plan.operators.is_empty() || plan.operators.len() == n - 1)
+        && plan.bound.is_none_or(f64::is_finite)
 }
 
 // ---------------------------------------------------------------------
@@ -824,11 +574,12 @@ mod tests {
     fn fingerprint_record_round_trips() {
         let fq = fingerprinted(10.0);
         let mut buf = Vec::new();
-        put_fingerprint(&mut buf, &fq.fingerprint);
-        put_exact(&mut buf, &fq.exact);
+        put_bytes(&mut buf, fq.fingerprint.as_bytes());
+        put_bytes(&mut buf, fq.exact.as_bytes());
         let mut cur = Cursor::new(&buf);
-        assert_eq!(get_fingerprint(&mut cur), Some(fq.fingerprint));
-        assert_eq!(get_exact(&mut cur), Some(fq.exact));
+        let fingerprint = cur.bytes().map(Fingerprint::from_bytes);
+        assert_eq!(fingerprint, Some(fq.fingerprint));
+        assert_eq!(cur.bytes().map(ExactStats::from_bytes), Some(fq.exact));
         assert!(cur.done());
     }
 
@@ -923,6 +674,59 @@ mod tests {
             assert_eq!(stats.loaded, 0, "flip at byte {i}");
             assert!(stats.rejected >= 1, "flip at byte {i}");
             assert!(boot.is_empty());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One invalid record next to two valid ones, per file: the loader
+    /// rejects that entry and loads the others. The cache stores whatever
+    /// it is handed, so the writer seals each file with a valid checksum
+    /// and the record checks alone must catch the damage.
+    #[test]
+    fn invalid_records_are_rejected_one_by_one() {
+        let plan = |order: Vec<usize>, operators: Vec<JoinOp>, bound: Option<f64>| CachedPlan {
+            canonical_order: order,
+            operators,
+            bound,
+            ..(*dummy_plan()).clone()
+        };
+        let two = fingerprinted(1000.0).fingerprint;
+        let cases = [
+            ("an order index >= n", &two, plan(vec![0, 2], vec![], None)),
+            ("a repeated index", &two, plan(vec![1, 1], vec![], None)),
+            ("an order one short", &two, plan(vec![1], vec![], None)),
+            (
+                "two operators for one join",
+                &two,
+                plan(vec![0, 1], vec![JoinOp::Hash; 2], None),
+            ),
+            (
+                "a NaN bound",
+                &two,
+                plan(vec![0, 1], vec![], Some(f64::NAN)),
+            ),
+            (
+                "a fingerprint under two bytes",
+                &Fingerprint::from_bytes(&[2]),
+                plan(vec![0, 1], vec![], None),
+            ),
+        ];
+        let path = tmp_file("invalid-records");
+        for (name, fingerprint, bad) in cases {
+            let cache = ShardedPlanCache::new(8, 1);
+            for card in [10.0, 100.0] {
+                cache.insert(fingerprinted(card).fingerprint, dummy_plan());
+            }
+            cache.insert(fingerprint.clone(), Arc::new(bad));
+            cache.write_snapshot(&path, &config()).unwrap();
+            let boot = ShardedPlanCache::new(8, 1);
+            let stats = boot.load_snapshot(&path, &config());
+            let expected = SnapshotLoadStats {
+                loaded: 2,
+                rejected: 1,
+            };
+            assert_eq!(stats, expected, "{name}");
+            assert!(!boot.touch(fingerprint), "{name}");
         }
         let _ = std::fs::remove_file(&path);
     }

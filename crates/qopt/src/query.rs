@@ -118,8 +118,28 @@ pub enum QueryError {
         predicate: String,
         selectivity: f64,
     },
+    /// Evaluation cost per tuple not finite or negative.
+    InvalidEvalCost {
+        predicate: String,
+        cost: f64,
+    },
     /// Correlated group references an unknown predicate.
     UnknownPredicate(PredicateId),
+    /// Correlated group correction not finite or not positive.
+    InvalidCorrection {
+        group: usize,
+        correction: f64,
+    },
+    /// A carried column (output or predicate column) lives on a table that
+    /// is not part of the query.
+    ColumnOutsideQuery(ColumnId),
+    /// A carried column names a column its table does not have.
+    UnknownColumn(ColumnId),
+    /// A carried column's width is not finite or negative.
+    InvalidColumnWidth {
+        column: ColumnId,
+        bytes: f64,
+    },
     TooManyTables {
         count: usize,
         max: usize,
@@ -147,7 +167,32 @@ impl fmt::Display for QueryError {
                     "predicate {predicate} has selectivity {selectivity} outside (0, 1]"
                 )
             }
+            QueryError::InvalidEvalCost { predicate, cost } => {
+                write!(
+                    f,
+                    "predicate {predicate} has evaluation cost {cost}, not a finite value >= 0"
+                )
+            }
             QueryError::UnknownPredicate(p) => write!(f, "unknown predicate #{}", p.0),
+            QueryError::InvalidCorrection { group, correction } => {
+                write!(
+                    f,
+                    "correlated group #{group} has correction {correction}, not a finite value > 0"
+                )
+            }
+            QueryError::ColumnOutsideQuery(c) => {
+                write!(f, "column {}.{} is outside the query", c.table, c.column)
+            }
+            QueryError::UnknownColumn(c) => {
+                write!(f, "column {}.{} not in catalog", c.table, c.column)
+            }
+            QueryError::InvalidColumnWidth { column, bytes } => {
+                write!(
+                    f,
+                    "column {}.{} has width {bytes}, not a finite value >= 0",
+                    column.table, column.column
+                )
+            }
             QueryError::TooManyTables { count, max } => {
                 write!(f, "query joins {count} tables; at most {max} supported")
             }
@@ -247,6 +292,12 @@ impl Query {
                     selectivity: p.selectivity,
                 });
             }
+            if !(p.eval_cost_per_tuple.is_finite() && p.eval_cost_per_tuple >= 0.0) {
+                return Err(QueryError::InvalidEvalCost {
+                    predicate: p.name.clone(),
+                    cost: p.eval_cost_per_tuple,
+                });
+            }
             for &t in &p.tables {
                 if self.table_position(t).is_none() {
                     return Err(QueryError::PredicateTableNotInQuery {
@@ -256,11 +307,36 @@ impl Query {
                 }
             }
         }
-        for g in &self.correlated_groups {
+        for (group, g) in self.correlated_groups.iter().enumerate() {
             for &pid in &g.members {
                 if pid.index() >= self.predicates.len() {
                     return Err(QueryError::UnknownPredicate(pid));
                 }
+            }
+            if !(g.correction.is_finite() && g.correction > 0.0) {
+                return Err(QueryError::InvalidCorrection {
+                    group,
+                    correction: g.correction,
+                });
+            }
+        }
+        let carried = self.predicates.iter().flat_map(|p| &p.columns);
+        for &column in self.output_columns.iter().chain(carried) {
+            if self.table_position(column.table).is_none() {
+                return Err(QueryError::ColumnOutsideQuery(column));
+            }
+            let Some(c) = catalog
+                .table(column.table)
+                .columns
+                .get(column.column as usize)
+            else {
+                return Err(QueryError::UnknownColumn(column));
+            };
+            if !(c.bytes.is_finite() && c.bytes >= 0.0) {
+                return Err(QueryError::InvalidColumnWidth {
+                    column,
+                    bytes: c.bytes,
+                });
             }
         }
         Ok(())

@@ -6,7 +6,8 @@
 //! cost-space by construction, the reported guarantees are directly
 //! comparable across backends.
 //!
-//! Run with: `cargo run --release --example compare_optimizers [n]`
+//! Run with: `cargo run --release --example compare_optimizers [n]`. Exits
+//! with status 1 when any backend fails.
 
 use std::time::Duration;
 
@@ -54,6 +55,7 @@ fn main() {
         ),
     ];
 
+    let mut failed = false;
     for (label, backend) in backends {
         let mut session = PlanSession::new(catalog.clone(), backend).with_options(options.clone());
         match session.optimize(&query) {
@@ -79,7 +81,13 @@ fn main() {
                     out.cost, out.elapsed
                 );
             }
-            Err(e) => println!("{label:<16} failed: {e}"),
+            Err(e) => {
+                println!("{label:<16} failed: {e}");
+                failed = true;
+            }
         }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -13,7 +13,7 @@ use milpjoin::{
 };
 use milpjoin_qopt::cost::{plan_cost, CostModelKind};
 use milpjoin_qopt::query::MAX_TABLES;
-use milpjoin_qopt::{Catalog, LeftDeepPlan, Predicate, Query};
+use milpjoin_qopt::{Catalog, ColumnId, LeftDeepPlan, Predicate, Query};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 use oracle::{
     arms_for, chain, check_outcome, check_rows, search_arms, Arm, Reference, Row, TOPOLOGIES,
@@ -115,25 +115,103 @@ fn edge_rows_meet_every_contract() {
 /// An invalid query is `InvalidQuery` from every backend.
 #[test]
 fn invalid_queries_are_invalid_everywhere() {
+    use CostModelKind::{Cout, Hash};
     let mut catalog = Catalog::new();
     let (r, s) = (catalog.add_table("R", 10.0), catalog.add_table("S", 20.0));
     let outside = catalog.add_table("T", 30.0);
     let mut stray = Query::new(vec![r, s]);
     stray.add_predicate(Predicate::binary(r, outside, 0.5));
     let (wide_catalog, wide) = WorkloadSpec::new(Topology::Chain, MAX_TABLES + 1).generate(0);
+    // The paper's 3-table example, each time with one invalid statistic:
+    // a correlation correction, an evaluation cost, or a carried column.
+    let mut paper = Catalog::new();
+    let (pr, ps) = (paper.add_table("R", 10.0), paper.add_table("S", 1000.0));
+    let pt = paper.add_table("T", 100.0);
+    let foreign = paper.add_table("U", 5.0);
+    let foreign = paper.add_column(foreign, "u", 8.0);
+    let missing = ColumnId {
+        table: pr,
+        column: 7,
+    };
+    let mut nan_widths = paper.clone();
+    let nan_width = nan_widths.add_column(ps, "nan", f64::NAN);
+    let mut negative_widths = paper.clone();
+    let negative_width = negative_widths.add_column(pt, "negative", -8.0);
+    let example = |correction: Option<f64>, cost: f64, columns: Vec<ColumnId>| {
+        let mut query = Query::new(vec![pr, ps, pt]);
+        let p = query.add_predicate(Predicate::binary(pr, ps, 0.1).with_eval_cost(cost));
+        if let Some(correction) = correction {
+            query.add_correlated_group(vec![p], correction);
+        }
+        query.output_columns = columns;
+        query
+    };
     let cases = [
         ("unknown tables", &Catalog::new(), Query::new(vec![r, s])),
         ("no tables", &catalog, Query::new(vec![])),
         ("a table twice", &catalog, Query::new(vec![r, s, r])),
         ("a predicate outside the query", &catalog, stray),
         ("65 tables", &wide_catalog, wide),
+        ("a correction of 0", &paper, example(Some(0.0), 0.0, vec![])),
+        (
+            "a correction of -2",
+            &paper,
+            example(Some(-2.0), 0.0, vec![]),
+        ),
+        (
+            "a NaN correction",
+            &paper,
+            example(Some(f64::NAN), 0.0, vec![]),
+        ),
+        (
+            "a NaN evaluation cost",
+            &paper,
+            example(None, f64::NAN, vec![]),
+        ),
+        (
+            "an evaluation cost of -5",
+            &paper,
+            example(None, -5.0, vec![]),
+        ),
+        (
+            "an infinite evaluation cost",
+            &paper,
+            example(None, f64::INFINITY, vec![]),
+        ),
+        (
+            "a missing column",
+            &paper,
+            example(None, 0.0, vec![missing]),
+        ),
+        (
+            "a column outside the query",
+            &paper,
+            example(None, 0.0, vec![foreign]),
+        ),
+        (
+            "a NaN column width",
+            &nan_widths,
+            example(None, 0.0, vec![nan_width]),
+        ),
+        (
+            "a column width of -8",
+            &negative_widths,
+            example(None, 0.0, vec![negative_width]),
+        ),
     ];
     for (name, catalog, query) in &cases {
-        for arm in arms_for(2) {
-            let backend = arm.backend(CostModelKind::Cout);
-            let got = backend.order(catalog, query, &OrderingOptions::default());
-            let invalid = matches!(got, Err(OrderingError::InvalidQuery(_)));
-            assert!(invalid, "{name}/{arm:?}: {got:?}");
+        for model in [Cout, Hash] {
+            for arm in arms_for(3) {
+                let backend = arm.backend(model);
+                let got = backend.order(catalog, query, &OrderingOptions::default());
+                let invalid = match got {
+                    Err(OrderingError::InvalidQuery(_)) => true,
+                    // DPconv refuses a page model before it reads the query.
+                    Err(OrderingError::InvalidConfig(_)) => arm == Arm::DpConv && model == Hash,
+                    _ => false,
+                };
+                assert!(invalid, "{name}/{}/{arm:?}: {got:?}", model.name());
+            }
         }
     }
 }

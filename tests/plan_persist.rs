@@ -8,9 +8,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use milpjoin::{
-    EncoderConfig, FingerprintOptions, HybridOptimizer, OrderingOptions, PlanSession, Precision,
-    QueryService, SessionOutcome,
+    EncoderConfig, FingerprintOptions, HybridOptimizer, JoinOrderer, OrderingOptions, PlanSession,
+    Precision, QueryService, SessionOutcome,
 };
+use milpjoin_dp::DpOptimizer;
+use milpjoin_qopt::cost::plan_cost;
 use milpjoin_qopt::persist::fnv1a64;
 use milpjoin_qopt::{Catalog, Query};
 use milpjoin_suite::mixed_stream;
@@ -177,6 +179,91 @@ fn future_version_rejects_even_with_a_valid_checksum() {
     bytes[body_len..].copy_from_slice(&reseal);
     std::fs::write(&path, &bytes).unwrap();
     assert_cold_boot("version-bump", &path, catalog, &queries);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Recomputes the FNV-1a trailer so the decoder gets past the checksum.
+fn reseal(bytes: &mut [u8]) {
+    let body_len = bytes.len() - 8;
+    let checksum = fnv1a64(&bytes[..body_len]).to_le_bytes();
+    bytes[body_len..].copy_from_slice(&checksum);
+}
+
+/// A seeded sweep of 2,000 body mutations of a recorded 12-entry
+/// snapshot — flipped bits, inserted and deleted bytes, and overwritten
+/// words that read as small counts (length fields, join-order indices,
+/// ranks) — each resealed so the records are decoded. Loading never
+/// panics and never loads more entries than were written, and a service
+/// booted from each file answers the recording stream with plans that
+/// validate at their exact cost. Certificates are not part of the
+/// property: the checksum detects corruption, it does not authenticate,
+/// so a resealed bound or optimality flag is believed.
+#[test]
+fn resealed_mutations_never_serve_an_invalid_plan() {
+    let (catalog, queries) = mixed_stream(5, 4, 4, 2);
+    let path = tmp_snapshot("mutations");
+    let mut recorder = PlanSession::new(catalog.clone(), Box::new(DpOptimizer::default()));
+    recorder.optimize_batch(&queries);
+    let written = recorder.snapshot_to(&path).unwrap();
+    assert_eq!(written.entries, 12);
+    let original = std::fs::read(&path).unwrap();
+    // Magic, version, two hashes and the entry count; then the records,
+    // then the 8-byte checksum.
+    let body = 8 + 4 + 8 + 8 + 8..original.len() - 8;
+    let small_words: Vec<usize> = body
+        .clone()
+        .filter(|&at| at + 8 <= body.end)
+        .filter(|&at| u64::from_le_bytes(original[at..at + 8].try_into().unwrap()) < 256)
+        .collect();
+    let (model, params) = DpOptimizer::default().cost_model();
+    // SplitMix64: a fixed stream of mutations.
+    let mut state = 0x5eed_u64;
+    let mut next = move |bound: usize| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    for round in 0..2000 {
+        let mut bytes = original.clone();
+        let at = body.start + next(body.len());
+        let kind = match round % 4 {
+            0 => {
+                bytes[at] ^= 1 << next(8);
+                "flip"
+            }
+            1 => {
+                bytes.insert(at, next(256) as u8);
+                "insert"
+            }
+            2 => {
+                bytes.remove(at);
+                "delete"
+            }
+            _ => {
+                let word = small_words[next(small_words.len())];
+                let value = [0, 1, 2, 255, u64::MAX, next(1 << 20) as u64][next(6)];
+                bytes[word..word + 8].copy_from_slice(&value.to_le_bytes());
+                "overwrite"
+            }
+        };
+        let label = format!("round {round} ({kind} at {at})");
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let service = QueryService::new(catalog.clone(), DpOptimizer::default())
+            .with_workers(1)
+            .with_snapshot(&path);
+        let boot = service.explain();
+        assert!(boot.snapshot_entries_loaded <= 12, "{label}: {boot:?}");
+        let tickets = service.submit_many(queries.iter().cloned());
+        for (query, ticket) in queries.iter().zip(&tickets) {
+            let out = ticket.wait().unwrap_or_else(|e| panic!("{label}: {e}"));
+            out.outcome.plan.validate(query).unwrap();
+            let cost = plan_cost(&catalog, query, &out.outcome.plan, model, &params).total;
+            assert_eq!(out.outcome.cost.to_bits(), cost.to_bits(), "{label}");
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -6,10 +6,12 @@
 use std::time::Duration;
 
 use milpjoin::{
-    EncoderConfig, HybridOptimizer, JoinOrderer, OrderingOptions, PlanSession, Precision,
+    EncoderConfig, HybridOptimizer, JoinOrderer, OrderingError, OrderingOptions, PlanSession,
+    Precision,
 };
 use milpjoin_dp::{DpOptimizer, GreedyOptimizer};
 use milpjoin_qopt::cost::plan_cost;
+use milpjoin_qopt::{Catalog, ColumnId, Predicate, Query};
 use milpjoin_workloads::{Topology, WorkloadSpec};
 
 fn session_options() -> OrderingOptions {
@@ -165,4 +167,34 @@ fn cost_model_accessor_reflects_configuration() {
     assert_eq!(hybrid.cost_model().0, CostModelKind::Hash);
     let dp = DpOptimizer::new(CostModelKind::SortMerge);
     assert_eq!(dp.cost_model().0, CostModelKind::SortMerge);
+}
+
+/// A carried column — output or predicate column — that its table does
+/// not have, or that lives on a table outside the query, makes the query
+/// invalid before it is fingerprinted.
+#[test]
+fn invalid_carried_columns_are_invalid_queries() {
+    let mut catalog = Catalog::new();
+    let (r, s) = (catalog.add_table("R", 10.0), catalog.add_table("S", 1000.0));
+    let t = catalog.add_table("T", 100.0);
+    let outside = catalog.add_table("U", 5.0);
+    let foreign = catalog.add_column(outside, "u", 8.0);
+    let missing = ColumnId {
+        table: r,
+        column: 7,
+    };
+    let mut session = PlanSession::new(catalog, Box::new(DpOptimizer::default()));
+    for (name, column) in [("missing", missing), ("outside the query", foreign)] {
+        let mut query = Query::new(vec![r, s, t]);
+        query.add_predicate(Predicate::binary(r, s, 0.1));
+        let mut carried = query.clone();
+        carried.predicates[0].columns.push(column);
+        query.output_columns.push(column);
+        for (role, query) in [("output", query), ("predicate", carried)] {
+            let got = session.optimize(&query);
+            let invalid = matches!(got, Err(OrderingError::InvalidQuery(_)));
+            assert!(invalid, "{role} column {name}: {got:?}");
+        }
+    }
+    assert_eq!(session.cache_len(), 0);
 }
